@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .convergence import green_error_full, green_error_semi, strong_error_study
 from .model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec,
                     validate_run_config)
 from .moments import (exact_second_moment_recursion, fit_growth,
-                      lambda_scaling_sweep, mc_moment, second_moment_series)
+                      lambda_scaling_sweep, mc_moment, pmap, second_moment_series)
 from .noise import NoiseSeed
 from .output import RunManifest, svg_plot, write_csv
 from .renewal import continuous_mu, discrete_mu
@@ -39,14 +38,6 @@ def _threads(args) -> int:
     if args.threads:
         return args.threads
     return int(os.environ.get("SHELAB_THREADS", "1"))
-
-
-def _pmap(fn, items, threads: int):
-    """Map preserving input order (deterministic aggregation)."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_config(path: str) -> dict:
@@ -273,8 +264,8 @@ def cmd_convergence(args) -> int:
     threads = _threads(args)
     if kind == "green-semi":
         ns = [int(v) for v in sec.get("ns", [8, 16, 32, 64])]
-        errs = _pmap(lambda n: green_error_semi(n, x=float(sec.get("x", 0.0))),
-                     ns, threads)
+        errs = pmap(lambda n: green_error_semi(n, x=float(sec.get("x", 0.0))),
+                    ns, threads)
         rows = [(n, e, 0.0) for n, e in zip(ns, errs)]
         write_csv(_out(args, "green_error.csv"), ["n", "error", "stderr"], rows, manifest)
         svg_plot(_out(args, "green_error.svg"),
@@ -285,9 +276,9 @@ def cmd_convergence(args) -> int:
         n = int(sec.get("n", 64))
         theta = float(sec.get("theta", 1.0))
         taus = [float(v) for v in sec["taus"]]
-        errs = _pmap(lambda tau: green_error_full(n, tau, theta,
-                                                  x=float(sec.get("x", 0.0))),
-                     taus, threads)
+        errs = pmap(lambda tau: green_error_full(n, tau, theta,
+                                                 x=float(sec.get("x", 0.0))),
+                    taus, threads)
         rows = [(tau, e, 0.0) for tau, e in zip(taus, errs)]
         write_csv(_out(args, "green_error.csv"), ["tau", "error", "stderr"], rows, manifest)
         svg_plot(_out(args, "green_error.svg"), [("full", taus, errs)], manifest,

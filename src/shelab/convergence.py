@@ -16,15 +16,14 @@ finest rung.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .kernels import (AmplificationFactors, KernelEvalOptions, SpectralBasis,
-                      full_green, heat_kernel, heat_kernel_square_integral,
-                      semi_green, spectral_basis)
+                      heat_kernel_square_integral, spectral_basis)
 from .model import GridSpec, InitialData, ModelSpec, SchemeSpec
+from .moments import ols
 from .noise import NoiseSeed, coarsen_array, normals_from_raw
 from .solver import StepOperator
 from .stability import check_stability
@@ -47,7 +46,6 @@ class QuadratureSpec:
     """Composite quadrature controls; `refined()` halves every step for the
     self-consistency check (reported integrals must move by < 1%)."""
 
-    y_gauss: int = 10
     t_gauss: int = 8
     fine_panels: int = 20
     coarse_panels: int = 40
@@ -55,11 +53,8 @@ class QuadratureSpec:
     resolve_cap: int = 4096
 
     def refined(self) -> "QuadratureSpec":
-        return QuadratureSpec(y_gauss=2 * self.y_gauss, t_gauss=2 * self.t_gauss,
-                              fine_panels=2 * self.fine_panels,
-                              coarse_panels=2 * self.coarse_panels,
-                              t_split=self.t_split,
-                              resolve_cap=self.resolve_cap)
+        return replace(self, t_gauss=2 * self.t_gauss, fine_panels=2 * self.fine_panels,
+                       coarse_panels=2 * self.coarse_panels)
 
 
 @dataclass
@@ -75,28 +70,6 @@ class ErrorCurve:
 def _gauss(points: int):
     x, w = np.polynomial.legendre.leggauss(points)
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0,1]
-
-
-def _sq_diff_y_cells(t: float, x: float, basis: SpectralBasis, cell_values: np.ndarray,
-                     quad: QuadratureSpec) -> float:
-    """int_0^1 (G(t,x,y) - K(t,x,y))^2 dy by per-cell Gauss quadrature with K
-    piecewise constant per cell.  Loses the kernel spike for t much smaller
-    than the squared node spacing; kept as the moderate-t oracle route."""
-    n = basis.n
-    xi, w = _gauss(quad.y_gauss)
-    nodes = (np.arange(n)[:, None] + xi[None, :]) / n
-    g = heat_kernel(t, x, nodes, _KOPTS)
-    diff = g - cell_values[:, None]
-    return float(np.sum(diff * diff * w[None, :]) / n)
-
-
-def _semi_cells(t: float, x: float, basis: SpectralBasis) -> np.ndarray:
-    return np.asarray(semi_green(t, x, np.arange(basis.n) / basis.n, basis))
-
-
-def _full_cells(t: float, x: float, factors: AmplificationFactors) -> np.ndarray:
-    basis = factors.basis
-    return np.asarray(full_green(t, x, np.arange(basis.n) / basis.n, "G2", factors))
 
 
 def _mode_profile(basis: SpectralBasis, x: float) -> np.ndarray:
@@ -183,18 +156,10 @@ def green_error_semi(n: int, x: float = 0.0,
     return _head_integral_smooth(d_of_t, n, quad) + _tail_bound_semi(n, quad.t_split)
 
 
-def green_error_semi_pointwise(n: int, t: float, x: float = 0.0,
-                               quad: QuadratureSpec = QuadratureSpec(),
-                               method: str = "exact") -> float:
-    """int_0^1 |G(t,x,y) - G^n(t,x,y)|^2 dy at one time.
-
-    method "exact" evaluates the y-integral through the aliasing series;
-    "cells" uses per-cell Gauss quadrature (independent oracle, valid for
-    t not far below (cell width)^2).
-    """
+def green_error_semi_pointwise(n: int, t: float, x: float = 0.0) -> float:
+    """int_0^1 |G(t,x,y) - G^n(t,x,y)|^2 dy at one time, the y-integral
+    evaluated through the aliasing series."""
     basis = spectral_basis(n)
-    if method == "cells":
-        return _sq_diff_y_cells(t, x, basis, _semi_cells(t, x, basis), quad)
     return _sq_diff_y_exact(t, x, basis, np.exp(basis.eigenvalues * t),
                             _mode_profile(basis, x))
 
@@ -266,21 +231,6 @@ def initial_data_error_full(n: int, tau: float, theta: float, u0: InitialData,
         m = n // 2
         acc += delta[m] * basis.phi_c_interp(np.array([m]), x)[0] * c[m].real
     return float(acc) ** 2
-
-
-def _fit_loglog(xs: np.ndarray, ys: np.ndarray):
-    lx, ly = np.log(xs), np.log(ys)
-    xm = lx - lx.mean()
-    sxx = float(np.dot(xm, xm))
-    slope = float(np.dot(xm, ly) / sxx)
-    resid = ly - (ly.mean() + slope * xm)
-    dof = len(xs) - 2
-    if dof > 0:
-        se = math.sqrt(float(np.dot(resid, resid)) / dof / sxx)
-        ci = float(stats.t.ppf(0.975, dof) * se)
-    else:
-        ci = float("nan")
-    return slope, ci
 
 
 def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
@@ -361,6 +311,6 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
         raise ValueError("ladder must refine exactly one of (n, tau)")
     if mask.sum() < 2:
         raise ValueError("fewer than two rungs are separated enough to fit an order")
-    slope, ci = _fit_loglog(coords[mask], errors[mask])
+    slope, ci, _, _ = ols(np.log(coords[mask]), np.log(errors[mask]))
     return ErrorCurve(resolutions=list(rungs), errors=errors,
                       fitted_order=sign * slope, ci=ci, mode=mode, fit_mask=mask)

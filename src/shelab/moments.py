@@ -15,13 +15,14 @@ a limsup is not computable, a documented estimator is.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .kernels import spectral_basis
-from .model import GridSpec, ModelSpec, SchemeSpec, validate_run_config
+from .model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec,
+                    validate_run_config)
 from .noise import NoiseSeed, sample_block
 from .solver import BlowupError, StepOperator
 from .stability import check_sharp_regime, check_stability, positivity_time_full
@@ -35,6 +36,8 @@ __all__ = [
     "exact_second_moment_recursion",
     "second_moment_series",
     "mc_moment",
+    "ols",
+    "pmap",
     "fit_growth",
     "lambda_scaling_sweep",
     "intermittency_report",
@@ -100,17 +103,9 @@ def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: Mod
     report = validate_run_config(grid, scheme, model)
     if not report:
         raise ValueError("invalid run configuration: " + "; ".join(report.violations))
-    n, tau, theta = grid.n, scheme.tau, scheme.theta
-    basis = spectral_basis(n)
-    half = basis.eigenvalues[: n // 2 + 1]
-    if scheme.stepper == "theta":
-        r1h = 1.0 / (1.0 - theta * tau * half)
-        r2h = 1.0 + (1.0 - theta) * tau * half
-    else:
-        r1h = np.exp(tau * half)
-        r2h = np.ones_like(half)
-    bh = r1h * r2h
-    gain = model.lam ** 2 * n * tau * model.sigma.slope ** 2
+    op = StepOperator(grid.n, scheme, model)
+    r1h, bh = op.r1h, op.r1h * op.r2h
+    gain = model.lam ** 2 * grid.n * scheme.tau * model.sigma.slope ** 2
     u0 = model.u0.values(grid)
     m = np.outer(u0, u0)
     out = [MomentMatrix(matrix=m.copy(), time_index=0)]
@@ -135,15 +130,6 @@ def second_moment_series(matrices, tau: float, probe="min") -> MomentSeries:
     else:
         values = np.array([m.diagonal[int(probe)] for m in matrices])
     return MomentSeries(times=times, values=values, p=2.0, source={"kind": "exact"})
-
-
-def _jackknife_se(samples: np.ndarray) -> float:
-    # delete-one jackknife of the mean reduces to the classical SE formula
-    n = len(samples)
-    if n < 2:
-        return float("nan")
-    mean = samples.mean()
-    return float(np.sqrt(np.sum((samples - mean) ** 2) / (n * (n - 1))))
 
 
 def _snap_indices(times, tau: float) -> list[int]:
@@ -236,6 +222,32 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     return results if isinstance(p, (list, tuple)) else results[0]
 
 
+def ols(x, y) -> tuple[float, float, float, float]:
+    """Least-squares slope of y on x: (slope, 95% t half-width, standard
+    error, R^2); the half-width and error are nan below three points."""
+    xm = x - x.mean()
+    sxx = float(np.dot(xm, xm))
+    slope = float(np.dot(xm, y) / sxx)
+    resid = y - (y.mean() + slope * xm)
+    ssr = float(np.dot(resid, resid))
+    sst = float(np.dot(y - y.mean(), y - y.mean()))
+    dof = len(x) - 2
+    se = math.sqrt(ssr / dof / sxx) if dof > 0 else float("nan")
+    ci = float(stats.t.ppf(0.975, dof) * se) if dof > 0 else float("nan")
+    r2 = 1.0 - ssr / sst if sst > 0 else 1.0
+    return slope, ci, se, r2
+
+
+def pmap(fn, items, threads: int) -> list:
+    """Map preserving input order (deterministic aggregation) on a worker
+    pool when threads > 1; items are listed once, so iterators work."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(it) for it in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def fit_growth(series: MomentSeries, window: tuple | None = None) -> GrowthFit:
     """Least-squares slope of log(values) against time on the fit window."""
     t = np.asarray(series.times, dtype=float)
@@ -248,17 +260,7 @@ def fit_growth(series: MomentSeries, window: tuple | None = None) -> GrowthFit:
         raise ValueError(f"need >= 5 points in the fit window, got {int(mask.sum())}")
     if np.any(v[mask] <= 0.0):
         raise ValueError("nonpositive values in the fit window")
-    x, y = t[mask], np.log(v[mask])
-    xm = x - x.mean()
-    sxx = float(np.dot(xm, xm))
-    slope = float(np.dot(xm, y) / sxx)
-    resid = y - (y.mean() + slope * xm)
-    ssr = float(np.dot(resid, resid))
-    sst = float(np.dot(y - y.mean(), y - y.mean()))
-    dof = len(x) - 2
-    se = math.sqrt(max(ssr, 0.0) / dof / sxx) if dof > 0 else float("nan")
-    ci = float(stats.t.ppf(0.975, dof) * se) if dof > 0 else float("nan")
-    r2 = 1.0 - ssr / sst if sst > 0 else 1.0
+    slope, ci, se, r2 = ols(t[mask], np.log(v[mask]))
     return GrowthFit(gamma=slope, window=(float(ta), float(tb)), r_squared=r2,
                      ci_halfwidth=ci, stderr=se, npoints=int(mask.sum()))
 
@@ -290,8 +292,6 @@ class SweepResult:
 def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float,
                  i0: float, gate_safety: float, efolds: float,
                  stepper: str) -> SweepPoint:
-    from .model import InitialData, SigmaSpec
-
     j0 = abs(sigma_slope)
     n = max(3, int(math.ceil(zeta * lam ** 2)))
     gate_coeff = j0 ** 4 / (16.0 * math.pi * zeta ** 2) + 16.0 * math.pi
@@ -334,21 +334,9 @@ def lambda_scaling_sweep(zeta: float, lambdas, theta: float = 1.0,
         return _sweep_point(zeta, lam, theta, sigma_slope, i0, gate_safety,
                             efolds, stepper)
 
-    if threads > 1 and len(list(lambdas)) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(point, lambdas))
-    else:
-        points = [point(lam) for lam in lambdas]
+    points = pmap(point, lambdas, threads)
     good = [p for p in points if np.isfinite(p.gamma2)]
-    lx = np.log([p.lam for p in good])
-    ly = np.log([p.gamma2 for p in good])
-    xm = lx - lx.mean()
-    slope = float(np.dot(xm, ly) / np.dot(xm, xm))
-    resid = ly - (ly.mean() + slope * xm)
-    dof = len(good) - 2
-    se = math.sqrt(float(np.dot(resid, resid)) / dof / float(np.dot(xm, xm))) if dof > 0 else float("nan")
-    ci = float(stats.t.ppf(0.975, dof) * se) if dof > 0 else float("nan")
+    slope, ci, _, _ = ols(np.log([p.lam for p in good]), np.log([p.gamma2 for p in good]))
     return SweepResult(points=points, slope=slope, slope_ci=ci, zeta=zeta)
 
 

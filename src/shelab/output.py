@@ -11,8 +11,7 @@ import hashlib
 import json
 import os
 import tempfile
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .noise import GENERATOR_ID
@@ -31,8 +30,6 @@ class RunManifest:
     seed: int
     generator_id: str = GENERATOR_ID
     tool_version: str = __version__
-    created_at: float = field(default_factory=time.time)  # never written to CSV
-    outputs: list = field(default_factory=list)
 
     @property
     def hash(self) -> str:
@@ -68,7 +65,6 @@ def write_csv(path: str, columns, rows, manifest: RunManifest):
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     _atomic_write(path, "\n".join(lines) + "\n")
-    manifest.outputs.append(path)
 
 
 def svg_plot(path: str, series, manifest: RunManifest, title: str = "",
@@ -125,4 +121,3 @@ def svg_plot(path: str, series, manifest: RunManifest, title: str = "",
                      f'font-family="monospace" font-size="12">{annotation}</text>')
     parts.append("</svg>")
     _atomic_write(path, "\n".join(parts) + "\n")
-    manifest.outputs.append(path)

@@ -8,8 +8,8 @@ h(mu) = b / sqrt(mu^2 b^2 + 2 n^2 pi) - (1/mu - 1) vanishes.
 Discrete case: g~(r) = b~ e^{-pi mu^2 b~^2 r tau} (1 - e^{-4 n^2 pi^2 r tau})
 tau / sqrt(r tau) with b~ = lambda^2 J0^2 / (8 sqrt(pi)); the mass condition
 uses the series S(a) = sum_{r>=1} e^{-a r} / sqrt(r) = Li_{1/2}(e^{-a}),
-evaluated exactly through mpmath's polylogarithm (a truncated summation
-with a certified geometric tail bound is kept as a cross-check route).
+evaluated exactly through mpmath's polylogarithm (the tests cross-check it
+against a truncated summation with a certified geometric tail bound).
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 from scipy import integrate
+from scipy.optimize import brentq
 
 __all__ = [
     "RenewalRoot",
@@ -26,10 +27,7 @@ __all__ = [
     "continuous_mu",
     "discrete_mu",
     "sqrt_exp_series",
-    "sqrt_exp_series_truncated",
 ]
-
-mpmath.mp.dps = 30
 
 
 class GateViolation(ValueError):
@@ -46,31 +44,25 @@ class RenewalRoot:
     kind: str             # "continuous" | "discrete"
 
 
-def _bisect(fn, lo: float, hi: float, tol: float = 1e-13, max_iter: int = 200) -> float:
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise AssertionError(f"no sign change on [{lo}, {hi}]: f={flo:.3g},{fhi:.3g}")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0 or (hi - lo) < tol:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
 def _check_monotone(fn, lo: float, hi: float, samples: int = 64) -> bool:
     xs = np.linspace(lo, hi, samples)
     ys = np.array([fn(x) for x in xs])
     d = np.diff(ys)
     return bool(np.all(d >= 0.0) or np.all(d <= 0.0))
+
+
+def _limit_root(b: float, c: float, check_monotone: bool = False):
+    """Root on (0, 1) of h(mu) = b / sqrt(mu^2 b^2 + c) - (1/mu - 1); returns
+    (mu, h)."""
+    def h(mu: float) -> float:
+        return b / math.sqrt(mu * mu * b * b + c) - (1.0 / mu - 1.0)
+
+    lo = 1e-12
+    while h(lo) >= 0.0:
+        lo /= 2.0
+    if check_monotone:
+        assert _check_monotone(h, max(lo, 1e-6), 1.0 - 1e-12), "h not monotone on bracket"
+    return brentq(h, lo, 1.0 - 1e-12, xtol=1e-13), h
 
 
 def continuous_mu(lam: float, j0: float, n: int, zeta: float | None = None) -> RenewalRoot:
@@ -83,16 +75,7 @@ def continuous_mu(lam: float, j0: float, n: int, zeta: float | None = None) -> R
         raise ValueError("continuous_mu needs lambda, J0, n > 0")
     b = lam ** 2 * j0 ** 2 / math.sqrt(32.0 * math.pi)
     two_n2_pi = 2.0 * n * n * math.pi
-
-    def h(mu: float) -> float:
-        return b / math.sqrt(mu * mu * b * b + two_n2_pi) - (1.0 / mu - 1.0)
-
-    lo = 1e-12
-    while h(lo) >= 0.0:
-        lo /= 2.0
-    assert _check_monotone(h, max(lo, 1e-6), 1.0 - 1e-12), "h not monotone on bracket"
-    mu = _bisect(h, lo, 1.0 - 1e-12)
-
+    mu, _ = _limit_root(b, two_n2_pi, check_monotone=True)
     rate = math.pi * mu * mu * b * b
 
     def g(s: float) -> float:  # t = s^2 kills the 1/sqrt(t) endpoint
@@ -114,23 +97,8 @@ def sqrt_exp_series(a: float) -> float:
     """S(a) = sum_{r>=1} e^{-a r} / sqrt(r) = Li_{1/2}(e^{-a}), exact."""
     if not a > 0.0:
         raise ValueError("series needs a > 0")
-    return float(mpmath.polylog(mpmath.mpf("0.5"), mpmath.e ** (-mpmath.mpf(a))))
-
-
-def sqrt_exp_series_truncated(a: float, tol: float = 1e-12,
-                              chunk: int = 100_000, max_terms: int = 50_000_000) -> float:
-    """Direct summation with the certified geometric tail bound
-    e^{-a(R+1)} / (sqrt(R+1) (1 - e^{-a})) < tol; cross-check route."""
-    total = 0.0
-    r0 = 1
-    while r0 <= max_terms:
-        r = np.arange(r0, min(r0 + chunk, max_terms + 1), dtype=float)
-        total += float(np.sum(np.exp(-a * r) / np.sqrt(r)))
-        r0 += chunk
-        tail = math.exp(-a * r0) / (math.sqrt(r0) * (-math.expm1(-a)))
-        if tail < tol:
-            return total
-    raise RuntimeError(f"series did not certify below {tol} within {max_terms} terms")
+    with mpmath.workdps(30):
+        return float(mpmath.polylog(mpmath.mpf("0.5"), mpmath.e ** (-mpmath.mpf(a))))
 
 
 def discrete_mu_tau_limit(lam: float, j0: float, n: int, zeta: float) -> RenewalRoot:
@@ -146,15 +114,7 @@ def discrete_mu_tau_limit(lam: float, j0: float, n: int, zeta: float) -> Renewal
     if not (lam > 0.0 and j0 > 0.0 and n > 0):
         raise ValueError("needs lambda, J0, n > 0")
     btilde = lam ** 2 * j0 ** 2 / (8.0 * math.sqrt(math.pi))
-    four_n2_pi = 4.0 * n * n * math.pi
-
-    def h0(mu: float) -> float:
-        return btilde / math.sqrt(mu * mu * btilde * btilde + four_n2_pi) - (1.0 / mu - 1.0)
-
-    lo = 1e-12
-    while h0(lo) >= 0.0:
-        lo /= 2.0
-    mu = _bisect(h0, lo, 1.0 - 1e-12)
+    mu, h0 = _limit_root(btilde, 4.0 * n * n * math.pi)
     eps = 16.0 * math.pi * zeta / (j0 ** 2 + 32.0 * math.pi * zeta)
     rate = math.pi * mu * mu * btilde * btilde
     return RenewalRoot(mu=mu, b_or_btilde=btilde, mass_error=abs(h0(mu)) * btilde,
@@ -181,7 +141,7 @@ def discrete_mu(lam: float, j0: float, n: int, tau: float, zeta: float) -> Renew
 
     eps = 16.0 * math.pi * zeta / (j0 ** 2 + 32.0 * math.pi * zeta)
     assert _check_monotone(h, eps, 1.0), "h~ not monotone on bracket"
-    mu = _bisect(h, eps, 1.0)
+    mu = brentq(h, eps, 1.0, xtol=1e-13)
 
     a1 = math.pi * mu * mu * btilde * btilde * tau
     a2 = a1 + four_n2_pi2 * tau

@@ -7,9 +7,10 @@ circulant second-difference operator with the real FFT: one step is
 
 with R1 = (1 - theta tau D_n)^{-1} and R2 = 1 + (1-theta) tau D_n acting
 mode-wise on the rfft coefficients.  The exponential-integrator variant
-replaces both factors by exp(tau lam_j).  States are monitored for the
-intentional exponential growth of the intermittent regimes and abort with
-a blow-up diagnostic rather than overflowing silently.
+replaces R1 by exp(tau lam_j) and R2 by the identity.  States are
+monitored for the intentional exponential growth of the intermittent
+regimes and abort with a blow-up diagnostic rather than overflowing
+silently.
 
 The time-continuous semi-discretization (finite differences in space only)
 is realized numerically as the exponential integrator with a reference
@@ -31,8 +32,6 @@ __all__ = [
     "Trajectory",
     "StepOperator",
     "discrete_laplacian",
-    "theta_step",
-    "exp_integrator_step",
     "simulate",
 ]
 
@@ -107,15 +106,14 @@ class StepOperator:
         self.scheme = scheme
         self.model = model
         basis = spectral_basis(self.n)
-        lam = basis.eigenvalues[: self.n // 2 + 1]  # rfft half-spectrum
+        half = self.n // 2 + 1  # rfft half-spectrum
         if scheme.stepper == "theta":
             factors = AmplificationFactors(basis, scheme.tau, scheme.theta)
             factors.require_stable()
-            self.r1h = 1.0 / (1.0 - scheme.theta * scheme.tau * lam)
-            self.r2h = 1.0 + (1.0 - scheme.theta) * scheme.tau * lam
+            self.r1h, self.r2h = factors.r1[:half], factors.r2[:half]
         else:
-            self.r1h = np.exp(scheme.tau * lam)
-            self.r2h = np.ones_like(lam)
+            self.r1h = np.exp(scheme.tau * basis.eigenvalues[:half])
+            self.r2h = np.ones(half)
         self.noise_amp = model.lam * np.sqrt(self.n * scheme.tau)
 
     def apply(self, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -129,32 +127,8 @@ class StepOperator:
         return out
 
 
-def theta_step(u: Field, scheme: SchemeSpec, model: ModelSpec,
-               noise_row: np.ndarray) -> Field:
-    """Advance one theta-scheme step; the implicit solve is exact via the
-    forward transform, per-mode scaling, inverse transform."""
-    op = StepOperator(u.n, scheme, model)
-    try:
-        values = op.apply(u.values, np.asarray(noise_row, dtype=float))
-    except BlowupError as err:
-        raise BlowupError(u.time_index + 1, err.magnitude) from None
-    return Field(values=values, time_index=u.time_index + 1)
-
-
-def exp_integrator_step(u: Field, scheme: SchemeSpec, model: ModelSpec,
-                        noise_row: np.ndarray) -> Field:
-    """Advance one exponential-integrator step (unconditionally stable)."""
-    op = StepOperator(u.n, SchemeSpec(tau=scheme.tau, theta=scheme.theta,
-                                      stepper="exponential"), model)
-    try:
-        values = op.apply(u.values, np.asarray(noise_row, dtype=float))
-    except BlowupError as err:
-        raise BlowupError(u.time_index + 1, err.magnitude) from None
-    return Field(values=values, time_index=u.time_index + 1)
-
-
 def simulate(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, seed: NoiseSeed,
-             record_indices, keep_full: bool = False) -> Trajectory:
+             record_indices) -> Trajectory:
     """Run one path, recording the requested time indices.
 
     Deterministic given (seed, stream); raises BlowupError with the reached
@@ -171,8 +145,6 @@ def simulate(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, seed: NoiseSe
     u = model.u0.values(grid)
     traj = Trajectory(tau=scheme.tau)
     want = set(record) if record else {0}
-    if keep_full:
-        want = want.union(range(steps + 1))
     if 0 in want:
         traj.append(Field(values=u.copy(), time_index=0))
     if steps > 0:

@@ -4,15 +4,25 @@ import numpy as np
 import pytest
 
 from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
-from shelab.moments import (MomentSeries, _jackknife_se,
-                            exact_second_moment_recursion, fit_growth,
-                            intermittency_report, lambda_scaling_sweep,
-                            mc_moment, second_moment_series)
+from shelab.moments import (MomentSeries, exact_second_moment_recursion,
+                            fit_growth, intermittency_report,
+                            lambda_scaling_sweep, mc_moment,
+                            second_moment_series)
 from shelab.stability import positivity_time_full
 
 
-def make(n, tau, theta, lam, slope=1.0, i0=1.0):
-    return (GridSpec(n), SchemeSpec(tau=tau, theta=theta),
+def _jackknife_se(samples: np.ndarray) -> float:
+    # delete-one jackknife of the mean reduces to the classical SE formula
+    # that mc_moment reports
+    n = len(samples)
+    if n < 2:
+        return float("nan")
+    mean = samples.mean()
+    return float(np.sqrt(np.sum((samples - mean) ** 2) / (n * (n - 1))))
+
+
+def make(n, tau, theta, lam, slope=1.0, i0=1.0, stepper="theta"):
+    return (GridSpec(n), SchemeSpec(tau=tau, theta=theta, stepper=stepper),
             ModelSpec(lam=lam, sigma=SigmaSpec.linear(slope),
                       u0=InitialData.constant(i0)))
 
@@ -84,17 +94,22 @@ class TestExactRecursion:
         ls = np.arange(len(y) - n_start)
         assert np.all(y[n_start:] >= base * (1.0 + beta) ** ls * (1.0 - 1e-9))
 
-    def test_against_dense_matrix_recursion(self):
+    @pytest.mark.parametrize("stepper", ["theta", "exponential"])
+    def test_against_dense_matrix_recursion(self, stepper):
         # clarity-route oracle: iterate the same recursion with explicit
         # circulant matrices instead of FFT-diagonal applications
         from scipy.linalg import circulant
 
         from shelab.kernels import spectral_basis
         n, tau, theta, lam, steps = 6, 2e-3, 0.75, 1.2, 50
-        grid, scheme, model = make(n, tau, theta, lam, i0=0.9)
+        grid, scheme, model = make(n, tau, theta, lam, i0=0.9, stepper=stepper)
         half = spectral_basis(n).eigenvalues[: n // 2 + 1]
-        r1 = circulant(np.fft.irfft(1.0 / (1.0 - theta * tau * half), n)).T
-        r2 = circulant(np.fft.irfft(1.0 + (1.0 - theta) * tau * half, n)).T
+        if stepper == "theta":
+            r1h, r2h = 1.0 / (1.0 - theta * tau * half), 1.0 + (1.0 - theta) * tau * half
+        else:
+            r1h, r2h = np.exp(tau * half), np.ones_like(half)
+        r1 = circulant(np.fft.irfft(r1h, n)).T
+        r2 = circulant(np.fft.irfft(r2h, n)).T
         b = r1 @ r2
         gain = lam ** 2 * n * tau
         m_dense = np.full((n, n), 0.81)
@@ -216,6 +231,14 @@ class TestSweep:
             assert p.gate_ok and not p.flags
             assert p.n >= 3 and p.gamma2 > 0.0
         assert np.isfinite(result.slope)
+
+    def test_generator_lambdas_on_worker_pool(self):
+        # the lambdas are consumed once, so an iterator yields every point
+        listed = lambda_scaling_sweep(zeta=1.0, lambdas=[1.0, 1.5], theta=1.0)
+        result = lambda_scaling_sweep(zeta=1.0, lambdas=(v for v in (1.0, 1.5)),
+                                      theta=1.0, threads=2)
+        assert [p.gamma2 for p in result.points] == [p.gamma2 for p in listed.points]
+        assert result.slope == listed.slope
 
     def test_gamma2_exceeds_printed_lower_bound(self):
         result = lambda_scaling_sweep(zeta=1.0, lambdas=[1.0, 2.0], theta=1.0)

@@ -4,8 +4,24 @@ import numpy as np
 import pytest
 
 from shelab.renewal import (GateViolation, continuous_mu, discrete_mu,
-                            discrete_mu_tau_limit, sqrt_exp_series,
-                            sqrt_exp_series_truncated)
+                            discrete_mu_tau_limit, sqrt_exp_series)
+
+
+def sqrt_exp_series_truncated(a: float, tol: float = 1e-12,
+                              chunk: int = 100_000, max_terms: int = 50_000_000) -> float:
+    """Direct summation of S(a) = sum_{r>=1} e^{-a r} / sqrt(r) with the
+    certified geometric tail bound e^{-a(R+1)} / (sqrt(R+1) (1 - e^{-a})) < tol;
+    the independent route the polylogarithm is checked against."""
+    total = 0.0
+    r0 = 1
+    while r0 <= max_terms:
+        r = np.arange(r0, min(r0 + chunk, max_terms + 1), dtype=float)
+        total += float(np.sum(np.exp(-a * r) / np.sqrt(r)))
+        r0 += chunk
+        tail = math.exp(-a * r0) / (math.sqrt(r0) * (-math.expm1(-a)))
+        if tail < tol:
+            return total
+    raise RuntimeError(f"series did not certify below {tol} within {max_terms} terms")
 
 
 class TestContinuousRoot:

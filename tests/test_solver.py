@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import circulant
 
-from shelab.kernels import AmplificationFactors, spectral_basis
+from shelab.kernels import AmplificationFactors, StabilityViolation, spectral_basis
 from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
 from shelab.noise import NoiseSeed, sample_block
-from shelab.solver import (BlowupError, Field, StepOperator, discrete_laplacian,
-                           exp_integrator_step, simulate, theta_step)
+from shelab.solver import BlowupError, StepOperator, discrete_laplacian, simulate
 
 from conftest import const_sigma
 
@@ -30,34 +29,33 @@ class TestDiscreteLaplacian:
 
 class TestThetaStep:
     def test_constant_invariant_without_noise(self, quiet_model):
-        scheme = SchemeSpec(tau=0.01, theta=1.0)
-        u = Field(values=np.full(8, 2.0))
+        op = StepOperator(8, SchemeSpec(tau=0.01, theta=1.0), quiet_model)
+        u = np.full(8, 2.0)
         for _ in range(20):
-            u = theta_step(u, scheme, quiet_model, np.zeros(8))
-        assert np.allclose(u.values, 2.0, atol=1e-13)
-        assert u.time_index == 20
+            u = op.apply(u, np.zeros(8))
+        assert np.allclose(u, 2.0, atol=1e-13)
 
     def test_single_mode_decay(self, quiet_model):
         n, tau, theta, steps = 8, 1e-3, 0.75, 60
-        scheme = SchemeSpec(tau=tau, theta=theta)
+        op = StepOperator(n, SchemeSpec(tau=tau, theta=theta), quiet_model)
         factors = AmplificationFactors(spectral_basis(n), tau, theta)
         u0 = np.cos(2 * np.pi * np.arange(n) / n)
-        u = Field(values=u0.copy())
+        u = u0.copy()
         for _ in range(steps):
-            u = theta_step(u, scheme, quiet_model, np.zeros(n))
+            u = op.apply(u, np.zeros(n))
         expected = factors.r12[1] ** steps * u0
-        assert np.max(np.abs(u.values - expected)) < 1e-10 * np.max(np.abs(expected))
+        assert np.max(np.abs(u - expected)) < 1e-10 * np.max(np.abs(expected))
 
     def test_mean_identity(self, pam_model):
         n, tau = 8, 1e-3
-        scheme = SchemeSpec(tau=tau, theta=1.0)
+        op = StepOperator(n, SchemeSpec(tau=tau, theta=1.0), pam_model)
         rng = np.random.default_rng(0)
-        u = Field(values=1.0 + 0.1 * rng.random(n))
+        u = 1.0 + 0.1 * rng.random(n)
         xi = rng.standard_normal(n)
-        nxt = theta_step(u, scheme, pam_model, xi)
-        expected = u.values.mean() + pam_model.lam * math.sqrt(n * tau) / n * float(
-            np.sum(pam_model.sigma(u.values) * xi))
-        assert nxt.values.mean() == pytest.approx(expected, abs=1e-12)
+        nxt = op.apply(u, xi)
+        expected = u.mean() + pam_model.lam * math.sqrt(n * tau) / n * float(
+            np.sum(pam_model.sigma(u) * xi))
+        assert nxt.mean() == pytest.approx(expected, abs=1e-12)
 
     def test_fourier_round_trip(self):
         rng = np.random.default_rng(4)
@@ -66,27 +64,28 @@ class TestThetaStep:
         assert np.max(np.abs(back - v)) < 1e-12
 
     def test_stability_enforced(self, pam_model):
-        with pytest.raises(Exception):
-            theta_step(Field(values=np.ones(10)), SchemeSpec(tau=0.01, theta=0.0),
-                       pam_model, np.zeros(10))
+        with pytest.raises(StabilityViolation):
+            StepOperator(10, SchemeSpec(tau=0.01, theta=0.0), pam_model).apply(
+                np.ones(10), np.zeros(10))
 
 
 class TestExponentialIntegrator:
     def test_exact_mode_decay(self, quiet_model):
         n, tau, steps = 8, 0.01, 30
-        scheme = SchemeSpec(tau=tau, theta=1.0, stepper="exponential")
+        op = StepOperator(n, SchemeSpec(tau=tau, theta=1.0, stepper="exponential"),
+                          quiet_model)
         lam1 = spectral_basis(n).eigenvalues[1]
-        u = Field(values=np.cos(2 * np.pi * np.arange(n) / n))
+        u = np.cos(2 * np.pi * np.arange(n) / n)
         for _ in range(steps):
-            u = exp_integrator_step(u, scheme, quiet_model, np.zeros(n))
+            u = op.apply(u, np.zeros(n))
         expected = math.exp(steps * tau * lam1) * np.cos(2 * np.pi * np.arange(n) / n)
-        assert np.max(np.abs(u.values - expected)) < 1e-12
+        assert np.max(np.abs(u - expected)) < 1e-12
 
     def test_constant_preserved(self, quiet_model):
-        scheme = SchemeSpec(tau=0.05, theta=0.5, stepper="exponential")
-        u = exp_integrator_step(Field(values=np.full(6, 1.5)), scheme, quiet_model,
-                                np.zeros(6))
-        assert np.allclose(u.values, 1.5, atol=1e-14)
+        op = StepOperator(6, SchemeSpec(tau=0.05, theta=0.5, stepper="exponential"),
+                          quiet_model)
+        u = op.apply(np.full(6, 1.5), np.zeros(6))
+        assert np.allclose(u, 1.5, atol=1e-14)
 
     def test_per_step_agreement_order_two(self):
         # one deterministic step: |R1 R2 - e^{tau lam}| = O(tau^2) for theta != 1/2
