@@ -11,5 +11,4 @@ coupled-noise convergence studies.
 __version__ = "0.1.0"
 
 from .model import (GridSpec, InitialData, ModelSpec, SchemeSpec,  # noqa: F401
-                    SharpRegimeSpec, SigmaSpec, ValidationReport,
-                    validate_run_config)
+                    SigmaSpec, ValidationReport, validate_run_config)

@@ -1,10 +1,9 @@
 """Configuration types for the periodic stochastic heat equation lab.
 
 All types are immutable after construction and validate their own basic
-sanity; the combination rules (grid size, step-size coupling, positivity
-of the lower-bound constants) live in :func:`validate_run_config` so that
-out-of-range combinations can be *reported* rather than rejected at
-construction time.
+sanity; the combination rules (grid size, step-size coupling) live in
+:func:`validate_run_config` so that out-of-range combinations can be
+*reported* rather than rejected at construction time.
 """
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ __all__ = [
     "SigmaSpec",
     "InitialData",
     "ModelSpec",
-    "SharpRegimeSpec",
     "ValidationReport",
     "validate_run_config",
 ]
@@ -204,19 +202,21 @@ class InitialData:
     @staticmethod
     def constant(value: float) -> "InitialData":
         if not value > 0.0:
-            raise ValueError("constant initial data must be positive")
+            raise ValueError("constant initial data u0 must be positive")
         return InitialData(kind="constant", value=float(value))
 
     @staticmethod
     def grid_samples(samples: Sequence[float]) -> "InitialData":
         arr = tuple(float(s) for s in samples)
         if any(s < 0.0 for s in arr):
-            raise ValueError("initial samples must be nonnegative")
+            raise ValueError("initial samples u0 must be nonnegative")
         return InitialData(kind="samples", samples=arr)
 
     def __post_init__(self):
         if self.kind not in ("constant", "samples"):
             raise ValueError(f"unknown initial data kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in (self.value, *self.samples)):
+            raise ValueError("initial data u0 must be finite")
 
     @property
     def i0(self) -> float:
@@ -247,24 +247,6 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class SharpRegimeSpec:
-    """Regime gate for the sharp second-moment growth: n >= zeta*lambda^2."""
-
-    zeta: float
-    lam: float
-
-    def __post_init__(self):
-        if not self.zeta > 0.0:
-            raise ValueError("zeta must be positive")
-        if not self.lam > 0.0:
-            raise ValueError("lambda must be positive in the sharp regime")
-
-    @property
-    def min_n(self) -> float:
-        return self.zeta * self.lam ** 2
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     passed: bool
     violations: tuple = ()
@@ -273,15 +255,12 @@ class ValidationReport:
         return self.passed
 
 
-def validate_run_config(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec,
-                        sharp: SharpRegimeSpec | None = None,
-                        require_lower_bound: bool = False,
-                        r: float | None = None) -> ValidationReport:
+def validate_run_config(grid: GridSpec, scheme: SchemeSpec,
+                        model: ModelSpec) -> ValidationReport:
     """Aggregate admissibility check for a run.
 
     Collects every violated assumption instead of stopping at the first:
-    grid size, time-step range, the per-theta stability regime, and (when a
-    lower-bound experiment is requested) positivity of I0 and J0.
+    grid size, time-step range and the per-theta stability regime.
     """
     from .stability import check_stability
 
@@ -293,17 +272,9 @@ def validate_run_config(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec,
     if not (0.0 <= scheme.theta <= 1.0):
         violations.append(f"theta out of range [0,1]: {scheme.theta}")
     if not violations and scheme.stepper == "theta":
-        report = check_stability(grid.n, scheme.tau, scheme.theta, r=r)
+        report = check_stability(grid.n, scheme.tau, scheme.theta)
         if not report.satisfied:
             violations.append(
                 f"stability regime violated: n^2*tau={grid.n ** 2 * scheme.tau:g} "
                 f"inadmissible for theta={scheme.theta:g} ({report.regime})")
-    if require_lower_bound:
-        if not model.u0.i0 > 0.0:
-            violations.append("lower-bound experiment requires I0 > 0")
-        if not model.sigma.lower_ratio > 0.0:
-            violations.append("lower-bound experiment requires J0 > 0")
-    if sharp is not None and grid.n < sharp.min_n:
-        violations.append(
-            f"sharp regime requires n >= zeta*lambda^2 = {sharp.min_n:g}, got n={grid.n}")
     return ValidationReport(passed=not violations, violations=tuple(violations))

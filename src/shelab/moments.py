@@ -23,9 +23,10 @@ from scipy import stats
 
 from .model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec,
                     validate_run_config)
-from .noise import NoiseSeed, sample_block
+from .noise import NoiseSeed, normal_rows
 from .solver import BlowupError, StepOperator
-from .stability import check_sharp_regime, check_stability, positivity_time_full
+from .stability import (check_sharp_regime, check_stability, positivity_time_full,
+                        sharp_gate)
 
 __all__ = [
     "MomentMatrix",
@@ -143,13 +144,13 @@ def _snap_indices(times, tau: float) -> list[int]:
 
 
 def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
-              times, paths: int, seed: int, batch_paths: int = 0,
-              purpose: str = "mc") -> MomentSeries | list[MomentSeries]:
+              times, paths: int, seed: int) -> MomentSeries | list[MomentSeries]:
     """Monte Carlo estimate of E|u(t, probe)|^p with jackknife standard errors.
 
     `p` may be a single order or a list (shared paths); `probe` is a grid
-    index or "min".  On blow-up the series is truncated at the last record
-    before the horizon and flagged.
+    index or "min".  Path k reads the "mc" stream of (seed, k); paths run in
+    batches of about 4e6 noise cells.  On blow-up the series is truncated at
+    the last record before the horizon and flagged.
     """
     p_list = [float(q) for q in (p if isinstance(p, (list, tuple)) else [p])]
     if any(q < 1 for q in p_list):
@@ -164,8 +165,7 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     record_set = sorted(set(record))
     pos = {i: k for k, i in enumerate(record_set)}
     op = StepOperator(grid.n, scheme, model)
-    if batch_paths <= 0:
-        batch_paths = max(1, min(paths, int(4e6 / max(1, steps * grid.n))))
+    batch_paths = max(1, min(paths, int(4e6 / max(1, steps * grid.n))))
     s1 = np.zeros((len(record_set), len(p_list)))
     s2 = np.zeros_like(s1)
     counts = np.zeros(len(record_set))
@@ -183,10 +183,8 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     start = 0
     while start < paths:
         count = min(batch_paths, paths - start)
-        xi = np.stack([
-            sample_block(NoiseSeed(seed, path=start + k, purpose=purpose),
-                         steps, grid.n, tau=scheme.tau).xi
-            for k in range(count)]) if steps > 0 else np.zeros((count, 0, grid.n))
+        xi = normal_rows([NoiseSeed(seed, path=start + k, purpose="mc").bit_generator()
+                          for k in range(count)], steps, grid.n)
         states = np.tile(model.u0.values(grid), (count, 1))
         if 0 in pos:
             tally(states, 0)
@@ -218,7 +216,7 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
         results.append(MomentSeries(
             times=times_kept, values=vals, p=q, stderr=errs,
             horizon_reached=truncated,
-            source={"kind": "mc", "paths": paths, "seed": seed, "purpose": purpose}))
+            source={"kind": "mc", "paths": paths, "seed": seed, "purpose": "mc"}))
     return results if isinstance(p, (list, tuple)) else results[0]
 
 
@@ -294,8 +292,7 @@ def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float,
                  stepper: str) -> SweepPoint:
     j0 = abs(sigma_slope)
     n = max(3, int(math.ceil(zeta * lam ** 2)))
-    gate_coeff = j0 ** 4 / (16.0 * math.pi * zeta ** 2) + 16.0 * math.pi
-    tau = gate_safety / (n * n * gate_coeff)
+    tau = gate_safety / sharp_gate(n, 1.0, j0, lam, zeta)[0]  # the sum is linear in tau
     scheme = SchemeSpec(tau=tau, theta=theta, stepper=stepper)
     model = ModelSpec(lam=lam, sigma=SigmaSpec.linear(sigma_slope),
                       u0=InitialData.constant(i0))
@@ -328,14 +325,17 @@ def lambda_scaling_sweep(zeta: float, lambdas, theta: float = 1.0,
                          stepper: str = "theta", threads: int = 1) -> SweepResult:
     """Fitted gamma_2 against lambda with n = max(3, ceil(zeta lambda^2)) and
     tau chosen to pass the sharp-regime gate; regime violations are flagged
-    per point, never dropped silently.  Points run on a worker pool when
-    threads > 1; results aggregate in input order either way."""
+    per point, and fewer than two finite gamma_2 raise ValueError.  Points
+    run on a worker pool when threads > 1; results aggregate in input order."""
     def point(lam):
         return _sweep_point(zeta, lam, theta, sigma_slope, i0, gate_safety,
                             efolds, stepper)
 
     points = pmap(point, lambdas, threads)
     good = [p for p in points if np.isfinite(p.gamma2)]
+    if len(good) < 2:
+        raise ValueError(f"the lambda^4 fit needs two points with finite gamma_2, got "
+                         f"{len(good)} of {len(points)}; flags: {[p.flags for p in points]}")
     slope, ci, _, _ = ols(np.log([p.lam for p in good]), np.log([p.gamma2 for p in good]))
     return SweepResult(points=points, slope=slope, slope_ci=ci, zeta=zeta)
 

@@ -7,6 +7,8 @@ stream, and by the inverse-CDF normal transform
 ``ndtri((raw >> 11 + 0.5) * 2**-53)`` applied to raw 64-bit Philox output.
 Both choices are recorded in :data:`GENERATOR_ID` and embedded in every
 output header; the same (seed, stream) always reproduces the same bits.
+Every path reads its stream through :func:`normal_rows`, one row per fine
+time step, so chunk and batch sizes never change a bit of a path's noise.
 
 The scheme's stochastic increment at (t_i, x_j) is realized downstream as
 lambda * sqrt(n tau) * sigma(u) * xi[i, j]: the Brownian-sheet cell
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-__all__ = ["GENERATOR_ID", "NoiseSeed", "NoiseBlock", "sample_block", "coarsen"]
+__all__ = ["GENERATOR_ID", "NoiseSeed", "normal_rows", "sample_block", "coarsen_array"]
 
 GENERATOR_ID = "philox4x64/seedseq+ndtri-v1"
 
@@ -44,41 +46,36 @@ class NoiseSeed:
         return np.random.Philox(ss)
 
 
-@dataclass
-class NoiseBlock:
-    """m x n matrix of standard normal variates; rows = time steps,
-    columns = grid cells.  tau tags the fine time step for coarsening."""
-
-    xi: np.ndarray
-    n: int
-    m: int
-    tau: float = 0.0
-
-    def __post_init__(self):
-        if self.xi.shape != (self.m, self.n):
-            raise ValueError(f"xi shape {self.xi.shape} != ({self.m}, {self.n})")
-
-
 def normals_from_raw(raw: np.ndarray) -> np.ndarray:
     """Fixed raw-bits -> standard normal map (documented in GENERATOR_ID)."""
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
     return ndtri(u)
 
 
-def sample_block(seed: NoiseSeed, m: int, n: int, tau: float = 0.0) -> NoiseBlock:
-    """Draw the (m, n) block of the stream; same seed gives identical bits."""
+def normal_rows(gens, rows: int, n: int) -> np.ndarray:
+    """The next (rows, n) block of each generator's stream, shape
+    (paths, rows, n).  Later calls continue every stream, so reading in
+    chunks gives the bits of one long read.  Each path's words are mapped
+    on their own, so the map's temporaries stay path-sized."""
+    return np.stack([normals_from_raw(g.random_raw(rows * n)).reshape(rows, n)
+                     for g in gens])
+
+
+def sample_block(seed: NoiseSeed, m: int, n: int) -> np.ndarray:
+    """The (m, n) block of one stream: rows are time steps, columns grid
+    cells; the same seed gives identical bits."""
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
-    raw = seed.bit_generator().random_raw(m * n)
-    return NoiseBlock(xi=normals_from_raw(raw).reshape(m, n), n=n, m=m, tau=tau)
+    return normal_rows([seed.bit_generator()], m, n)[0]
 
 
 def _halve(xi: np.ndarray, axis: int) -> np.ndarray:
+    """Unit-variance pair sums along axis -1 or -2."""
     if xi.shape[axis] % 2:
         raise ValueError("halving needs an even extent")
-    a = np.take(xi, np.arange(0, xi.shape[axis], 2), axis=axis)
-    b = np.take(xi, np.arange(1, xi.shape[axis], 2), axis=axis)
-    return (a + b) * _INV_SQRT2
+    tail = (slice(None),) * (-1 - axis)
+    even, odd = (..., slice(0, None, 2)) + tail, (..., slice(1, None, 2)) + tail
+    return (xi[even] + xi[odd]) * _INV_SQRT2
 
 
 def coarsen_array(xi: np.ndarray, space_factor: int, time_factor: int) -> np.ndarray:
@@ -98,18 +95,12 @@ def coarsen_array(xi: np.ndarray, space_factor: int, time_factor: int) -> np.nda
         out = xi
         while tf > 1 or sf > 1:
             if tf > 1:
-                out = _halve(out, out.ndim - 2)
+                out = _halve(out, -2)
                 tf //= 2
             if sf > 1:
-                out = _halve(out, out.ndim - 1)
+                out = _halve(out, -1)
                 sf //= 2
         return out
     shape = xi.shape[:-2] + (m // tf, tf, n // sf, sf)
     return xi.reshape(shape).sum(axis=(-3, -1)) / np.sqrt(tf * sf)
 
-
-def coarsen(fine: NoiseBlock, space_factor: int, time_factor: int) -> NoiseBlock:
-    """Restrict a fine block to a coarser grid over the same Brownian sheet."""
-    out = coarsen_array(fine.xi, space_factor, time_factor)
-    return NoiseBlock(xi=out, n=fine.n // space_factor, m=fine.m // time_factor,
-                      tau=fine.tau * time_factor)

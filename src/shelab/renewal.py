@@ -21,6 +21,8 @@ import numpy as np
 from scipy import integrate
 from scipy.optimize import brentq
 
+from .stability import sharp_gate
+
 __all__ = [
     "RenewalRoot",
     "GateViolation",
@@ -125,12 +127,9 @@ def discrete_mu_tau_limit(lam: float, j0: float, n: int, zeta: float) -> Renewal
 def discrete_mu(lam: float, j0: float, n: int, tau: float, zeta: float) -> RenewalRoot:
     """Root of the discrete mass equation on (eps, 1) with
     eps = 16 pi zeta / (J0^2 + 32 pi zeta); requires the sharp-regime gate."""
-    gate = j0 ** 4 * n * n * tau / (16.0 * math.pi * zeta ** 2) + 16.0 * math.pi * n * n * tau
-    if not gate < 1.0:
-        raise GateViolation(
-            f"step-size gate fails: J0^4 n^2 tau/(16 pi zeta^2) + 16 pi n^2 tau = {gate:.4g} >= 1")
-    if n < zeta * lam ** 2:
-        raise GateViolation(f"n = {n} below zeta*lambda^2 = {zeta * lam ** 2:.4g}")
+    violations = sharp_gate(n, tau, j0, lam, zeta)[1]
+    if violations:
+        raise GateViolation("; ".join(violations))
     btilde = lam ** 2 * j0 ** 2 / (8.0 * math.sqrt(math.pi))
     four_n2_pi2 = 4.0 * n * n * math.pi ** 2
 

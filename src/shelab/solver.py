@@ -18,8 +18,6 @@ step far below the step under study ("semi-discrete reference").
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .kernels import AmplificationFactors, spectral_basis
@@ -28,8 +26,6 @@ from .noise import NoiseSeed, sample_block
 
 __all__ = [
     "BlowupError",
-    "Field",
-    "Trajectory",
     "StepOperator",
     "discrete_laplacian",
     "simulate",
@@ -47,48 +43,6 @@ class BlowupError(RuntimeError):
         super().__init__(
             f"moment blow-up horizon reached at step {step_index}: "
             f"|u| = {magnitude:.3g} exceeds {BLOWUP_LIMIT:.0e}")
-
-
-@dataclass
-class Field:
-    """Length-n state vector on the spatial grid at time index i."""
-
-    values: np.ndarray
-    time_index: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1:
-            raise ValueError("field values must be one-dimensional")
-        if not np.all(np.isfinite(self.values)):
-            raise BlowupError(self.time_index, float(np.max(np.abs(self.values))))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
-@dataclass
-class Trajectory:
-    """Recorded snapshots of one path; indices are strictly increasing."""
-
-    tau: float
-    indices: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
-
-    def append(self, f: Field):
-        if self.indices and f.time_index <= self.indices[-1]:
-            raise ValueError("snapshot indices must be strictly increasing")
-        self.indices.append(f.time_index)
-        self.snapshots.append(f)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self.indices) * self.tau
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.stack([f.values for f in self.snapshots])
 
 
 def discrete_laplacian(values: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -128,8 +82,10 @@ class StepOperator:
 
 
 def simulate(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, seed: NoiseSeed,
-             record_indices) -> Trajectory:
-    """Run one path, recording the requested time indices.
+             record_indices) -> np.ndarray:
+    """Run one path and return the states at the requested time indices
+    (index 0 when none are given) as rows of a (k, n) array, in increasing
+    time order.
 
     Deterministic given (seed, stream); raises BlowupError with the reached
     horizon when the state exceeds the growth monitor.
@@ -137,23 +93,20 @@ def simulate(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, seed: NoiseSe
     report = validate_run_config(grid, scheme, model)
     if not report:
         raise ValueError("invalid run configuration: " + "; ".join(report.violations))
-    record = sorted(set(int(i) for i in record_indices))
-    if record and record[0] < 0:
+    record = sorted(set(int(i) for i in record_indices)) or [0]
+    if record[0] < 0:
         raise ValueError("record indices must be nonnegative")
-    steps = record[-1] if record else 0
     op = StepOperator(grid.n, scheme, model)
     u = model.u0.values(grid)
-    traj = Trajectory(tau=scheme.tau)
-    want = set(record) if record else {0}
-    if 0 in want:
-        traj.append(Field(values=u.copy(), time_index=0))
-    if steps > 0:
-        xi = sample_block(seed, steps, grid.n, tau=scheme.tau).xi
-        for i in range(steps):
+    want = set(record)
+    states = [u] if 0 in want else []
+    if record[-1] > 0:
+        xi = sample_block(seed, record[-1], grid.n)
+        for i in range(record[-1]):
             try:
                 u = op.apply(u, xi[i])
             except BlowupError as err:
                 raise BlowupError(i + 1, err.magnitude) from None
-            if (i + 1) in want:
-                traj.append(Field(values=u.copy(), time_index=i + 1))
-    return traj
+            if i + 1 in want:
+                states.append(u)
+    return np.stack(states)

@@ -19,6 +19,7 @@ __all__ = [
     "positivity_time_semi",
     "positivity_time_full",
     "check_sharp_regime",
+    "sharp_gate",
 ]
 
 REGIME_EXPLICIT = "explicit-like"       # theta < 1/2, coupled n^2 tau bound
@@ -33,7 +34,6 @@ class StabilityReport:
     epsilon: float        # two-sided margin: max_j |r1 r2| = 1 - epsilon
     regime_epsilon: float  # regime-formula margin for the -1 side
     binding_mode: int
-    r_used: float
 
     def __bool__(self) -> bool:
         return self.satisfied
@@ -46,14 +46,14 @@ class PositivityTime:
     sufficient_time: float
 
 
-def check_stability(n: int, tau: float, theta: float, r: float | None = None) -> StabilityReport:
+def check_stability(n: int, tau: float, theta: float) -> StabilityReport:
     """Classify (n, tau, theta) into the three step-size regimes.
 
     theta > 1/2 is unconditional with the explicit margin
     min{(2 theta - 1)/(2 theta), 1/2}; theta = 1/2 is admissible for every
-    n^2 tau; theta < 1/2 needs n^2 tau <= r < 1/(2 - 4 theta) (r defaults to
-    n^2 tau itself).  The reported `epsilon` is always tightened to the
-    exact two-sided contraction margin of the mode factors.
+    n^2 tau; theta < 1/2 needs r = n^2 tau < 1/(2 - 4 theta).  The reported
+    `epsilon` is always tightened to the exact two-sided contraction margin
+    of the mode factors.
     """
     if n < 3 or not (0.0 < tau < 1.0) or not (0.0 <= theta <= 1.0):
         raise ValueError(f"check_stability needs n>=3, 0<tau<1, theta in [0,1]; "
@@ -63,23 +63,20 @@ def check_stability(n: int, tau: float, theta: float, r: float | None = None) ->
         regime = REGIME_IMPLICIT
         satisfied = True
         regime_eps = min((2.0 * theta - 1.0) / (2.0 * theta), 0.5)
-        r_used = coupling
     elif theta == 0.5:
         regime = REGIME_CRANK_NICOLSON
         satisfied = True
         regime_eps = min(1.0 / (coupling + 0.5), 0.5)
-        r_used = coupling
     else:
         regime = REGIME_EXPLICIT
-        r_used = coupling if r is None else float(r)
-        satisfied = coupling <= r_used < 1.0 / (2.0 - 4.0 * theta)
-        regime_eps = 2.0 - 4.0 * r_used / (1.0 + 4.0 * theta * r_used) if satisfied else 0.0
+        satisfied = coupling < 1.0 / (2.0 - 4.0 * theta)
+        regime_eps = 2.0 - 4.0 * coupling / (1.0 + 4.0 * theta * coupling) if satisfied else 0.0
     factors = AmplificationFactors(spectral_basis(n), tau, theta)
     eps_tight, binding = factors.contraction_margin()
     if not satisfied:
         eps_tight = min(eps_tight, 0.0)
     return StabilityReport(regime=regime, satisfied=satisfied, epsilon=eps_tight,
-                           regime_epsilon=regime_eps, binding_mode=binding, r_used=r_used)
+                           regime_epsilon=regime_eps, binding_mode=binding)
 
 
 def _certify_suffix(grid_min, times, threshold=0.5):
@@ -141,10 +138,21 @@ def positivity_time_full(n: int, tau: float, theta: float) -> PositivityTime:
                           sufficient_time=m_suff * tau)
 
 
-def check_sharp_regime(n: int, tau: float, model: ModelSpec, zeta: float) -> bool:
+def sharp_gate(n: int, tau: float, j0: float, lam: float, zeta: float) -> tuple[float, list]:
     """Gate for the sharp lambda^4 growth order of the fully discrete scheme:
-    J0^4 n^2 tau / (16 pi zeta^2) + 16 pi n^2 tau < 1 and n >= zeta lambda^2."""
-    j0 = model.sigma.lower_ratio
-    coupling = n * n * tau
-    gate = j0 ** 4 * coupling / (16.0 * math.pi * zeta ** 2) + 16.0 * math.pi * coupling
-    return gate < 1.0 and n >= zeta * model.lam ** 2
+    J0^4 n^2 tau / (16 pi zeta^2) + 16 pi n^2 tau < 1 and n >= zeta lambda^2.
+    Returns the step-size sum, which is linear in tau, and the violated
+    conditions (empty when the gate holds)."""
+    gate = n * n * tau * (j0 ** 4 / (16.0 * math.pi * zeta ** 2) + 16.0 * math.pi)
+    violations = []
+    if not gate < 1.0:
+        violations.append("step-size gate fails: J0^4 n^2 tau/(16 pi zeta^2) + "
+                          f"16 pi n^2 tau = {gate:.4g} >= 1")
+    if n < zeta * lam ** 2:
+        violations.append(f"n = {n} below zeta*lambda^2 = {zeta * lam ** 2:.4g}")
+    return gate, violations
+
+
+def check_sharp_regime(n: int, tau: float, model: ModelSpec, zeta: float) -> bool:
+    """Whether (n, tau) passes :func:`sharp_gate` for this model."""
+    return not sharp_gate(n, tau, model.sigma.lower_ratio, model.lam, zeta)[1]

@@ -49,6 +49,20 @@ class TestSimulate:
         cell = lines[-1].split(",")[1]
         assert repr(float(cell)) == cell
 
+    def test_record_indices_rows_in_time_order(self, tmp_path):
+        cfg = write_config(tmp_path, {"simulate": {"record_indices": [7, 0, 3, 3]}})
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        lines = read_csv(tmp_path / "trajectory.csv")
+        assert [line.split(",")[0] for line in lines[2:]] == ["0.0", "0.003", "0.007"]
+
+    @pytest.mark.parametrize("u0", [{"kind": "constant", "value": float("inf")},
+                                    {"kind": "samples", "values": [1.0, float("nan")] * 4}])
+    def test_non_finite_u0_exit_2(self, tmp_path, capsys, u0):
+        model = dict(BASE_CONFIG["model"], u0=u0)
+        cfg = write_config(tmp_path, {"model": model, "simulate": {"steps": 5}})
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "u0" in capsys.readouterr().err
+
     def test_manifest_header_fields(self, tmp_path):
         cfg = write_config(tmp_path, {"simulate": {"steps": 5}})
         main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)])
@@ -99,6 +113,13 @@ class TestSweep:
         cfg = write_config(tmp_path, {"sweep": {"lambdas": []}})
         assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "usage" in capsys.readouterr().err
+
+    def test_single_lambda_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"sweep": {"lambdas": [1.0]}})
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and "two" in err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestRenewal:

@@ -9,7 +9,7 @@ from shelab.convergence import (QuadratureSpec, green_error_full,
                                 initial_data_error_full, strong_error_study)
 from shelab.kernels import heat_kernel, semi_green, spectral_basis
 from shelab.model import InitialData, ModelSpec, SchemeSpec, SigmaSpec
-from shelab.noise import NoiseSeed, coarsen, sample_block
+from shelab.noise import NoiseSeed, coarsen_array, sample_block
 from shelab.solver import StepOperator
 
 from conftest import const_sigma
@@ -139,12 +139,12 @@ class TestStrongErrorStudy:
         n_c, sf, tf = 8, 2, 2
         tau_c = tau_f * tf
         model = ModelSpec(lam=1.0, sigma=const_sigma(0.6), u0=InitialData.constant(1.0))
-        fine = sample_block(NoiseSeed(21, path=0), steps_f, n_f, tau=tau_f)
-        blk = coarsen(fine, sf, tf)
+        fine = sample_block(NoiseSeed(21, path=0), steps_f, n_f)
+        blk = coarsen_array(fine, sf, tf)
         op = StepOperator(n_c, SchemeSpec(tau=tau_c, theta=1.0), model)
         u = np.ones(n_c)
         for i in range(steps_f // tf):
-            u = op.apply(u, blk.xi[i])
+            u = op.apply(u, blk[i])
         # oracle: u_m = u0 + sum_i B^{m-1-i} R1 a sigma xi_i (circulant powers)
         lam_h = spectral_basis(n_c).eigenvalues[: n_c // 2 + 1]
         r1 = circulant(np.fft.irfft(1.0 / (1.0 - tau_c * lam_h), n_c)).T
@@ -153,7 +153,7 @@ class TestStrongErrorStudy:
         m = steps_f // tf
         expected = np.ones(n_c)
         for i in range(m):
-            expected = b @ expected + amp * (r1 @ blk.xi[i])
+            expected = b @ expected + amp * (r1 @ blk[i])
         assert np.max(np.abs(u - expected)) < 1e-10
 
     def test_additive_mean_functional_shared_across_rungs(self):
@@ -161,15 +161,15 @@ class TestStrongErrorStudy:
         # linear functional of the sheet) must agree across rungs
         model = ModelSpec(lam=1.0, sigma=const_sigma(0.5), u0=InitialData.constant(1.0))
         n_f, tau_f, mf = 32, 2 ** -10, 64
-        fine = sample_block(NoiseSeed(5, path=0), mf, n_f, tau=tau_f)
+        fine = sample_block(NoiseSeed(5, path=0), mf, n_f)
         means = []
         for (sfac, tfac) in [(1, 1), (2, 2), (4, 4)]:
-            blk = coarsen(fine, sfac, tfac) if (sfac, tfac) != (1, 1) else fine
+            blk = coarsen_array(fine, sfac, tfac)
             op = StepOperator(n_f // sfac, SchemeSpec(tau=tau_f * tfac, theta=1.0),
                               model)
             u = np.ones(n_f // sfac)
             for i in range(mf // tfac):
-                u = op.apply(u, blk.xi[i])
+                u = op.apply(u, blk[i])
             means.append(u.mean())
         assert np.max(np.abs(np.diff(means))) < 1e-12
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shelab.cli import config_to_dict, parse_grid, parse_model, parse_scheme
-from shelab.model import (GridSpec, InitialData, ModelSpec, SchemeSpec,
-                          SharpRegimeSpec, SigmaSpec, validate_run_config)
+from shelab.model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec,
+                          validate_run_config)
 
 
 class TestGridSpec:
@@ -101,6 +101,13 @@ class TestInitialData:
         assert data.i0 == 0.5
         assert np.array_equal(data.values(GridSpec(3)), [0.5, 2.0, 1.0])
 
+    @pytest.mark.parametrize("make", [lambda: InitialData.constant(math.inf),
+                                      lambda: InitialData.grid_samples([1.0, math.nan, 1.0]),
+                                      lambda: InitialData.grid_samples([1.0, math.inf])])
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(ValueError, match="u0 must be finite"):
+            make()
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             InitialData.grid_samples([1.0, 2.0]).values(GridSpec(3))
@@ -122,22 +129,6 @@ class TestValidateRunConfig:
         report = validate_run_config(GridSpec(10), SchemeSpec(tau=0.01, theta=0.0), pam_model)
         assert not report.passed
         assert any("stability" in v for v in report.violations)
-
-    def test_lower_bound_requirements(self):
-        model = ModelSpec(lam=1.0,
-                          sigma=SigmaSpec.table([(-1, 0.5), (1, 0.5)],
-                                                lipschitz=0.0, lower_ratio=0.0),
-                          u0=InitialData.constant(1.0))
-        report = validate_run_config(GridSpec(4), SchemeSpec(tau=0.01, theta=1.0),
-                                     model, require_lower_bound=True)
-        assert not report.passed
-        assert any("J0" in v for v in report.violations)
-
-    def test_sharp_regime_gate(self, pam_model):
-        sharp = SharpRegimeSpec(zeta=2.0, lam=2.0)  # needs n >= 8
-        report = validate_run_config(GridSpec(4), SchemeSpec(tau=1e-4, theta=1.0),
-                                     pam_model, sharp=sharp)
-        assert not report.passed
 
 
 class TestConfigRoundTrip:

@@ -8,6 +8,8 @@ from shelab.moments import (MomentSeries, exact_second_moment_recursion,
                             fit_growth, intermittency_report,
                             lambda_scaling_sweep, mc_moment,
                             second_moment_series)
+from shelab.noise import NoiseSeed, sample_block
+from shelab.solver import StepOperator
 from shelab.stability import positivity_time_full
 
 
@@ -187,6 +189,37 @@ class TestMcMoment:
         explicit = math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2))
         assert _jackknife_se(x) == pytest.approx(explicit, rel=1e-12)
 
+    def test_matches_reference_loop_over_batches(self):
+        # every path reads its own "mc" stream whatever the batching; the
+        # reference draws each path with sample_block and tallies per batch
+        grid, scheme, model = make(64, 1e-4, 1.0, 1.0)
+        steps, paths, record, orders = 1000, 130, [0, 300, 1000], (2.0, 4.0)
+        batch = int(4e6 / (steps * grid.n))
+        assert batch < paths
+        got = mc_moment(grid, scheme, model, list(orders), "min",
+                        [i * scheme.tau for i in record], paths, seed=11)
+        op = StepOperator(grid.n, scheme, model)
+        s1 = np.zeros((len(record), len(orders)))
+        s2 = np.zeros_like(s1)
+        for start in range(0, paths, batch):
+            count = min(batch, paths - start)
+            xi = np.stack([sample_block(NoiseSeed(11, path=start + k, purpose="mc"),
+                                        steps, grid.n) for k in range(count)])
+            states = np.tile(model.u0.values(grid), (count, 1))
+            for i in range(steps + 1):
+                if i:
+                    states = op.apply(states, xi[:, i - 1, :])
+                if i in record:
+                    base = np.abs(states).min(axis=1)
+                    for k, q in enumerate(orders):
+                        s1[record.index(i), k] += np.sum(base ** q)
+                        s2[record.index(i), k] += np.sum(base ** q * base ** q)
+        for k, series in enumerate(got):
+            values = s1[:, k] / paths
+            var = np.maximum(s2[:, k] - paths * values * values, 0.0)
+            assert np.array_equal(series.values, values)
+            assert np.array_equal(series.stderr, np.sqrt(var / (paths * (paths - 1))))
+
     def test_blowup_truncates_with_flag(self):
         grid = GridSpec(4)
         scheme = SchemeSpec(tau=0.1, theta=1.0)
@@ -239,6 +272,16 @@ class TestSweep:
                                       theta=1.0, threads=2)
         assert [p.gamma2 for p in result.points] == [p.gamma2 for p in listed.points]
         assert result.slope == listed.slope
+
+    @pytest.mark.parametrize("lambdas,usable", [([1.0], "1 of 1"), ([], "0 of 0")])
+    def test_fewer_than_two_points_rejected(self, lambdas, usable):
+        with pytest.raises(ValueError, match=usable):
+            lambda_scaling_sweep(zeta=1.0, lambdas=lambdas, theta=1.0)
+
+    def test_all_points_flagged_rejected(self):
+        # theta = 0 at n^2 tau ~ 2 violates the explicit stability bound
+        with pytest.raises(ValueError, match="0 of 2.*stability violated"):
+            lambda_scaling_sweep(zeta=1.0, lambdas=[1.0, 1.5], theta=0.0, gate_safety=100.0)
 
     def test_gamma2_exceeds_printed_lower_bound(self):
         result = lambda_scaling_sweep(zeta=1.0, lambdas=[1.0, 2.0], theta=1.0)

@@ -102,16 +102,16 @@ class TestExponentialIntegrator:
 
 class TestSimulate:
     def test_zero_steps_returns_initial(self, pam_model):
-        traj = simulate(GridSpec(4), SchemeSpec(tau=0.1, theta=1.0), pam_model,
-                        NoiseSeed(0), record_indices=[0])
-        assert np.array_equal(traj.snapshots[0].values, np.ones(4))
+        states = simulate(GridSpec(4), SchemeSpec(tau=0.1, theta=1.0), pam_model,
+                          NoiseSeed(0), record_indices=[0])
+        assert np.array_equal(states[0], np.ones(4))
 
     def test_same_seed_identical(self, pam_model):
         grid, scheme = GridSpec(8), SchemeSpec(tau=1e-3, theta=1.0)
         a = simulate(grid, scheme, pam_model, NoiseSeed(9), range(0, 51, 10))
         b = simulate(grid, scheme, pam_model, NoiseSeed(9), range(0, 51, 10))
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a, b)
+        assert a.shape == b.shape == (6, 8)
 
     def test_invalid_config_rejected(self, pam_model):
         with pytest.raises(ValueError, match="invalid run configuration"):
@@ -127,7 +127,7 @@ class TestSimulate:
         scheme = SchemeSpec(tau=tau, theta=theta)
         op = StepOperator(n, scheme, model)
         paths = 100_000
-        xi = sample_block(NoiseSeed(123, purpose="cov"), paths, n).xi
+        xi = sample_block(NoiseSeed(123, purpose="cov"), paths, n)
         states = op.apply(np.ones((paths, n)), xi)
         centered = states - states.mean(axis=0)
         emp = centered.T @ centered / paths
@@ -142,8 +142,8 @@ class TestSimulate:
         n, tau, steps = 8, 0.01, 12
         model = ModelSpec(lam=1.0, sigma=const_sigma(0.7), u0=InitialData.constant(1.0))
         op = StepOperator(n, SchemeSpec(tau=tau, theta=1.0), model)
-        xa = sample_block(NoiseSeed(1, path=0), steps, n).xi
-        xb = sample_block(NoiseSeed(1, path=1), steps, n).xi
+        xa = sample_block(NoiseSeed(1, path=0), steps, n)
+        xb = sample_block(NoiseSeed(1, path=1), steps, n)
 
         def run(xi):
             u = np.ones(n)
@@ -170,5 +170,5 @@ class TestSimulate:
                             pam_model, NoiseSeed(3), [50])
         theta_traj = simulate(grid, SchemeSpec(tau=1e-3, theta=1.0),
                               pam_model, NoiseSeed(3), [50])
-        diff = np.abs(exp_traj.values - theta_traj.values).max()
+        diff = np.abs(exp_traj - theta_traj).max()
         assert 0.0 < diff < 0.05
