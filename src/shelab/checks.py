@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (AmplificationFactors, KernelEvalOptions, SpectralBasis,
+from .kernels import (AmplificationFactors, SpectralBasis,
                       full_green, full_green_square_integral, heat_kernel,
                       heat_kernel_square_integral, semi_green,
                       semi_green_square_integral)
@@ -30,7 +30,7 @@ __all__ = ["CheckResult", "lemma_suite", "DEFAULT_NS", "DEFAULT_THETAS"]
 
 DEFAULT_NS = (3, 4, 8, 16, 64)
 DEFAULT_THETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
-_OPTS = KernelEvalOptions()
+T_GRID = np.logspace(-4, 2, 25)
 
 
 @dataclass
@@ -92,11 +92,8 @@ def _full_square_upper_constant(factors: AmplificationFactors) -> float:
     return c
 
 
-def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS, t_grid=None,
+def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS,
                 eigenvalue_perturbation: float = 0.0) -> list[CheckResult]:
-    if t_grid is None:
-        t_grid = np.logspace(-4, 2, 25)
-    t_grid = np.asarray(t_grid, dtype=float)
     x_probe = 0.37
     results = {name: _result(name) for name in (
         "continuous-conservation",
@@ -122,12 +119,12 @@ def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS, t_grid=None,
     evaluated = 0
 
     # --- continuous kernel (lattice-independent) ---------------------------
-    for t in t_grid:
-        mass = _y_quadrature(lambda y: heat_kernel(t, x_probe, y, _OPTS))
+    for t in T_GRID:
+        mass = _y_quadrature(lambda y: heat_kernel(t, x_probe, y))
         results["continuous-conservation"].merge(
             1e-12 - abs(mass - 1.0), f"t={t:g} mass={mass!r}")
-        sq = heat_kernel_square_integral(t, _OPTS)
-        quad = _y_quadrature(lambda y: heat_kernel(t, x_probe, y, _OPTS) ** 2)
+        sq = heat_kernel_square_integral(t)
+        quad = _y_quadrature(lambda y: heat_kernel(t, x_probe, y) ** 2)
         results["continuous-square-identity"].merge(
             1e-9 - abs(sq - quad), f"t={t:g} closed={sq!r} quad={quad!r}")
         results["continuous-square-lower"].merge(
@@ -147,7 +144,7 @@ def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS, t_grid=None,
         sym = float(np.max(np.abs(basis.eigenvalues[1:] - basis.eigenvalues[:0:-1])))
         results["eigenvalue-symmetry"].merge(1e-9 * n * n - sym, f"n={n}")
 
-        for t in t_grid:
+        for t in T_GRID:
             cells = np.asarray(semi_green(t, x_probe, (np.arange(n) + 0.5) / n, basis))
             mass = float(cells.mean())  # exact: kernel is cellwise constant in y
             results["semi-conservation"].merge(1e-12 - abs(mass - 1.0), f"n={n} t={t:g}")
@@ -178,7 +175,7 @@ def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS, t_grid=None,
                 -abs(np.exp(basis.eigenvalues[0]) - 1.0)
                 - abs(factors.r12[0] - 1.0) + 1e-14, f"n={n} theta={theta:g}")
             c_upper = _full_square_upper_constant(factors)
-            for t in t_grid:
+            for t in T_GRID:
                 cells = np.asarray(full_green(t, x_probe, (np.arange(n) + 0.5) / n,
                                               "G1", factors, basis))
                 mass = float(cells.mean())
@@ -201,7 +198,7 @@ def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS, t_grid=None,
             tau_r = 0.12 / (n * n)
             factors_r = AmplificationFactors(basis, tau_r, theta)
             if theta == 1.0 or n * n * tau_r < 1.0 / (8.0 * (1.0 - theta)):
-                for t in t_grid:
+                for t in T_GRID:
                     sq = full_green_square_integral(t, 0.0, factors_r, basis)
                     mt = (factors_r.step_power(t) + 1) * tau_r
                     bound = -math.expm1(-4.0 * n * n * math.pi ** 2 * mt) \

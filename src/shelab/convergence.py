@@ -20,14 +20,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import (AmplificationFactors, KernelEvalOptions, SpectralBasis,
+from .kernels import (AmplificationFactors, SpectralBasis,
                       heat_kernel_square_integral, spectral_basis)
-from .model import GridSpec, InitialData, ModelSpec, SchemeSpec
+from .model import GridSpec, InitialData, ModelSpec, SchemeSpec, validate_run_config
 from .moments import ols
 # normals_from_raw is also bound here because perfbench's tracer test patches
 # and restores it in this module's namespace.
 from .noise import NoiseSeed, coarsen_array, normal_rows, normals_from_raw  # noqa: F401
-from .solver import StepOperator
+from .solver import BlowupError, StepOperator
 from .stability import check_stability
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
     "initial_data_error_full",
     "strong_error_study",
 ]
-
-_KOPTS = KernelEvalOptions()
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -74,11 +71,6 @@ def _gauss(points: int):
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0,1]
 
 
-def _mode_profile(basis: SpectralBasis, x: float) -> np.ndarray:
-    j = np.arange(basis.n)
-    return basis.phi_c_interp(j, x) + 1j * basis.phi_s_interp(j, x)
-
-
 def _cross_term(t: float, x: float, basis: SpectralBasis, coeff: np.ndarray,
                 en_profile: np.ndarray) -> float:
     """int_0^1 G(t,x,y) K(t,x,y) dy, exact: the cell-wise integral of each
@@ -97,7 +89,7 @@ def _cross_term(t: float, x: float, basis: SpectralBasis, coeff: np.ndarray,
 def _sq_diff_y_exact(t: float, x: float, basis: SpectralBasis, coeff: np.ndarray,
                      en_profile: np.ndarray) -> float:
     """Exact int_0^1 (G - K)^2 dy = G(2t,x,x) + sum coeff^2 |e^n|^2 - 2 cross."""
-    gsq = heat_kernel_square_integral(t, _KOPTS)
+    gsq = heat_kernel_square_integral(t)
     ksq = float(np.dot(coeff * coeff, np.abs(en_profile) ** 2))
     cross = _cross_term(t, x, basis, coeff, en_profile)
     return max(gsq + ksq - 2.0 * cross, 0.0)
@@ -148,7 +140,7 @@ def green_error_semi(n: int, x: float = 0.0,
                      quad: QuadratureSpec = QuadratureSpec()) -> float:
     """int_0^inf int_0^1 |G(t,x,y) - G^n(t,x,y)|^2 dy dt, tail included."""
     basis = spectral_basis(n)
-    prof = _mode_profile(basis, x)
+    prof = basis.modes(x)
 
     def d_of_t(t: float) -> float:
         if t <= 0.0:
@@ -163,7 +155,7 @@ def green_error_semi_pointwise(n: int, t: float, x: float = 0.0) -> float:
     evaluated through the aliasing series."""
     basis = spectral_basis(n)
     return _sq_diff_y_exact(t, x, basis, np.exp(basis.eigenvalues * t),
-                            _mode_profile(basis, x))
+                            basis.modes(x))
 
 
 def green_error_full(n: int, tau: float, theta: float, x: float = 0.0,
@@ -179,7 +171,7 @@ def green_error_full(n: int, tau: float, theta: float, x: float = 0.0,
         raise ValueError("step-size regime inadmissible: " + report.regime)
     basis = spectral_basis(n)
     factors = AmplificationFactors(basis, tau, theta)
-    prof = _mode_profile(basis, x)
+    prof = basis.modes(x)
 
     def d_of_t(t: float) -> float:
         if t <= 0.0:
@@ -217,22 +209,9 @@ def initial_data_error_full(n: int, tau: float, theta: float, u0: InitialData,
     basis = spectral_basis(n)
     factors = AmplificationFactors(basis, tau, theta)
     factors.require_stable()
-    grid = GridSpec(n)
-    g = u0.values(grid)
-    c = np.fft.rfft(g) / n
+    c = np.fft.fft(u0.values(GridSpec(n))) / n
     delta = np.exp(basis.eigenvalues * t) - factors.r12 ** factors.step_power(t)
-    half = (n - 1) // 2
-    j = np.arange(1, half + 1)
-    acc = delta[0] * c[0].real
-    if half >= 1:
-        ex_c = basis.phi_c_interp(j, x)
-        ex_s = basis.phi_s_interp(j, x)
-        acc += 2.0 * np.sum(delta[1:half + 1]
-                            * (ex_c * c[1:half + 1].real - ex_s * c[1:half + 1].imag))
-    if n % 2 == 0:
-        m = n // 2
-        acc += delta[m] * basis.phi_c_interp(np.array([m]), x)[0] * c[m].real
-    return float(acc) ** 2
+    return float(np.sum(delta * basis.modes(x) * c).real) ** 2
 
 
 def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
@@ -249,7 +228,8 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     the reference by at least `fit_separation` in the refined coordinate
     enter the order fit (a too-close reference deflates the coupled error:
     with slow orders the errors of rung and reference stay comparable and
-    positively correlated).
+    positively correlated).  Every rung must pass validate_run_config
+    (ValueError otherwise); a blow-up is re-raised with the rung's step index.
     """
     if len(ladder) < 3:
         raise ValueError("ladder needs at least two rungs plus the reference")
@@ -270,6 +250,9 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     ops, probes = [], []
     for (n_r, tau_r) in ladder:
         scheme = SchemeSpec(tau=tau_r, theta=theta)
+        report = validate_run_config(GridSpec(n_r), scheme)
+        if not report:
+            raise ValueError(f"invalid rung ({n_r}, {tau_r}): " + "; ".join(report.violations))
         op = StepOperator(n_r, scheme, model)
         ops.append(op)
         idx = probe_x * n_r
@@ -289,7 +272,10 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
             for r, (sf, tf) in enumerate(factors):
                 rows = coarsen_array(xi, sf, tf) if (sf, tf) != (1, 1) else xi
                 for s in range(chunk // tf):
-                    states[r] = ops[r].apply(states[r], rows[:, s, :])
+                    try:
+                        states[r] = ops[r].apply(states[r], rows[:, s, :])
+                    except BlowupError as err:
+                        raise BlowupError(start // tf + s + 1, err.magnitude) from None
         ref = states[-1][:, probes[-1]]
         for r in range(len(rungs)):
             d = states[r][:, probes[r]] - ref

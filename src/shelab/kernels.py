@@ -1,24 +1,25 @@
 """Periodic heat kernels: continuous, spatially semi-discrete and fully
 discrete, plus their closed-form square integrals.
 
-Everything is assembled from real cosine/sine expansions; no complex state
-is kept anywhere.  The continuous kernel is evaluated through two dual
-series (a Gaussian image sum for small times, a spectral sum for large
-times) that overlap far below machine precision at the crossover.
+The discrete kernels are mode sums over one complex interpolated mode,
+sum_j c_j e^n_j(x) conj(e_j(kappa_n(y))).  The continuous kernel is
+evaluated through two dual series (a Gaussian image sum for small times,
+a spectral sum for large times) that overlap far below machine precision
+at the crossover.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .model import _floor_quantize, _floor_steps
 
 __all__ = [
     "SpectralBasis",
     "spectral_basis",
     "AmplificationFactors",
-    "KernelEvalOptions",
     "StabilityViolation",
     "heat_kernel",
     "heat_kernel_square_integral",
@@ -43,30 +44,21 @@ class StabilityViolation(RuntimeError):
             "the step-size regime is inadmissible")
 
 
-@dataclass(frozen=True)
-class KernelEvalOptions:
-    """Truncation choices for the continuous kernel.
-
-    Defaults keep both truncation tails far below 1e-16 at the crossover
-    t* = 0.05: the image tail exp(-(M-1)^2/(4 t*)) / sqrt(4 pi t*) needs
-    M >= 4 and the spectral tail exp(-4 pi^2 J^2 t*) needs J >= 5; the
-    defaults are deliberately generous.
-    """
-
-    image_terms: int = 6
-    spectral_terms: int = 64
-    crossover_time: float = 0.05
-
-
-_DEFAULT_OPTS = KernelEvalOptions()
+# Truncation of the continuous kernel's two dual series.  Both tails stay far
+# below 1e-16 at the crossover t* = 0.05: the image tail
+# exp(-(M-1)^2/(4 t*)) / sqrt(4 pi t*) needs M >= 4 and the spectral tail
+# exp(-4 pi^2 J^2 t*) needs J >= 5; the choices are deliberately generous.
+IMAGE_TERMS = 6
+SPECTRAL_TERMS = 64
+CROSSOVER_TIME = 0.05
 
 
 class SpectralBasis:
     """Eigenstructure of the periodic n-point second-difference operator.
 
     Eigenvalues lam_j = -4 n^2 sin^2(j pi / n); complex modes e_j(x) =
-    exp(2 pi i j x) are handled through their real and imaginary parts
-    (cos/sin) and their piecewise-linear grid interpolants.
+    exp(2 pi i j x), evaluated at grid points and through their
+    piecewise-linear grid interpolants e^n_j.
     """
 
     def __init__(self, n: int):
@@ -77,75 +69,31 @@ class SpectralBasis:
         self.eigenvalues = -4.0 * n * n * np.sin(j * np.pi / n) ** 2
         self.eigenvalues[0] = 0.0
 
-    # -- trigonometric modes -------------------------------------------------
+    def _grid_modes(self, k):
+        """e_j(k/n) for j = 0..n-1 at integer grid indices k."""
+        j = np.arange(self.n)
+        return np.exp(2j * np.pi * np.multiply.outer(j, k % self.n) / self.n)
 
-    def phi_c(self, j, x):
-        return np.cos(2.0 * np.pi * np.multiply.outer(np.asarray(j), np.asarray(x)))
-
-    def phi_s(self, j, x):
-        return np.sin(2.0 * np.pi * np.multiply.outer(np.asarray(j), np.asarray(x)))
-
-    def _interp_weights(self, x):
+    def modes(self, x):
+        """e^n_j(x) for j = 0..n-1, shape (n,) + x.shape: the piecewise-linear
+        interpolant of exp(2 pi i j .) between grid points."""
         x = np.asarray(x, dtype=float)
-        n = self.n
-        k = np.floor(n * x).astype(int)
-        snap = (k + 1) / n == x
-        k = np.where(snap, k + 1, k)
-        frac = np.where(snap, 0.0, n * x - k)
-        return k % n, (k + 1) % n, frac
-
-    def phi_c_interp(self, j, x):
-        """Piecewise-linear interpolant of cos(2 pi j .) between grid points."""
-        k0, k1, w = self._interp_weights(x)
-        j = np.asarray(j)
-        c0 = np.cos(2.0 * np.pi * np.multiply.outer(j, k0) / self.n)
-        c1 = np.cos(2.0 * np.pi * np.multiply.outer(j, k1) / self.n)
-        return c0 + w * (c1 - c0)
-
-    def phi_s_interp(self, j, x):
-        k0, k1, w = self._interp_weights(x)
-        j = np.asarray(j)
-        s0 = np.sin(2.0 * np.pi * np.multiply.outer(j, k0) / self.n)
-        s1 = np.sin(2.0 * np.pi * np.multiply.outer(j, k1) / self.n)
-        return s0 + w * (s1 - s0)
+        k = _floor_quantize(x, self.n)
+        # a point snapped up to the grid point k/n has n x just below k
+        frac = np.maximum(self.n * x - k, 0.0)
+        e0, e1 = self._grid_modes(k), self._grid_modes(k + 1)
+        return e0 + frac * (e1 - e0)
 
     def mode_abs2_interp(self, x):
         """|e^n_j(x)|^2 for all modes j=0..n-1; equals 1 at grid points."""
-        j = np.arange(self.n)
-        return self.phi_c_interp(j, x) ** 2 + self.phi_s_interp(j, x) ** 2
-
-    def grid_cell(self, y):
-        y = np.asarray(y, dtype=float)
-        k = np.floor(self.n * y).astype(int)
-        k = np.where((k + 1) / self.n == y, k + 1, k)
-        return k % self.n
-
-    # -- kernel assembly helpers --------------------------------------------
+        m = self.modes(x)
+        return m.real ** 2 + m.imag ** 2
 
     def assemble(self, coeff: np.ndarray, x, y):
-        """sum_j coeff[j] e^n_j(x) conj(e_j)(kappa_n(y)), real form.
-
-        coeff must be symmetric in j <-> n-j (it always is here: it is a
-        function of the eigenvalue).  Uses the paired cosine/sine expansion;
-        for even n the unpaired mode n/2 contributes coeff * cos-term only.
-        """
-        n = self.n
+        """Re sum_j coeff[j] e^n_j(x) conj(e_j(kappa_n(y)))."""
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        half = (n - 1) // 2
-        j = np.arange(1, half + 1)
-        ky = self.grid_cell(yb) / n
-        out = coeff[0] * np.ones_like(xb)
-        if half >= 1:
-            cx = self.phi_c_interp(j, xb)
-            sx = self.phi_s_interp(j, xb)
-            cy = self.phi_c(j, ky)
-            sy = self.phi_s(j, ky)
-            out = out + 2.0 * np.tensordot(coeff[1:half + 1], cx * cy + sx * sy, axes=(0, 0))
-        if n % 2 == 0:
-            m = n // 2
-            out = out + coeff[m] * self.phi_c_interp(np.array([m]), xb)[0] \
-                * self.phi_c(np.array([m]), ky)[0]
-        return out
+        ey = self._grid_modes(_floor_quantize(yb, self.n))
+        return np.tensordot(coeff, self.modes(xb) * ey.conj(), axes=(0, 0)).real
 
     def grid_values(self, coeff: np.ndarray) -> np.ndarray:
         """Kernel values at grid points as a function of q-l (translation
@@ -201,7 +149,6 @@ class AmplificationFactors:
             raise StabilityViolation(j, 1.0 - eps)
 
     def step_power(self, t: float) -> int:
-        from .model import _floor_steps
         if t < 0.0:
             raise ValueError("time must be nonnegative")
         return _floor_steps(t, self.tau)
@@ -223,28 +170,23 @@ def _heat_kernel_spectral(t, d, terms: int):
     return 1.0 + 2.0 * (cos * np.exp(-4.0 * np.pi ** 2 * j ** 2 * t)).sum(axis=-1)
 
 
-def heat_kernel(t: float, x, y, opts: KernelEvalOptions = _DEFAULT_OPTS):
+def heat_kernel(t: float, x, y):
     """Continuous periodic heat kernel G(t,x,y)."""
     if not t > 0.0:
         raise ValueError(f"heat kernel needs t > 0, got {t}")
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    if t < opts.crossover_time:
-        out = _heat_kernel_image(t, d, opts.image_terms)
+    if t < CROSSOVER_TIME:
+        out = _heat_kernel_image(t, d, IMAGE_TERMS)
     else:
-        out = _heat_kernel_spectral(t, d, opts.spectral_terms)
+        out = _heat_kernel_spectral(t, d, SPECTRAL_TERMS)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def heat_kernel_square_integral(t: float, opts: KernelEvalOptions = _DEFAULT_OPTS) -> float:
+def heat_kernel_square_integral(t: float) -> float:
     """int_0^1 G(t,x,y)^2 dy = G(2t,x,x), independent of x."""
     if not t > 0.0:
         raise ValueError(f"square integral needs t > 0, got {t}")
-    t2 = 2.0 * t
-    if t2 < opts.crossover_time:
-        m = np.arange(-opts.image_terms, opts.image_terms + 1)
-        return float(np.exp(-m * m / (4.0 * t2)).sum() / math.sqrt(4.0 * math.pi * t2))
-    j = np.arange(1, opts.spectral_terms + 1)
-    return float(1.0 + 2.0 * np.exp(-4.0 * np.pi ** 2 * j ** 2 * t2).sum())
+    return heat_kernel(2.0 * t, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

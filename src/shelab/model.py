@@ -24,15 +24,15 @@ __all__ = [
 ]
 
 
-def _floor_quantize(value: float, step_count: float) -> int:
-    """Integer k with k <= value*step_count < k+1, robust to the float
-    round-trip k/step_count -> k (so the grid-flooring map is idempotent)."""
-    k = int(math.floor(value * step_count))
+def _floor_quantize(value, step_count: int) -> np.ndarray:
+    """Elementwise integer k with k <= value*step_count < k+1, robust to the
+    float round-trip k/step_count -> k (so the grid-flooring map is
+    idempotent).  The one implementation of kappa_n."""
+    value = np.asarray(value, dtype=float)
+    k = np.floor(value * step_count).astype(int)
     # value may be exactly the float (k+1)/step_count whose product
     # rounded just below the integer k+1; prefer the grid point then.
-    if (k + 1) / step_count == value:
-        k += 1
-    return k
+    return np.where((k + 1) / step_count == value, k + 1, k)
 
 
 def _floor_steps(value: float, step: float) -> int:
@@ -63,11 +63,11 @@ class GridSpec:
 
     def kappa(self, y: float) -> float:
         """Grid-flooring map: largest grid point <= y."""
-        return _floor_quantize(y, self.n) / self.n
+        return float(_floor_quantize(y, self.n)) / self.n
 
     def cell_index(self, y: float) -> int:
         """Index of the cell containing y, wrapped periodically."""
-        return _floor_quantize(y, self.n) % self.n
+        return int(_floor_quantize(y, self.n)) % self.n
 
 
 @dataclass(frozen=True)
@@ -255,8 +255,7 @@ class ValidationReport:
         return self.passed
 
 
-def validate_run_config(grid: GridSpec, scheme: SchemeSpec,
-                        model: ModelSpec) -> ValidationReport:
+def validate_run_config(grid: GridSpec, scheme: SchemeSpec) -> ValidationReport:
     """Aggregate admissibility check for a run.
 
     Collects every violated assumption instead of stopping at the first:

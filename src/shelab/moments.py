@@ -96,12 +96,11 @@ def _circulant_apply(half_factors: np.ndarray, mat: np.ndarray, axis: int) -> np
 
 
 def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec,
-                                  steps: int, record_every: int = 1,
-                                  check_every: int = 0) -> list[MomentMatrix]:
+                                  steps: int, record_every: int = 1) -> list[MomentMatrix]:
     """Exact (up to roundoff) second-moment matrices for linear sigma."""
     if not model.sigma.is_linear:
         raise ValueError("exact recursion supports linear sigma only; use Monte Carlo")
-    report = validate_run_config(grid, scheme, model)
+    report = validate_run_config(grid, scheme)
     if not report:
         raise ValueError("invalid run configuration: " + "; ".join(report.violations))
     op = StepOperator(grid.n, scheme, model)
@@ -115,8 +114,6 @@ def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: Mod
         m = _circulant_apply(bh, _circulant_apply(bh, m, 0), 1)
         m = m + _circulant_apply(r1h, _circulant_apply(r1h, d, 0), 1)
         m = (m + m.T) / 2.0
-        if check_every and i % check_every == 0:
-            MomentMatrix(matrix=m, time_index=i).check()
         if i % record_every == 0 or i == steps:
             out.append(MomentMatrix(matrix=m.copy(), time_index=i))
     return out
@@ -157,7 +154,7 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
         raise ValueError("moment order must be >= 1")
     if paths < 2:
         raise ValueError("need at least 2 paths")
-    report = validate_run_config(grid, scheme, model)
+    report = validate_run_config(grid, scheme)
     if not report:
         raise ValueError("invalid run configuration: " + "; ".join(report.violations))
     record = _snap_indices(times, scheme.tau)
@@ -288,12 +285,11 @@ class SweepResult:
 
 
 def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float,
-                 i0: float, gate_safety: float, efolds: float,
-                 stepper: str) -> SweepPoint:
+                 i0: float, gate_safety: float) -> SweepPoint:
     j0 = abs(sigma_slope)
     n = max(3, int(math.ceil(zeta * lam ** 2)))
     tau = gate_safety / sharp_gate(n, 1.0, j0, lam, zeta)[0]  # the sum is linear in tau
-    scheme = SchemeSpec(tau=tau, theta=theta, stepper=stepper)
+    scheme = SchemeSpec(tau=tau, theta=theta)
     model = ModelSpec(lam=lam, sigma=SigmaSpec.linear(sigma_slope),
                       u0=InitialData.constant(i0))
     grid = GridSpec(n)
@@ -307,7 +303,7 @@ def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float,
                           float("nan"), gate_ok, tuple(flags))
     t_pos = positivity_time_full(n, tau, theta).t_star
     gamma_guess = math.log1p(lam ** 2 * j0 ** 2 * tau) / tau
-    horizon = t_pos + efolds / gamma_guess
+    horizon = t_pos + 3.0 / gamma_guess  # three e-folds past the positivity time
     steps = int(math.ceil(horizon / tau))
     record_every = max(1, steps // 2000)
     mats = exact_second_moment_recursion(grid, scheme, model, steps,
@@ -321,15 +317,13 @@ def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float,
 
 def lambda_scaling_sweep(zeta: float, lambdas, theta: float = 1.0,
                          sigma_slope: float = 1.0, i0: float = 1.0,
-                         gate_safety: float = 0.5, efolds: float = 3.0,
-                         stepper: str = "theta", threads: int = 1) -> SweepResult:
+                         gate_safety: float = 0.5, threads: int = 1) -> SweepResult:
     """Fitted gamma_2 against lambda with n = max(3, ceil(zeta lambda^2)) and
     tau chosen to pass the sharp-regime gate; regime violations are flagged
     per point, and fewer than two finite gamma_2 raise ValueError.  Points
     run on a worker pool when threads > 1; results aggregate in input order."""
     def point(lam):
-        return _sweep_point(zeta, lam, theta, sigma_slope, i0, gate_safety,
-                            efolds, stepper)
+        return _sweep_point(zeta, lam, theta, sigma_slope, i0, gate_safety)
 
     points = pmap(point, lambdas, threads)
     good = [p for p in points if np.isfinite(p.gamma2)]

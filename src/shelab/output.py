@@ -68,12 +68,11 @@ def write_csv(path: str, columns, rows, manifest: RunManifest):
 
 
 def svg_plot(path: str, series, manifest: RunManifest, title: str = "",
-             logx: bool = False, logy: bool = False, annotation: str = "",
-             width: int = 640, height: int = 420):
+             logx: bool = False, logy: bool = False, annotation: str = ""):
     """Minimal line/scatter plot; series = [(label, xs, ys)]."""
     import math
 
-    margin = 56
+    width, height, margin = 640, 420, 56
 
     def tx(vals):
         return [math.log10(v) for v in vals] if logx else list(vals)

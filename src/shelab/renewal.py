@@ -46,8 +46,8 @@ class RenewalRoot:
     kind: str             # "continuous" | "discrete"
 
 
-def _check_monotone(fn, lo: float, hi: float, samples: int = 64) -> bool:
-    xs = np.linspace(lo, hi, samples)
+def _check_monotone(fn, lo: float, hi: float) -> bool:
+    xs = np.linspace(lo, hi, 64)
     ys = np.array([fn(x) for x in xs])
     d = np.diff(ys)
     return bool(np.all(d >= 0.0) or np.all(d <= 0.0))

@@ -90,7 +90,7 @@ def simulate(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, seed: NoiseSe
     Deterministic given (seed, stream); raises BlowupError with the reached
     horizon when the state exceeds the growth monitor.
     """
-    report = validate_run_config(grid, scheme, model)
+    report = validate_run_config(grid, scheme)
     if not report:
         raise ValueError("invalid run configuration: " + "; ".join(report.violations))
     record = sorted(set(int(i) for i in record_indices)) or [0]

@@ -90,7 +90,7 @@ def _certify_suffix(grid_min, times, threshold=0.5):
     return int(idx), int(len(times) - idx)
 
 
-def positivity_time_semi(n: int, samples: int = 400) -> PositivityTime:
+def positivity_time_semi(n: int) -> PositivityTime:
     """Certified time t(n) with min over grid pairs of G^n(t, q/n, l/n) >= 1/2.
 
     The sufficient proof bound (n-1) e^{lam_1 t} <= 1/2 seeds the search;
@@ -101,7 +101,7 @@ def positivity_time_semi(n: int, samples: int = 400) -> PositivityTime:
     basis = spectral_basis(n)
     lam1 = basis.eigenvalues[1]
     t_suff = math.log(2.0 * (n - 1)) / (-lam1)
-    times = np.linspace(t_suff / samples, t_suff * 1.001, samples)
+    times = np.linspace(t_suff / 400, t_suff * 1.001, 400)
     mins = np.array([semi_green_grid(t, basis).min() for t in times])
     idx, count = _certify_suffix(mins, times)
     if idx is None:

@@ -170,3 +170,17 @@ class TestConvergenceCommand:
         lines = read_csv(tmp_path / "strong_error.csv")
         assert lines[1] == "n,tau,error,stderr"
         assert len(lines) == 2 + 3
+
+    def test_strong_unstable_rung_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"convergence": {
+            "kind": "strong", "theta": 0.0, "T": 0.25, "paths": 2,
+            "ladder": [[16, 0.0625], [16, 0.03125], [16, 0.015625]]}})
+        assert main(["convergence", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "stability regime violated" in capsys.readouterr().err
+
+    def test_strong_blowup_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": {"lambda": 1e160}, "convergence": {
+            "kind": "strong", "theta": 1.0, "T": 0.0625, "paths": 2,
+            "ladder": [[8, 0.015625], [8, 0.0078125], [8, 0.00390625]]}})
+        assert main(["convergence", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+        assert "at step 1:" in capsys.readouterr().err

@@ -7,10 +7,11 @@ from scipy.linalg import circulant
 from shelab.convergence import (QuadratureSpec, green_error_full,
                                 green_error_semi, green_error_semi_pointwise,
                                 initial_data_error_full, strong_error_study)
-from shelab.kernels import heat_kernel, semi_green, spectral_basis
+from shelab.kernels import (AmplificationFactors, full_green, heat_kernel, semi_green,
+                            spectral_basis)
 from shelab.model import InitialData, ModelSpec, SchemeSpec, SigmaSpec
 from shelab.noise import NoiseSeed, coarsen_array, sample_block
-from shelab.solver import StepOperator
+from shelab.solver import BlowupError, StepOperator
 
 from conftest import const_sigma
 
@@ -106,6 +107,20 @@ class TestInitialDataErrorFull:
         assert qs[0] < 2e-3
         assert qs[0] > qs[1] > qs[2]
 
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_matches_cell_average_of_kernel_difference(self, n):
+        # (G^n - G1) u0(kappa_n(.)) is cellwise constant in y, so its
+        # integral is the mean over cell midpoints
+        tau, theta, t, x = 0.01, 1.0, 0.05, 0.37
+        g = 1.5 + np.sin(2 * np.pi * np.arange(n) / n) + 0.2 * np.arange(n) / n
+        basis = spectral_basis(n)
+        factors = AmplificationFactors(basis, tau, theta)
+        cells = (np.arange(n) + 0.5) / n
+        diff = semi_green(t, x, cells, basis) - full_green(t, x, cells, "G1", factors)
+        expected = float(np.mean(diff * g)) ** 2
+        got = initial_data_error_full(n, tau, theta, InitialData.grid_samples(g.tolist()), t, x)
+        assert got == pytest.approx(expected, rel=1e-9)
+
 
 class TestStrongErrorStudy:
     def test_ladder_validation(self, pam_model):
@@ -116,6 +131,21 @@ class TestStrongErrorStudy:
         with pytest.raises(ValueError, match="refine exactly one"):
             strong_error_study([(8, 2 ** -4), (16, 2 ** -5), (32, 2 ** -6)],
                                pam_model, 1.0, 0.5, 4, 0)
+
+    def test_rungs_validated(self, pam_model):
+        with pytest.raises(ValueError, match="theta out of range"):
+            strong_error_study([(8, 2 ** -6), (8, 2 ** -7), (8, 2 ** -10)], pam_model,
+                               1.5, 2 ** -4, 2, 0)
+        with pytest.raises(ValueError, match="stability regime violated"):
+            strong_error_study([(16, 2 ** -4), (16, 2 ** -5), (16, 2 ** -6)], pam_model,
+                               0.0, 0.25, 2, 0)
+
+    def test_blowup_names_rung_step(self):
+        model = ModelSpec(lam=1e160, sigma=SigmaSpec.linear(1.0), u0=InitialData.constant(1.0))
+        with pytest.raises(BlowupError, match="at step 1:") as err:
+            strong_error_study([(8, 2 ** -6), (8, 2 ** -7), (8, 2 ** -8)], model,
+                               1.0, 2 ** -4, 2, 0)
+        assert err.value.step_index == 1
 
     def test_deterministic_temporal_orders(self):
         # classical theta-scheme orders with the noise off: ~1 for theta=1,

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shelab.kernels import (AmplificationFactors, KernelEvalOptions,
-                            StabilityViolation, full_green,
+from shelab.kernels import (CROSSOVER_TIME, IMAGE_TERMS, SPECTRAL_TERMS,
+                            AmplificationFactors, StabilityViolation,
+                            full_green, full_green_grid,
                             full_green_square_integral, heat_kernel,
                             heat_kernel_square_integral, semi_green,
-                            semi_green_square_integral, spectral_basis)
+                            semi_green_grid, semi_green_square_integral,
+                            spectral_basis)
 
 
 def quad_unit_interval(fn, panels=512, order=8):
@@ -47,11 +49,10 @@ class TestHeatKernel:
 
     def test_series_agree_at_crossover(self):
         from shelab.kernels import _heat_kernel_image, _heat_kernel_spectral
-        opts = KernelEvalOptions()
-        t = opts.crossover_time
+        t = CROSSOVER_TIME
         for d in (0.0, 0.13, 0.49):
-            image = _heat_kernel_image(t, d, opts.image_terms)
-            spectral = _heat_kernel_spectral(t, d, opts.spectral_terms)
+            image = _heat_kernel_image(t, d, IMAGE_TERMS)
+            spectral = _heat_kernel_spectral(t, d, SPECTRAL_TERMS)
             assert abs(image - spectral) < 1e-10
 
     def test_against_brute_force_spectral(self):
@@ -81,6 +82,26 @@ class TestHeatKernel:
         for t in (0.003, 0.05, 0.7):
             quad = quad_unit_interval(lambda y: heat_kernel(t, 0.37, y) ** 2)
             assert heat_kernel_square_integral(t) == pytest.approx(quad, abs=1e-9)
+
+
+@given(n=st.integers(min_value=3, max_value=40),
+       t=st.floats(min_value=0.0, max_value=1.0),
+       tau=st.floats(min_value=1e-4, max_value=0.5),
+       theta=st.floats(min_value=0.5, max_value=1.0))
+@settings(max_examples=60, deadline=None)
+def test_grid_points_match_cosine_route(n, t, tau, theta):
+    # interpolated complex modes at (q/n, l/n) against the real cosine
+    # matrix of grid_values, for the semi- and fully discrete kernels
+    basis = spectral_basis(n)
+    factors = AmplificationFactors(basis, tau, theta)
+    x = np.arange(n)[:, None] / n
+    y = np.arange(n)[None, :] / n
+    d = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    assert np.allclose(semi_green(t, x, y, basis), semi_green_grid(t, basis)[d],
+                       rtol=0.0, atol=1e-12)
+    for which in ("G1", "G2"):
+        assert np.allclose(full_green(t, x, y, which, factors),
+                           full_green_grid(t, which, factors)[d], rtol=0.0, atol=1e-12)
 
 
 class TestSemiGreen:

@@ -114,19 +114,19 @@ class TestInitialData:
 
 
 class TestValidateRunConfig:
-    def test_minimal_pass(self, pam_model):
+    def test_minimal_pass(self):
         # theta=1 has no coupled requirement for n, tau
-        report = validate_run_config(GridSpec(3), SchemeSpec(tau=0.5, theta=1.0), pam_model)
+        report = validate_run_config(GridSpec(3), SchemeSpec(tau=0.5, theta=1.0))
         assert report.passed and not report.violations
 
-    def test_small_grid_fails(self, pam_model):
-        report = validate_run_config(GridSpec(2), SchemeSpec(tau=0.1, theta=1.0), pam_model)
+    def test_small_grid_fails(self):
+        report = validate_run_config(GridSpec(2), SchemeSpec(tau=0.1, theta=1.0))
         assert not report.passed
         assert any("n < 3" in v for v in report.violations)
 
-    def test_explicit_coupling_fails(self, pam_model):
+    def test_explicit_coupling_fails(self):
         # n^2 tau = 1 >= 1/(2 - 4*0) = 1/2
-        report = validate_run_config(GridSpec(10), SchemeSpec(tau=0.01, theta=0.0), pam_model)
+        report = validate_run_config(GridSpec(10), SchemeSpec(tau=0.01, theta=0.0))
         assert not report.passed
         assert any("stability" in v for v in report.violations)
 

@@ -46,8 +46,7 @@ class TestExactRecursion:
 
     def test_matrices_stay_symmetric_psd(self):
         grid, scheme, model = make(6, 1e-3, 1.0, 1.5)
-        mats = exact_second_moment_recursion(grid, scheme, model, 400,
-                                             record_every=100, check_every=50)
+        mats = exact_second_moment_recursion(grid, scheme, model, 400, record_every=50)
         for m in mats:
             m.check()
 
