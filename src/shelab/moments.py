@@ -6,9 +6,11 @@ lambda^2 n tau per cell,
 
     M_{i+1} = B M_i B^T + lambda^2 n tau c^2 * R1 diag(M_i)_{jj} R1^T,
 
-which this module iterates exactly in the circulant Fourier basis (B and
-R1 act diagonally; the mode-space products are applied by FFT along each
-matrix axis).  Nonlinear sigma falls back to Monte Carlo.  Growth rates
+which this module iterates exactly with the operators of
+`solver.StepOperator`: for n <= DENSE_MAX_N as products with the dense
+symmetric Green matrices B and R1, above that crossover by real FFT along
+each matrix axis (B and R1 act diagonally on the Fourier modes).
+Nonlinear sigma falls back to Monte Carlo.  Growth rates
 are reported as tail-window regression slopes with confidence intervals --
 a limsup is not computable, a documented estimator is.
 """
@@ -103,30 +105,50 @@ def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: Mod
     report = validate_run_config(grid, scheme)
     if not report:
         raise ValueError("invalid run configuration: " + "; ".join(report.violations))
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
     op = StepOperator(grid.n, scheme, model)
-    r1h, bh = op.r1h, op.r1h * op.r2h
+    if not op.dense:
+        r1h, bh = op.r1h, op.r1h * op.r2h
     gain = model.lam ** 2 * grid.n * scheme.tau * model.sigma.slope ** 2
     u0 = model.u0.values(grid)
     m = np.outer(u0, u0)
     out = [MomentMatrix(matrix=m.copy(), time_index=0)]
     for i in range(1, steps + 1):
-        d = np.diag(np.diag(m)) * gain  # noise feeds on the pre-step moments
-        m = _circulant_apply(bh, _circulant_apply(bh, m, 0), 1)
-        m = m + _circulant_apply(r1h, _circulant_apply(r1h, d, 0), 1)
+        # noise feeds on the pre-step moments
+        if op.dense:
+            m = op.b @ m @ op.b + (op.r1 * (gain * np.diag(m))) @ op.r1
+        else:
+            d = np.diag(np.diag(m)) * gain
+            m = _circulant_apply(bh, _circulant_apply(bh, m, 0), 1)
+            m = m + _circulant_apply(r1h, _circulant_apply(r1h, d, 0), 1)
         m = (m + m.T) / 2.0
         if i % record_every == 0 or i == steps:
             out.append(MomentMatrix(matrix=m.copy(), time_index=i))
     return out
 
 
+def _probe_index(probe, n: int) -> int | None:
+    """None for the grid infimum ("min"), else the grid index probe in [0, n)."""
+    if isinstance(probe, str) and probe == "min":
+        return None
+    if (isinstance(probe, bool) or not isinstance(probe, (int, np.integer))
+            or not 0 <= probe < n):
+        raise ValueError(f"probe must be 'min' or a grid index in [0, {n}), got {probe!r}")
+    return int(probe)
+
+
 def second_moment_series(matrices, tau: float, probe="min") -> MomentSeries:
     """Diagonal of the recursion as a moment series at a probe point or the
     grid infimum (min over grid points, matching the lower-bound theorems)."""
+    index = _probe_index(probe, matrices[0].matrix.shape[0])
     times = np.array([m.time_index for m in matrices]) * tau
-    if probe == "min":
+    if index is None:
         values = np.array([m.diagonal.min() for m in matrices])
     else:
-        values = np.array([m.diagonal[int(probe)] for m in matrices])
+        values = np.array([m.diagonal[index] for m in matrices])
     return MomentSeries(times=times, values=values, p=2.0, source={"kind": "exact"})
 
 
@@ -146,8 +168,11 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
 
     `p` may be a single order or a list (shared paths); `probe` is a grid
     index or "min".  Path k reads the "mc" stream of (seed, k); paths run in
-    batches of about 4e6 noise cells.  On blow-up the series is truncated at
-    the last record before the horizon and flagged.
+    batches of about 4e6 noise cells.  The standard errors come from each
+    batch's sum of squared deviations, merged across batches by the pairwise
+    update of Chan, Golub and LeVeque, so weak noise does not cancel them
+    away.  On blow-up the series is truncated at the last record before the
+    horizon and flagged.
     """
     p_list = [float(q) for q in (p if isinstance(p, (list, tuple)) else [p])]
     if any(q < 1 for q in p_list):
@@ -157,25 +182,33 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     report = validate_run_config(grid, scheme)
     if not report:
         raise ValueError("invalid run configuration: " + "; ".join(report.violations))
+    index = _probe_index(probe, grid.n)
     record = _snap_indices(times, scheme.tau)
     steps = max(record)
     record_set = sorted(set(record))
     pos = {i: k for k, i in enumerate(record_set)}
     op = StepOperator(grid.n, scheme, model)
     batch_paths = max(1, min(paths, int(4e6 / max(1, steps * grid.n))))
-    s1 = np.zeros((len(record_set), len(p_list)))
-    s2 = np.zeros_like(s1)
+    s1 = np.zeros((len(record_set), len(p_list)))  # sums
+    m2 = np.zeros_like(s1)  # sums of squared deviations from the mean
     counts = np.zeros(len(record_set))
     horizon = steps + 1
 
     def tally(states, i):
         mags = np.abs(states)
-        base = mags.min(axis=1) if probe == "min" else mags[:, int(probe)]
+        base = mags.min(axis=1) if index is None else mags[:, index]
+        r, na, nb = pos[i], counts[pos[i]], len(states)
         for k, q in enumerate(p_list):
             sample = base ** q
-            s1[pos[i], k] += np.sum(sample)
-            s2[pos[i], k] += np.sum(sample * sample)
-        counts[pos[i]] += len(states)
+            total = np.sum(sample)
+            mean = total / nb
+            dev = np.sum((sample - mean) ** 2)
+            if na:
+                delta = mean - s1[r, k] / na
+                dev += delta * delta * na * nb / (na + nb)
+            s1[r, k] += total
+            m2[r, k] += dev
+        counts[r] += nb
 
     start = 0
     while start < paths:
@@ -199,9 +232,7 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     results = []
     for k, q in enumerate(p_list):
         vals = np.array([s1[pos[i], k] / paths for i in kept])
-        var = np.array([max(s2[pos[i], k] - paths * v * v, 0.0)
-                        for i, v in zip(kept, vals)])
-        errs = np.sqrt(var / (paths * (paths - 1)))
+        errs = np.sqrt(np.array([m2[pos[i], k] for i in kept]) / (paths * (paths - 1)))
         good = np.isfinite(vals)
         if not good.all():  # per-sample overflow at high p: truncate there
             stop = int(np.argmin(good))

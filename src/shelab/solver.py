@@ -1,16 +1,19 @@
 """Time stepping for the fully discrete scheme on the periodic grid.
 
-The implicit part of the theta step is solved exactly by diagonalizing the
-circulant second-difference operator with the real FFT: one step is
+One step of the theta scheme is
 
-    u_{i+1} = R1 (R2 u_i + lambda sqrt(n tau) sigma(u_i) * xi_i)
+    u_{i+1} = G1 u_i + G2 (lambda sqrt(n tau) sigma(u_i) * xi_i)
 
-with R1 = (1 - theta tau D_n)^{-1} and R2 = 1 + (1-theta) tau D_n acting
-mode-wise on the rfft coefficients.  The exponential-integrator variant
-replaces R1 by exp(tau lam_j) and R2 by the identity.  States are
-monitored for the intentional exponential growth of the intermittent
-regimes and abort with a blow-up diagnostic rather than overflowing
-silently.
+where G1 = R1 R2 and G2 = R1 are the one-step discrete Green functions at
+grid points: symmetric circulants with eigenvalues r1 r2 and r1, where
+R1 = (1 - theta tau D_n)^{-1} and R2 = 1 + (1-theta) tau D_n.  The
+exponential-integrator variant replaces R1 by exp(tau lam_j) and R2 by the
+identity.  For n <= DENSE_MAX_N both operators are precomputed as dense
+n x n matrices and applied by matrix products; above that size they act
+mode-wise on the real-FFT coefficients, which is then the faster route.
+States are monitored for the intentional exponential growth of the
+intermittent regimes and abort with a blow-up diagnostic rather than
+overflowing silently.
 
 The time-continuous semi-discretization (finite differences in space only)
 is realized numerically as the exponential integrator with a reference
@@ -25,6 +28,7 @@ from .model import GridSpec, ModelSpec, SchemeSpec, validate_run_config
 from .noise import NoiseSeed, sample_block
 
 __all__ = [
+    "DENSE_MAX_N",
     "BlowupError",
     "StepOperator",
     "discrete_laplacian",
@@ -32,6 +36,12 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e150
+# Largest n stepped with dense Green matrices.  In single-threaded timings
+# of one apply (batches of 100 and 1000) and one exact-recursion step the
+# dense products beat the rfft round trips in every case up to n = 96; the
+# batch-100 apply turns in favour of the FFT between n = 128 and 160, and
+# at n = 1024 the FFT is 1.6-6x faster (table in CHANGES.md).
+DENSE_MAX_N = 96
 
 
 class BlowupError(RuntimeError):
@@ -53,28 +63,45 @@ def discrete_laplacian(values: np.ndarray, n: int | None = None) -> np.ndarray:
 
 
 class StepOperator:
-    """Precomputed mode factors for repeated stepping on one (n, tau, theta)."""
+    """Precomputed one-step operators for repeated stepping on one (n, tau, theta).
+
+    For n <= DENSE_MAX_N (`dense`), `b` and `r1` are the symmetric n x n
+    Green matrices with eigenvalues r1 r2 and r1; otherwise `r1h` and `r2h`
+    are the rfft half-spectrum mode factors.
+    """
 
     def __init__(self, n: int, scheme: SchemeSpec, model: ModelSpec):
         self.n = int(n)
         self.scheme = scheme
         self.model = model
         basis = spectral_basis(self.n)
-        half = self.n // 2 + 1  # rfft half-spectrum
         if scheme.stepper == "theta":
             factors = AmplificationFactors(basis, scheme.tau, scheme.theta)
             factors.require_stable()
-            self.r1h, self.r2h = factors.r1[:half], factors.r2[:half]
+            r1, r2 = factors.r1, factors.r2
         else:
-            self.r1h = np.exp(scheme.tau * basis.eigenvalues[:half])
-            self.r2h = np.ones(half)
+            r1 = np.exp(scheme.tau * basis.eigenvalues)
+            r2 = np.ones(self.n)
+        self.dense = self.n <= DENSE_MAX_N
+        if self.dense:
+            q = np.arange(self.n)
+            shift = (q[:, None] - q[None, :]) % self.n
+            self.b = basis.grid_values(r1 * r2)[shift] / self.n
+            self.r1 = basis.grid_values(r1)[shift] / self.n
+        else:
+            half = self.n // 2 + 1  # rfft half-spectrum
+            self.r1h, self.r2h = r1[:half], r2[:half]
         self.noise_amp = model.lam * np.sqrt(self.n * scheme.tau)
 
     def apply(self, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """One step for a single state (n,) or a batch (..., n)."""
-        u_hat = np.fft.rfft(u, axis=-1)
-        forcing = np.fft.rfft(self.noise_amp * self.model.sigma(u) * xi, axis=-1)
-        out = np.fft.irfft(self.r1h * (self.r2h * u_hat + forcing), n=self.n, axis=-1)
+        forcing = self.noise_amp * self.model.sigma(u) * xi
+        if self.dense:  # both matrices are symmetric: rows times matrix
+            out = u @ self.b + forcing @ self.r1
+        else:
+            u_hat = np.fft.rfft(u, axis=-1)
+            out = np.fft.irfft(self.r1h * (self.r2h * u_hat + np.fft.rfft(forcing, axis=-1)),
+                               n=self.n, axis=-1)
         peak = np.max(np.abs(out))
         if not np.isfinite(peak) or peak > BLOWUP_LIMIT:
             raise BlowupError(-1, float(peak))

@@ -89,6 +89,20 @@ class TestMoments:
         # truncation below the first record leaves nothing: blow-up exit
         assert main(["moments", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("section,field", [
+        ({"mode": "exact", "steps": 5, "probe": 8}, "probe"),
+        ({"mode": "exact", "steps": 5, "probe": -1}, "probe"),
+        ({"mode": "mc", "probe": 8, "times": [0.001], "paths": 4}, "probe"),
+        ({"mode": "mc", "probe": -1, "times": [0.001], "paths": 4}, "probe"),
+        ({"mode": "exact", "steps": 5, "record_every": 0}, "record_every"),
+        ({"mode": "exact", "steps": -3}, "steps"),
+    ])
+    def test_bad_moments_fields_exit_2(self, tmp_path, capsys, section, field):
+        cfg = write_config(tmp_path, {"moments": section})
+        assert main(["moments", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
     def test_config_error_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {})
         assert main(["moments", "--config", cfg, "--out-dir", str(tmp_path)]) == 2

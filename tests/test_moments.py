@@ -9,7 +9,7 @@ from shelab.moments import (MomentSeries, exact_second_moment_recursion,
                             lambda_scaling_sweep, mc_moment,
                             second_moment_series)
 from shelab.noise import NoiseSeed, sample_block
-from shelab.solver import StepOperator
+from shelab.solver import DENSE_MAX_N, StepOperator
 from shelab.stability import positivity_time_full
 
 
@@ -49,6 +49,22 @@ class TestExactRecursion:
         mats = exact_second_moment_recursion(grid, scheme, model, 400, record_every=50)
         for m in mats:
             m.check()
+
+    @pytest.mark.parametrize("steps,record_every,field", [(-3, 1, "steps"),
+                                                          (5, 0, "record_every")])
+    def test_bad_steps_and_record_every(self, steps, record_every, field):
+        grid, scheme, model = make(8, 1e-3, 1.0, 1.0)
+        with pytest.raises(ValueError, match=field):
+            exact_second_moment_recursion(grid, scheme, model, steps,
+                                          record_every=record_every)
+
+    @pytest.mark.parametrize("probe", [8, -1, 2.0, "max", True])
+    def test_series_probe_validated(self, probe):
+        grid, scheme, model = make(8, 1e-3, 1.0, 1.0)
+        mats = exact_second_moment_recursion(grid, scheme, model, 2)
+        with pytest.raises(ValueError, match="probe"):
+            second_moment_series(mats, scheme.tau, probe=probe)
+        assert second_moment_series(mats, scheme.tau, probe=np.int64(7)).values[0] == 1.0
 
     def test_nonlinear_sigma_unsupported(self):
         sigma = SigmaSpec.table([(-1, -1), (0, 0), (2, 1)], lipschitz=1.0,
@@ -95,14 +111,17 @@ class TestExactRecursion:
         ls = np.arange(len(y) - n_start)
         assert np.all(y[n_start:] >= base * (1.0 + beta) ** ls * (1.0 - 1e-9))
 
-    @pytest.mark.parametrize("stepper", ["theta", "exponential"])
-    def test_against_dense_matrix_recursion(self, stepper):
+    @pytest.mark.parametrize("stepper,n", [
+        ("theta", 6), ("exponential", 6),
+        ("theta", DENSE_MAX_N + 8), ("exponential", DENSE_MAX_N + 8)],
+        ids=["theta", "exponential", "theta-fft", "exponential-fft"])
+    def test_against_dense_matrix_recursion(self, stepper, n):
         # clarity-route oracle: iterate the same recursion with explicit
-        # circulant matrices instead of FFT-diagonal applications
+        # circulant matrices, on both sides of the dense/FFT crossover
         from scipy.linalg import circulant
 
         from shelab.kernels import spectral_basis
-        n, tau, theta, lam, steps = 6, 2e-3, 0.75, 1.2, 50
+        tau, theta, lam, steps = 2e-3, 0.75, 1.2, 50
         grid, scheme, model = make(n, tau, theta, lam, i0=0.9, stepper=stepper)
         half = spectral_basis(n).eigenvalues[: n // 2 + 1]
         if stepper == "theta":
@@ -180,6 +199,33 @@ class TestMcMoment:
         with pytest.raises(ValueError, match="aligned"):
             mc_moment(grid, scheme, model, 2, 0, [0.0153], 4, seed=0)
 
+    @pytest.mark.parametrize("probe", [8, -1, "max"])
+    def test_probe_validated(self, probe):
+        grid, scheme, model = make(8, 1e-3, 1.0, 1.0)
+        with pytest.raises(ValueError, match="probe"):
+            mc_moment(grid, scheme, model, 2, probe, [0.001], 4, seed=0)
+
+    def test_stderr_two_pass_under_weak_noise(self):
+        # the tally of squared deviations must not cancel when the moment is
+        # dominated by its mean: compare with a two-pass std over the same paths
+        grid, scheme, model = make(8, 1e-3, 1.0, 1e-7)
+        paths, record = 200, [10, 20]
+        got = mc_moment(grid, scheme, model, [2, 4], 0, [i * scheme.tau for i in record],
+                        paths, seed=5)
+        op = StepOperator(grid.n, scheme, model)
+        xi = np.stack([sample_block(NoiseSeed(5, path=k, purpose="mc"), record[-1], grid.n)
+                       for k in range(paths)])
+        states = np.ones((paths, grid.n))
+        probe = {}
+        for i in range(1, record[-1] + 1):
+            states = op.apply(states, xi[:, i - 1, :])
+            if i in record:
+                probe[i] = np.abs(states[:, 0])
+        for series in got:
+            want = [np.std(probe[i] ** series.p, ddof=1) / math.sqrt(paths) for i in record]
+            assert np.all(np.asarray(want) > 0.0)
+            assert np.allclose(series.stderr, want, rtol=1e-6, atol=0.0)
+
     def test_jackknife_identity_against_explicit(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal(200) * 3.0 + 1.0
@@ -190,7 +236,8 @@ class TestMcMoment:
 
     def test_matches_reference_loop_over_batches(self):
         # every path reads its own "mc" stream whatever the batching; the
-        # reference draws each path with sample_block and tallies per batch
+        # reference draws each path with sample_block and tallies per batch,
+        # merging the batches' squared deviations pairwise (Chan et al.)
         grid, scheme, model = make(64, 1e-4, 1.0, 1.0)
         steps, paths, record, orders = 1000, 130, [0, 300, 1000], (2.0, 4.0)
         batch = int(4e6 / (steps * grid.n))
@@ -199,7 +246,7 @@ class TestMcMoment:
                         [i * scheme.tau for i in record], paths, seed=11)
         op = StepOperator(grid.n, scheme, model)
         s1 = np.zeros((len(record), len(orders)))
-        s2 = np.zeros_like(s1)
+        m2 = np.zeros_like(s1)
         for start in range(0, paths, batch):
             count = min(batch, paths - start)
             xi = np.stack([sample_block(NoiseSeed(11, path=start + k, purpose="mc"),
@@ -211,13 +258,18 @@ class TestMcMoment:
                 if i in record:
                     base = np.abs(states).min(axis=1)
                     for k, q in enumerate(orders):
-                        s1[record.index(i), k] += np.sum(base ** q)
-                        s2[record.index(i), k] += np.sum(base ** q * base ** q)
+                        r, sample = record.index(i), base ** q
+                        mean = np.sum(sample) / count
+                        dev = np.sum((sample - mean) ** 2)
+                        if start:
+                            delta = mean - s1[r, k] / start
+                            dev += delta * delta * start * count / (start + count)
+                        s1[r, k] += np.sum(sample)
+                        m2[r, k] += dev
         for k, series in enumerate(got):
             values = s1[:, k] / paths
-            var = np.maximum(s2[:, k] - paths * values * values, 0.0)
             assert np.array_equal(series.values, values)
-            assert np.array_equal(series.stderr, np.sqrt(var / (paths * (paths - 1))))
+            assert np.array_equal(series.stderr, np.sqrt(m2[:, k] / (paths * (paths - 1))))
 
     def test_blowup_truncates_with_flag(self):
         grid = GridSpec(4)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import circulant
 
 from shelab.kernels import AmplificationFactors, StabilityViolation, spectral_basis
 from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
 from shelab.noise import NoiseSeed, sample_block
-from shelab.solver import BlowupError, StepOperator, discrete_laplacian, simulate
+from shelab.solver import (DENSE_MAX_N, BlowupError, StepOperator, discrete_laplacian,
+                           simulate)
 
 from conftest import const_sigma
 
@@ -67,6 +69,44 @@ class TestThetaStep:
         with pytest.raises(StabilityViolation):
             StepOperator(10, SchemeSpec(tau=0.01, theta=0.0), pam_model).apply(
                 np.ones(10), np.zeros(10))
+
+
+def _rfft_step(n, tau, theta, stepper, lam, u, xi):
+    # oracle: the mode factors act on the rfft coefficients (sigma(u) = u)
+    lam_j = spectral_basis(n).eigenvalues[: n // 2 + 1]
+    if stepper == "theta":
+        r1, r2 = 1.0 / (1.0 - theta * tau * lam_j), 1.0 + (1.0 - theta) * tau * lam_j
+    else:
+        r1, r2 = np.exp(tau * lam_j), 1.0
+    forcing = lam * math.sqrt(n * tau) * u * xi
+    return np.fft.irfft(r1 * (r2 * np.fft.rfft(u) + np.fft.rfft(forcing)), n=n)
+
+
+class TestDenseAndFftRoutes:
+    def test_crossover_selects_route(self, pam_model):
+        scheme = SchemeSpec(tau=1e-3, theta=1.0)
+        assert StepOperator(DENSE_MAX_N, scheme, pam_model).dense
+        assert not StepOperator(DENSE_MAX_N + 1, scheme, pam_model).dense
+
+    @given(n=st.integers(min_value=3, max_value=2 * DENSE_MAX_N),
+           theta=st.floats(min_value=0.5, max_value=1.0),
+           tau=st.floats(min_value=1e-6, max_value=0.1),
+           stepper=st.sampled_from(["theta", "exponential"]),
+           batch=st.sampled_from([None, 1, 5]),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_apply_matches_rfft_oracle(self, n, theta, tau, stepper, batch, seed):
+        lam = 1.3
+        model = ModelSpec(lam=lam, sigma=SigmaSpec.linear(1.0),
+                          u0=InitialData.constant(1.0))
+        op = StepOperator(n, SchemeSpec(tau=tau, theta=theta, stepper=stepper), model)
+        rng = np.random.default_rng(seed)
+        shape = (n,) if batch is None else (batch, n)
+        u, xi = 1.0 + rng.standard_normal(shape), rng.standard_normal(shape)
+        got = op.apply(u, xi)
+        want = _rfft_step(n, tau, theta, stepper, lam, u, xi)
+        assert got.shape == shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestExponentialIntegrator:
