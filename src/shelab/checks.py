@@ -177,13 +177,13 @@ def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS,
             c_upper = _full_square_upper_constant(factors)
             for t in T_GRID:
                 cells = np.asarray(full_green(t, x_probe, (np.arange(n) + 0.5) / n,
-                                              "G1", factors, basis))
+                                              "G1", factors))
                 mass = float(cells.mean())
                 results["full-conservation"].merge(
                     1e-12 - abs(mass - 1.0), f"n={n} theta={theta:g} t={t:g}")
-                sq = full_green_square_integral(t, x_probe, factors, basis)
+                sq = full_green_square_integral(t, x_probe, factors)
                 cells2 = np.asarray(full_green(t, x_probe, (np.arange(n) + 0.5) / n,
-                                               "G2", factors, basis))
+                                               "G2", factors))
                 quad = float((cells2 ** 2).mean())
                 results["full-square-identity"].merge(
                     1e-9 - abs(sq - quad), f"n={n} theta={theta:g} t={t:g}")
@@ -199,7 +199,7 @@ def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS,
             factors_r = AmplificationFactors(basis, tau_r, theta)
             if theta == 1.0 or n * n * tau_r < 1.0 / (8.0 * (1.0 - theta)):
                 for t in T_GRID:
-                    sq = full_green_square_integral(t, 0.0, factors_r, basis)
+                    sq = full_green_square_integral(t, 0.0, factors_r)
                     mt = (factors_r.step_power(t) + 1) * tau_r
                     bound = -math.expm1(-4.0 * n * n * math.pi ** 2 * mt) \
                         / (8.0 * math.sqrt(math.pi * mt))

@@ -47,28 +47,32 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot load config {path}: {err}") from None
 
 
-def _require(cfg: dict, key: str) -> dict:
-    if key not in cfg:
-        raise ConfigError(f"config is missing the '{key}' section")
-    return cfg[key]
+def _require(cfg: dict, path: str):
+    """Value at a dotted key path ("renewal.tau"); a missing key is a ConfigError."""
+    for key in path.split("."):
+        if not isinstance(cfg, dict) or key not in cfg:
+            raise ConfigError(f"config is missing the required key '{path}'")
+        cfg = cfg[key]
+    return cfg
 
 
 def parse_grid(cfg: dict) -> GridSpec:
-    return GridSpec(int(_require(cfg, "grid")["n"]))
+    return GridSpec(int(_require(cfg, "grid.n")))
 
 
 def parse_scheme(cfg: dict) -> SchemeSpec:
     s = _require(cfg, "scheme")
-    return SchemeSpec(tau=float(s["tau"]), theta=float(s.get("theta", 1.0)),
+    return SchemeSpec(tau=float(_require(cfg, "scheme.tau")), theta=float(s.get("theta", 1.0)),
                       stepper=s.get("stepper", "theta"))
 
 
-def parse_sigma(s: dict) -> SigmaSpec:
+def parse_sigma(cfg: dict) -> SigmaSpec:
+    s = cfg["model"].get("sigma", {})
     if s.get("kind", "linear") == "linear":
         return SigmaSpec.linear(float(s.get("slope", 1.0)))
-    return SigmaSpec.table(points=[tuple(p) for p in s["points"]],
-                           lipschitz=float(s["lipschitz"]),
-                           lower_ratio=float(s["lower_ratio"]))
+    return SigmaSpec.table(points=[tuple(p) for p in _require(cfg, "model.sigma.points")],
+                           lipschitz=float(_require(cfg, "model.sigma.lipschitz")),
+                           lower_ratio=float(_require(cfg, "model.sigma.lower_ratio")))
 
 
 def parse_model(cfg: dict) -> ModelSpec:
@@ -77,9 +81,9 @@ def parse_model(cfg: dict) -> ModelSpec:
     if u0.get("kind", "constant") == "constant":
         init = InitialData.constant(float(u0.get("value", 1.0)))
     else:
-        init = InitialData.grid_samples([float(v) for v in u0["values"]])
+        init = InitialData.grid_samples([float(v) for v in _require(cfg, "model.u0.values")])
     return ModelSpec(lam=float(m.get("lambda", 1.0)),
-                     sigma=parse_sigma(m.get("sigma", {"kind": "linear", "slope": 1.0})),
+                     sigma=parse_sigma(cfg),
                      u0=init)
 
 
@@ -152,8 +156,12 @@ def cmd_simulate(args) -> int:
     if "record_indices" in sec:
         record = sorted({int(i) for i in sec["record_indices"]}) or [0]
     else:
-        steps = int(sec["steps"])
+        steps = int(_require(cfg, "simulate.steps"))
         every = int(sec.get("record_every", 1))
+        if steps < 0:
+            raise ConfigError(f"simulate.steps must be >= 0, got {steps}")
+        if every < 1:
+            raise ConfigError(f"simulate.record_every must be >= 1, got {every}")
         record = list(range(0, steps + 1, every))
         if record[-1] != steps:
             record.append(steps)
@@ -173,23 +181,23 @@ def cmd_moments(args) -> int:
     mode = sec.get("mode", "exact")
     manifest = _manifest(cfg)
     if mode == "exact":
-        steps = int(sec["steps"])
+        steps = int(_require(cfg, "moments.steps"))
         every = int(sec.get("record_every", 1))
         mats = exact_second_moment_recursion(grid, scheme, model, steps,
                                              record_every=every)
         series = second_moment_series(mats, scheme.tau, probe=sec.get("probe", "min"))
         rows = [(float(t), float(v), 0.0) for t, v in zip(series.times, series.values)]
     elif mode == "mc":
-        times = [float(t) for t in sec["times"]]
+        times = [float(t) for t in _require(cfg, "moments.times")]
         series = mc_moment(grid, scheme, model, float(sec.get("p", 2)),
-                           sec.get("probe", 0), times, int(sec["paths"]),
+                           sec.get("probe", 0), times, int(_require(cfg, "moments.paths")),
                            int(cfg.get("seed", 0)))
         rows = [(float(t), float(v), float(e))
                 for t, v, e in zip(series.times, series.values, series.stderr)]
         if series.horizon_reached and not rows:
             raise BlowupError(0, float("inf"))
         if series.horizon_reached:
-            print(f"warning: blow-up horizon reached at t={series.times[-1]!r}; "
+            print(f"warning: blow-up horizon reached at t={float(series.times[-1])!r}; "
                   "series truncated", file=sys.stderr)
     else:
         raise ConfigError(f"unknown moments mode {mode!r}")
@@ -232,17 +240,19 @@ def cmd_sweep(args) -> int:
 def cmd_renewal(args) -> int:
     cfg = _load_config(args.config)
     sec = _require(cfg, "renewal")
-    lam = float(sec["lambda"])
-    j0 = float(sec.get("j0", 1.0))
-    n = int(sec["n"])
-    rows = []
     which = sec.get("which", "both")
+    if which not in ("continuous", "discrete", "both"):
+        raise ConfigError(f"renewal.which must be continuous, discrete or both, got {which!r}")
+    lam = float(_require(cfg, "renewal.lambda"))
+    j0 = float(sec.get("j0", 1.0))
+    n = int(_require(cfg, "renewal.n"))
+    rows = []
     if which in ("continuous", "both"):
         root = continuous_mu(lam, j0, n, zeta=sec.get("zeta"))
         rows.append((lam, n, 0.0, root.mu, root.mass_error, root.implied_rate))
     if which in ("discrete", "both"):
-        tau = float(sec["tau"])
-        zeta = float(sec["zeta"])
+        tau = float(_require(cfg, "renewal.tau"))
+        zeta = float(_require(cfg, "renewal.zeta"))
         root = discrete_mu(lam, j0, n, tau, zeta)
         rows.append((lam, n, tau, root.mu, root.mass_error, root.implied_rate))
     manifest = _manifest(cfg)
@@ -271,7 +281,7 @@ def cmd_convergence(args) -> int:
     if kind == "green-full":
         n = int(sec.get("n", 64))
         theta = float(sec.get("theta", 1.0))
-        taus = [float(v) for v in sec["taus"]]
+        taus = [float(v) for v in _require(cfg, "convergence.taus")]
         errs = pmap(lambda tau: green_error_full(n, tau, theta,
                                                  x=float(sec.get("x", 0.0))),
                     taus, threads)
@@ -282,9 +292,10 @@ def cmd_convergence(args) -> int:
         return EXIT_OK
     if kind == "strong":
         model = parse_model(cfg)
-        ladder = [(int(n), float(t)) for n, t in sec["ladder"]]
+        ladder = [(int(n), float(t)) for n, t in _require(cfg, "convergence.ladder")]
         curve = strong_error_study(ladder, model, theta=float(sec.get("theta", 1.0)),
-                                   T=float(sec["T"]), paths=int(sec["paths"]),
+                                   T=float(_require(cfg, "convergence.T")),
+                                   paths=int(_require(cfg, "convergence.paths")),
                                    seed=int(cfg.get("seed", 0)),
                                    probe_x=float(sec.get("probe_x", 0.0)))
         rows = [(n, tau, float(e), 0.0)

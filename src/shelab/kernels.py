@@ -232,23 +232,19 @@ def _full_coeff(t: float, which: str, factors: AmplificationFactors) -> np.ndarr
     return coeff
 
 
-def full_green(t: float, x, y, which: str, factors: AmplificationFactors,
-               basis: SpectralBasis | None = None):
+def full_green(t: float, x, y, which: str, factors: AmplificationFactors):
     """Fully discrete Green function G1 (propagator) or G2 (noise kernel);
     piecewise constant in t on [i tau, (i+1) tau)."""
-    basis = basis or factors.basis
-    out = basis.assemble(_full_coeff(t, which, factors), x, y)
+    out = factors.basis.assemble(_full_coeff(t, which, factors), x, y)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def full_green_square_integral(t: float, x, factors: AmplificationFactors,
-                               basis: SpectralBasis | None = None):
+def full_green_square_integral(t: float, x, factors: AmplificationFactors):
     """int_0^1 (G2(t,x,y))^2 dy = sum_j (r1 r2)_j^{2[t/tau]} r1_j^2 |e^n_j(x)|^2."""
-    basis = basis or factors.basis
     factors.require_stable()
     power = factors.step_power(t)
     coeff = factors.r12 ** (2 * power) * factors.r1 ** 2
-    out = np.tensordot(coeff, basis.mode_abs2_interp(x), axes=(0, 0))
+    out = np.tensordot(coeff, factors.basis.mode_abs2_interp(x), axes=(0, 0))
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -183,6 +183,8 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     if not report:
         raise ValueError("invalid run configuration: " + "; ".join(report.violations))
     index = _probe_index(probe, grid.n)
+    if len(times) == 0 or min(times) < 0:
+        raise ValueError(f"times must be a non-empty list of times >= 0, got {list(times)}")
     record = _snap_indices(times, scheme.tau)
     steps = max(record)
     record_set = sorted(set(record))

@@ -3,13 +3,21 @@ growth constants.
 
 Continuous case: g(t) = b e^{-pi mu^2 b^2 t} (1 - e^{-2 n^2 pi^2 t}) / sqrt(t)
 with b = lambda^2 J0^2 / sqrt(32 pi) integrates to one iff
-h(mu) = b / sqrt(mu^2 b^2 + 2 n^2 pi) - (1/mu - 1) vanishes.
+h(mu) = b / sqrt(mu^2 b^2 + c) - (1/mu - 1) vanishes, c = 2 n^2 pi.
 
 Discrete case: g~(r) = b~ e^{-pi mu^2 b~^2 r tau} (1 - e^{-4 n^2 pi^2 r tau})
-tau / sqrt(r tau) with b~ = lambda^2 J0^2 / (8 sqrt(pi)); the mass condition
-uses the series S(a) = sum_{r>=1} e^{-a r} / sqrt(r) = Li_{1/2}(e^{-a}),
-evaluated exactly through mpmath's polylogarithm (the tests cross-check it
+tau / sqrt(r tau) with b~ = lambda^2 J0^2 / (8 sqrt(pi)) has mass one iff
+h~(mu) = sqrt(tau) (S(a1) - S(a1 + 4 n^2 pi^2 tau)) - 1/b~ vanishes, where
+a1 = pi mu^2 b~^2 tau and S(a) = sum_{r>=1} e^{-a r} / sqrt(r) = Li_{1/2}(e^{-a})
+is evaluated exactly through mpmath's polylogarithm (the tests cross-check it
 against a truncated summation with a certified geometric tail bound).
+
+Both mass functions are strictly monotone in mu, so the sign change at the
+bracket ends that Brent's method checks means exactly one root.  For any
+b, c > 0, h'(mu) = 1/mu^2 - b^3 mu / (mu^2 b^2 + c)^{3/2} > 0 because
+(mu^2 b^2 + c)^{3/2} > mu^3 b^3.  S''(a) = sum_r r^{3/2} e^{-a r} > 0, so S'
+increases and S(a1) - S(a1 + 4 n^2 pi^2 tau) falls strictly as a1 grows;
+a1 grows strictly with mu, so h~ falls strictly.  The tests scan both.
 """
 from __future__ import annotations
 
@@ -17,19 +25,12 @@ import math
 from dataclasses import dataclass
 
 import mpmath
-import numpy as np
 from scipy import integrate
 from scipy.optimize import brentq
 
 from .stability import sharp_gate
 
-__all__ = [
-    "RenewalRoot",
-    "GateViolation",
-    "continuous_mu",
-    "discrete_mu",
-    "sqrt_exp_series",
-]
+__all__ = ["RenewalRoot", "GateViolation", "continuous_mu", "discrete_mu", "sqrt_exp_series"]
 
 
 class GateViolation(ValueError):
@@ -46,24 +47,15 @@ class RenewalRoot:
     kind: str             # "continuous" | "discrete"
 
 
-def _check_monotone(fn, lo: float, hi: float) -> bool:
-    xs = np.linspace(lo, hi, 64)
-    ys = np.array([fn(x) for x in xs])
-    d = np.diff(ys)
-    return bool(np.all(d >= 0.0) or np.all(d <= 0.0))
-
-
-def _limit_root(b: float, c: float, check_monotone: bool = False):
-    """Root on (0, 1) of h(mu) = b / sqrt(mu^2 b^2 + c) - (1/mu - 1); returns
-    (mu, h)."""
+def _limit_root(b: float, c: float):
+    """Root on (0, 1) of the strictly increasing h(mu) = b / sqrt(mu^2 b^2 + c)
+    - (1/mu - 1); returns (mu, h)."""
     def h(mu: float) -> float:
         return b / math.sqrt(mu * mu * b * b + c) - (1.0 / mu - 1.0)
 
     lo = 1e-12
     while h(lo) >= 0.0:
         lo /= 2.0
-    if check_monotone:
-        assert _check_monotone(h, max(lo, 1e-6), 1.0 - 1e-12), "h not monotone on bracket"
     return brentq(h, lo, 1.0 - 1e-12, xtol=1e-13), h
 
 
@@ -77,7 +69,7 @@ def continuous_mu(lam: float, j0: float, n: int, zeta: float | None = None) -> R
         raise ValueError("continuous_mu needs lambda, J0, n > 0")
     b = lam ** 2 * j0 ** 2 / math.sqrt(32.0 * math.pi)
     two_n2_pi = 2.0 * n * n * math.pi
-    mu, _ = _limit_root(b, two_n2_pi, check_monotone=True)
+    mu, _ = _limit_root(b, two_n2_pi)
     rate = math.pi * mu * mu * b * b
 
     def g(s: float) -> float:  # t = s^2 kills the 1/sqrt(t) endpoint
@@ -126,7 +118,10 @@ def discrete_mu_tau_limit(lam: float, j0: float, n: int, zeta: float) -> Renewal
 
 def discrete_mu(lam: float, j0: float, n: int, tau: float, zeta: float) -> RenewalRoot:
     """Root of the discrete mass equation on (eps, 1) with
-    eps = 16 pi zeta / (J0^2 + 32 pi zeta); requires the sharp-regime gate."""
+    eps = 16 pi zeta / (J0^2 + 32 pi zeta); requires the sharp-regime gate.
+
+    The mass of g~ is b~ (h~(mu) + 1/b~), so its error at the root is
+    |b~ h~(mu)|."""
     violations = sharp_gate(n, tau, j0, lam, zeta)[1]
     if violations:
         raise GateViolation("; ".join(violations))
@@ -139,13 +134,8 @@ def discrete_mu(lam: float, j0: float, n: int, tau: float, zeta: float) -> Renew
         return math.sqrt(tau) * (sqrt_exp_series(a1) - sqrt_exp_series(a2)) - 1.0 / btilde
 
     eps = 16.0 * math.pi * zeta / (j0 ** 2 + 32.0 * math.pi * zeta)
-    assert _check_monotone(h, eps, 1.0), "h~ not monotone on bracket"
     mu = brentq(h, eps, 1.0, xtol=1e-13)
-
-    a1 = math.pi * mu * mu * btilde * btilde * tau
-    a2 = a1 + four_n2_pi2 * tau
-    mass = btilde * math.sqrt(tau) * (sqrt_exp_series(a1) - sqrt_exp_series(a2))
     rate = math.pi * mu * mu * btilde * btilde
-    return RenewalRoot(mu=mu, b_or_btilde=btilde, mass_error=abs(mass - 1.0),
+    return RenewalRoot(mu=mu, b_or_btilde=btilde, mass_error=abs(h(mu)) * btilde,
                        lower_bound_ok=mu >= eps - 1e-12, implied_rate=rate,
                        kind="discrete")

@@ -63,6 +63,16 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "u0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,field", [
+        ({"steps": -1}, "simulate.steps"),
+        ({"steps": 5, "record_every": 0}, "simulate.record_every"),
+    ])
+    def test_bad_simulate_fields_exit_2(self, tmp_path, capsys, section, field):
+        cfg = write_config(tmp_path, {"simulate": section})
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_manifest_header_fields(self, tmp_path):
         cfg = write_config(tmp_path, {"simulate": {"steps": 5}})
         main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)])
@@ -96,12 +106,25 @@ class TestMoments:
         ({"mode": "mc", "probe": -1, "times": [0.001], "paths": 4}, "probe"),
         ({"mode": "exact", "steps": 5, "record_every": 0}, "record_every"),
         ({"mode": "exact", "steps": -3}, "steps"),
+        ({"mode": "mc", "probe": 0, "times": [-0.002, 0.001], "paths": 4}, "times"),
+        ({"mode": "mc", "probe": 0, "times": [], "paths": 4}, "times"),
     ])
     def test_bad_moments_fields_exit_2(self, tmp_path, capsys, section, field):
         cfg = write_config(tmp_path, {"moments": section})
         assert main(["moments", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "moments.csv").exists()
+
+    def test_truncation_warning_prints_plain_time(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "model": {"lambda": 1e160, "sigma": {"kind": "linear", "slope": 1.0},
+                      "u0": {"kind": "constant", "value": 1.0}},
+            "scheme": {"tau": 0.1, "theta": 1.0},
+            "moments": {"mode": "mc", "p": 2, "probe": 0,
+                        "times": [0.0, 0.1], "paths": 4}})
+        assert main(["moments", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert "horizon reached at t=0.0;" in err and "np." not in err
 
     def test_config_error_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {})
@@ -147,6 +170,50 @@ class TestRenewal:
         assert lines[1] == "lambda,n,tau,mu,mass_error,implied_rate"
         mu = float(lines[2].split(",")[3])
         assert mu == pytest.approx(continuous_mu(1.0, 1.0, 4).mu, rel=1e-12)
+
+    def test_unknown_which_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"renewal": {"lambda": 1.0, "n": 4, "tau": 0.001,
+                                                  "zeta": 1.0, "which": "discret"}})
+        assert main(["renewal", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in ("renewal.which", "continuous", "discrete",
+                                             "both", "discret'"))
+        assert not (tmp_path / "renewal.csv").exists()
+
+
+@pytest.mark.parametrize("command,extra,key", [
+    ("simulate", {"grid": {}, "simulate": {"steps": 1}}, "grid.n"),
+    ("simulate", {"scheme": {"theta": 1.0}, "simulate": {"steps": 1}}, "scheme.tau"),
+    ("simulate", {"simulate": {"record_every": 2}}, "simulate.steps"),
+    ("simulate", {"model": {"u0": {"kind": "samples"}}, "simulate": {"steps": 1}},
+     "model.u0.values"),
+    ("simulate", {"model": {"sigma": {"kind": "table", "lipschitz": 1.0,
+                                      "lower_ratio": 1.0}},
+                  "simulate": {"steps": 1}}, "model.sigma.points"),
+    ("moments", {"moments": {"mode": "exact"}}, "moments.steps"),
+    ("moments", {"moments": {"mode": "mc", "paths": 4}}, "moments.times"),
+    ("moments", {"moments": {"mode": "mc", "times": [0.001]}}, "moments.paths"),
+    ("renewal", {"renewal": {"n": 4}}, "renewal.lambda"),
+    ("renewal", {"renewal": {"lambda": 1.0}}, "renewal.n"),
+    ("renewal", {"renewal": {"lambda": 1.0, "n": 4, "zeta": 1.0, "which": "discrete"}},
+     "renewal.tau"),
+    ("renewal", {"renewal": {"lambda": 1.0, "n": 4, "tau": 0.001, "which": "discrete"}},
+     "renewal.zeta"),
+    ("convergence", {"convergence": {"kind": "green-full"}}, "convergence.taus"),
+    ("convergence", {"convergence": {"kind": "strong", "T": 0.0625, "paths": 2}},
+     "convergence.ladder"),
+    ("convergence", {"convergence": {"kind": "strong", "paths": 2,
+                                     "ladder": [[8, 0.015625], [8, 0.0078125]]}},
+     "convergence.T"),
+    ("convergence", {"convergence": {"kind": "strong", "T": 0.0625,
+                                     "ladder": [[8, 0.015625], [8, 0.0078125]]}},
+     "convergence.paths"),
+])
+def test_missing_required_key_exit_2(tmp_path, capsys, command, extra, key):
+    cfg = write_config(tmp_path, extra)
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
 
 
 class TestGreenCheck:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from shelab import renewal
 from shelab.renewal import (GateViolation, continuous_mu, discrete_mu,
                             discrete_mu_tau_limit, sqrt_exp_series)
+from shelab.stability import sharp_gate
 
 
 def sqrt_exp_series_truncated(a: float, tol: float = 1e-12,
@@ -22,6 +25,38 @@ def sqrt_exp_series_truncated(a: float, tol: float = 1e-12,
         if tail < tol:
             return total
     raise RuntimeError(f"series did not certify below {tol} within {max_terms} terms")
+
+
+def scan_diffs(fn, lo: float, hi: float) -> np.ndarray:
+    """Differences of fn between 64 evenly spaced points of [lo, hi]."""
+    return np.diff([fn(x) for x in np.linspace(lo, hi, 64)])
+
+
+@given(lam=st.floats(0.5, 3.0), j0=st.floats(0.5, 2.0), zeta=st.floats(0.25, 2.0),
+       extra_n=st.integers(0, 8), gate_fraction=st.floats(1e-3, 0.5))
+@settings(max_examples=10, deadline=None)
+def test_mass_functions_strictly_monotone(lam, j0, zeta, extra_n, gate_fraction):
+    """The uniqueness argument behind every Brent solve: on gate-admissible
+    inputs (n >= zeta lambda^2, tau at most half the step-size limit) the
+    discrete h~ falls strictly on (eps, 1), and the continuous and tau -> 0
+    limit h rise strictly on (0, 1)."""
+    n = math.ceil(zeta * lam ** 2) + extra_n
+    tau = gate_fraction / sharp_gate(n, 1.0, j0, lam, zeta)[0]  # the gate sum is linear in tau
+    assert not sharp_gate(n, tau, j0, lam, zeta)[1]
+    btilde = lam ** 2 * j0 ** 2 / (8.0 * math.sqrt(math.pi))
+
+    def h_tilde(mu):
+        a1 = math.pi * mu * mu * btilde * btilde * tau
+        a2 = a1 + 4.0 * n * n * math.pi ** 2 * tau
+        return math.sqrt(tau) * (sqrt_exp_series(a1) - sqrt_exp_series(a2)) - 1.0 / btilde
+
+    eps = 16.0 * math.pi * zeta / (j0 ** 2 + 32.0 * math.pi * zeta)
+    assert np.all(scan_diffs(h_tilde, eps, 1.0) < 0.0)
+    b = lam ** 2 * j0 ** 2 / math.sqrt(32.0 * math.pi)
+    for bb, c in ((b, 2.0 * n * n * math.pi), (btilde, 4.0 * n * n * math.pi)):
+        def h(mu, bb=bb, c=c):
+            return bb / math.sqrt(mu * mu * bb * bb + c) - (1.0 / mu - 1.0)
+        assert np.all(scan_diffs(h, 1e-6, 1.0 - 1e-12) > 0.0)
 
 
 class TestContinuousRoot:
@@ -72,6 +107,26 @@ class TestDiscreteRoot:
         eps = 16 * math.pi / (1 + 32 * math.pi)
         assert root.mu >= eps
         assert root.implied_rate >= 4 * math.pi ** 2 / (1 + 32 * math.pi) ** 2 - 1e-12
+
+    def test_one_brent_solve_per_root(self, monkeypatch):
+        calls = []
+
+        def counted(a, series=renewal.sqrt_exp_series):
+            calls.append(a)
+            return series(a)
+
+        monkeypatch.setattr(renewal, "sqrt_exp_series", counted)
+        discrete_mu(1.0, 1.0, 4, 1e-3, 1.0)
+        assert 0 < len(calls) <= 20
+
+    @pytest.mark.parametrize("lam,n,tau", [(1.0, 4, 1e-3), (2.0, 5, 2e-4)])
+    def test_mass_error_is_series_mass(self, lam, n, tau):
+        root = discrete_mu(lam, 1.0, n, tau, 1.0)
+        btilde = root.b_or_btilde
+        a1 = math.pi * root.mu ** 2 * btilde ** 2 * tau
+        a2 = a1 + 4.0 * n * n * math.pi ** 2 * tau
+        mass = btilde * math.sqrt(tau) * (sqrt_exp_series(a1) - sqrt_exp_series(a2))
+        assert abs(root.mass_error - abs(mass - 1.0)) <= 1e-12
 
     def test_sandwich_bounds_at_root(self):
         lam, j0, n, tau, zeta = 1.0, 1.0, 4, 1e-3, 1.0
