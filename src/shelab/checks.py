@@ -16,6 +16,7 @@ with K(eps) = sup_m (1-eps)^{2m} sqrt(m+1) and S = sum_{A2} r1_j^2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,13 @@ class CheckResult:
         if margin < 0.0:
             self.passed = False
 
+    def merge_all(self, margins, details):
+        """merge() of every margin in order, in one step: the first smallest
+        non-nan margin is kept with its detail."""
+        margins = np.asarray(margins, dtype=float)
+        i = int(np.argmin(np.where(np.isnan(margins), np.inf, margins)))
+        self.merge(float(margins[i]), details[i])
+
 
 def _result(name: str) -> CheckResult:
     return CheckResult(name=name, passed=True, worst_margin=float("inf"))
@@ -61,12 +69,15 @@ def _make_basis(n: int, eigenvalue_perturbation: float) -> SpectralBasis:
     return basis
 
 
-def _y_quadrature(fn, panels: int = 256, order: int = 8) -> float:
-    x, w = np.polynomial.legendre.leggauss(order)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    nodes = (np.arange(panels)[:, None] + x[None, :]) / panels
-    return float(np.sum(fn(nodes.ravel()).reshape(panels, order) * w) / panels)
+def _y_nodes():
+    """Nodes and per-panel weights of 8-point Gauss-Legendre on 256 panels of [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    nodes = (np.arange(256)[:, None] + 0.5 * (x + 1.0)[None, :]) / 256
+    return nodes.ravel(), 0.5 * w / 256
+
+
+def _y_quadrature(values, weights) -> float:
+    return float(np.sum(values.reshape(-1, len(weights)) * weights))
 
 
 def _sup_m_contraction(eps: float) -> float:
@@ -92,9 +103,32 @@ def _full_square_upper_constant(factors: AmplificationFactors) -> float:
     return c
 
 
+def _check_lattice(ns, thetas) -> list[int]:
+    """The grid sizes as ints; a lattice the suite cannot check raises
+    ValueError whose message starts with the offending argument's name."""
+    if len(ns) == 0:
+        raise ValueError("ns must name at least one grid size")
+    if len(thetas) == 0:
+        raise ValueError("thetas must name at least one theta")
+    bad = [n for n in ns if isinstance(n, bool) or not isinstance(n, numbers.Real)
+           or not float(n).is_integer() or n < 3]
+    if bad:
+        raise ValueError(f"ns must be integers >= 3, got {bad}")
+    bad = [th for th in thetas
+           if isinstance(th, bool) or not isinstance(th, numbers.Real) or not 0.0 <= th <= 1.0]
+    if bad:
+        raise ValueError(f"thetas must lie in [0, 1], got {bad}")
+    return [int(n) for n in ns]
+
+
 def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS,
                 eigenvalue_perturbation: float = 0.0) -> list[CheckResult]:
+    """Every check over the whole of T_GRID per lattice point; raises
+    ValueError for an empty lattice, an n that is not an integer >= 3 or a
+    theta outside [0, 1]."""
+    ns = _check_lattice(ns, thetas)
     x_probe = 0.37
+    t = T_GRID
     results = {name: _result(name) for name in (
         "continuous-conservation",
         "continuous-square-identity",
@@ -119,21 +153,26 @@ def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS,
     evaluated = 0
 
     # --- continuous kernel (lattice-independent) ---------------------------
-    for t in T_GRID:
-        mass = _y_quadrature(lambda y: heat_kernel(t, x_probe, y))
-        results["continuous-conservation"].merge(
-            1e-12 - abs(mass - 1.0), f"t={t:g} mass={mass!r}")
-        sq = heat_kernel_square_integral(t)
-        quad = _y_quadrature(lambda y: heat_kernel(t, x_probe, y) ** 2)
-        results["continuous-square-identity"].merge(
-            1e-9 - abs(sq - quad), f"t={t:g} closed={sq!r} quad={quad!r}")
-        results["continuous-square-lower"].merge(
-            sq - 1.0 / math.sqrt(8.0 * math.pi * t), f"t={t:g}")
-        upper = min(1.0 + math.sqrt(math.pi / (8.0 * t)), 1.0 / math.sqrt(t) + 1.0)
-        results["continuous-square-upper"].merge(upper - sq, f"t={t:g}")
+    # one time per call: a row of y-nodes per time keeps the tables small
+    y, w = _y_nodes()
+    mass, quad = np.empty_like(t), np.empty_like(t)
+    for k, tk in enumerate(t):
+        g = heat_kernel(tk, x_probe, y)
+        mass[k], quad[k] = _y_quadrature(g, w), _y_quadrature(g ** 2, w)
+    sq = heat_kernel_square_integral(t)
+    at = [f"t={tk:g}" for tk in t]
+    results["continuous-conservation"].merge_all(
+        1e-12 - np.abs(mass - 1.0), [f"{a} mass={float(m)!r}" for a, m in zip(at, mass)])
+    results["continuous-square-identity"].merge_all(
+        1e-9 - np.abs(sq - quad),
+        [f"{a} closed={float(c)!r} quad={float(q)!r}" for a, c, q in zip(at, sq, quad)])
+    results["continuous-square-lower"].merge_all(sq - 1.0 / np.sqrt(8.0 * math.pi * t), at)
+    upper = np.minimum(1.0 + np.sqrt(math.pi / (8.0 * t)), 1.0 / np.sqrt(t) + 1.0)
+    results["continuous-square-upper"].merge_all(upper - sq, at)
 
     for n in ns:
         basis = _make_basis(n, eigenvalue_perturbation)
+        cells = (np.arange(n) + 0.5) / n
 
         # eigenpairs against the second-difference stencil
         for j in (1, n // 2):
@@ -144,20 +183,18 @@ def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS,
         sym = float(np.max(np.abs(basis.eigenvalues[1:] - basis.eigenvalues[:0:-1])))
         results["eigenvalue-symmetry"].merge(1e-9 * n * n - sym, f"n={n}")
 
-        for t in T_GRID:
-            cells = np.asarray(semi_green(t, x_probe, (np.arange(n) + 0.5) / n, basis))
-            mass = float(cells.mean())  # exact: kernel is cellwise constant in y
-            results["semi-conservation"].merge(1e-12 - abs(mass - 1.0), f"n={n} t={t:g}")
-            sq = semi_green_square_integral(t, x_probe, basis)
-            quad = float((cells ** 2).mean())
-            results["semi-square-identity"].merge(
-                1e-9 - abs(sq - quad), f"n={n} t={t:g}")
-            results["semi-square-lower"].merge(sq - 1.0, f"n={n} t={t:g}")
-            results["semi-square-upper"].merge(
-                1.0 + math.sqrt(math.pi / (8.0 * t)) - sq, f"n={n} t={t:g}")
-            sq_grid = semi_green_square_integral(t, 0.0, basis)
-            bound = -math.expm1(-2.0 * n * n * math.pi ** 2 * t) / math.sqrt(32.0 * math.pi * t)
-            results["semi-grid-lower-refined"].merge(sq_grid - bound, f"n={n} t={t:g}")
+        at = [f"n={n} t={tk:g}" for tk in t]
+        vals = semi_green(t, x_probe, cells, basis)
+        mass = vals.mean(axis=1)  # exact: kernel is cellwise constant in y
+        results["semi-conservation"].merge_all(1e-12 - np.abs(mass - 1.0), at)
+        sq = semi_green_square_integral(t, x_probe, basis)
+        quad = (vals ** 2).mean(axis=1)
+        results["semi-square-identity"].merge_all(1e-9 - np.abs(sq - quad), at)
+        results["semi-square-lower"].merge_all(sq - 1.0, at)
+        results["semi-square-upper"].merge_all(1.0 + np.sqrt(math.pi / (8.0 * t)) - sq, at)
+        sq_grid = semi_green_square_integral(t, 0.0, basis)
+        bound = -np.expm1(-2.0 * n * n * math.pi ** 2 * t) / np.sqrt(32.0 * math.pi * t)
+        results["semi-grid-lower-refined"].merge_all(sq_grid - bound, at)
 
         for theta in thetas:
             tau = 0.4 / (n * n)
@@ -175,36 +212,27 @@ def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS,
                 -abs(np.exp(basis.eigenvalues[0]) - 1.0)
                 - abs(factors.r12[0] - 1.0) + 1e-14, f"n={n} theta={theta:g}")
             c_upper = _full_square_upper_constant(factors)
-            for t in T_GRID:
-                cells = np.asarray(full_green(t, x_probe, (np.arange(n) + 0.5) / n,
-                                              "G1", factors))
-                mass = float(cells.mean())
-                results["full-conservation"].merge(
-                    1e-12 - abs(mass - 1.0), f"n={n} theta={theta:g} t={t:g}")
-                sq = full_green_square_integral(t, x_probe, factors)
-                cells2 = np.asarray(full_green(t, x_probe, (np.arange(n) + 0.5) / n,
-                                               "G2", factors))
-                quad = float((cells2 ** 2).mean())
-                results["full-square-identity"].merge(
-                    1e-9 - abs(sq - quad), f"n={n} theta={theta:g} t={t:g}")
-                results["full-square-lower"].merge(
-                    sq - 1.0, f"n={n} theta={theta:g} t={t:g}")
-                steps_plus = (factors.step_power(t) + 1) * tau
-                results["full-square-upper-derived"].merge(
-                    1.0 + c_upper / math.sqrt(steps_plus) - sq,
-                    f"n={n} theta={theta:g} t={t:g} C={c_upper:.3g}")
+
+            at = [f"n={n} theta={theta:g} t={tk:g}" for tk in t]
+            mass = full_green(t, x_probe, cells, "G1", factors).mean(axis=1)
+            results["full-conservation"].merge_all(1e-12 - np.abs(mass - 1.0), at)
+            sq = full_green_square_integral(t, x_probe, factors)
+            quad = (full_green(t, x_probe, cells, "G2", factors) ** 2).mean(axis=1)
+            results["full-square-identity"].merge_all(1e-9 - np.abs(sq - quad), at)
+            results["full-square-lower"].merge_all(sq - 1.0, at)
+            steps_plus = (factors.step_power(t) + 1) * tau
+            results["full-square-upper-derived"].merge_all(
+                1.0 + c_upper / np.sqrt(steps_plus) - sq, [f"{a} C={c_upper:.3g}" for a in at])
 
             # refined grid lower bound needs its own step-size restriction
             tau_r = 0.12 / (n * n)
             factors_r = AmplificationFactors(basis, tau_r, theta)
             if theta == 1.0 or n * n * tau_r < 1.0 / (8.0 * (1.0 - theta)):
-                for t in T_GRID:
-                    sq = full_green_square_integral(t, 0.0, factors_r)
-                    mt = (factors_r.step_power(t) + 1) * tau_r
-                    bound = -math.expm1(-4.0 * n * n * math.pi ** 2 * mt) \
-                        / (8.0 * math.sqrt(math.pi * mt))
-                    results["full-grid-lower-refined"].merge(
-                        sq - bound, f"n={n} theta={theta:g} t={t:g}")
+                sq = full_green_square_integral(t, 0.0, factors_r)
+                mt = (factors_r.step_power(t) + 1) * tau_r
+                bound = -np.expm1(-4.0 * n * n * math.pi ** 2 * mt) \
+                    / (8.0 * np.sqrt(math.pi * mt))
+                results["full-grid-lower-refined"].merge_all(sq - bound, at)
 
     expected = len(ns) * len(thetas)
     results["lattice-coverage"].merge(

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .checks import lemma_suite
+from .checks import DEFAULT_NS, DEFAULT_THETAS, lemma_suite
 from .convergence import green_error_full, green_error_semi, strong_error_study
 from .model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
 from .moments import (exact_second_moment_recursion, fit_growth,
@@ -124,10 +124,16 @@ def _out(args, name: str) -> str:
 def cmd_green_check(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     section = cfg.get("green_check", {})
-    ns = tuple(section.get("ns", (3, 4, 8, 16, 64)))
-    thetas = tuple(section.get("thetas", (0.0, 0.25, 0.5, 0.75, 1.0)))
+    lattice = {"ns": section.get("ns", DEFAULT_NS),
+               "thetas": section.get("thetas", DEFAULT_THETAS)}
+    for key, values in lattice.items():
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError(f"green_check.{key} must be a list, got {values!r}")
     pert = 1e-3 if args.inject_fault else 0.0
-    results = lemma_suite(ns=ns, thetas=thetas, eigenvalue_perturbation=pert)
+    try:
+        results = lemma_suite(**lattice, eigenvalue_perturbation=pert)
+    except ValueError as err:  # a bad lattice; the message starts with its key
+        raise ConfigError(f"green_check.{err}") from None
     failed = [r for r in results if not r.passed]
     if args.json:
         payload = [{"name": r.name, "passed": r.passed,
@@ -270,6 +276,8 @@ def cmd_convergence(args) -> int:
     threads = _threads(args)
     if kind == "green-semi":
         ns = [int(v) for v in sec.get("ns", [8, 16, 32, 64])]
+        if not ns:
+            raise ConfigError("convergence.ns must list at least one grid size")
         errs = pmap(lambda n: green_error_semi(n, x=float(sec.get("x", 0.0))),
                     ns, threads)
         rows = [(n, e, 0.0) for n, e in zip(ns, errs)]
@@ -282,6 +290,8 @@ def cmd_convergence(args) -> int:
         n = int(sec.get("n", 64))
         theta = float(sec.get("theta", 1.0))
         taus = [float(v) for v in _require(cfg, "convergence.taus")]
+        if not taus:
+            raise ConfigError("convergence.taus must list at least one time step")
         errs = pmap(lambda tau: green_error_full(n, tau, theta,
                                                  x=float(sec.get("x", 0.0))),
                     taus, threads)

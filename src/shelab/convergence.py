@@ -9,7 +9,12 @@ the squared node spacing; that per-cell quadrature survives as the
 moderate-t oracle in the tests).  The time integral is composite
 quadrature with the sqrt substitution t = s^2 absorbing the small-time
 scale, plus a certified analytic tail bound beyond the split (never
-ignored).  The strong-error study drives every ladder rung with one
+ignored).  Each rule is one array of time nodes and weights, and the
+y-integral is evaluated for many nodes together: consecutive nodes share
+one aliasing table of at most ALIAS_BUDGET entries, so the few nodes near
+t = 0 (thousands of aliasing terms each) go in small runs and the rest of
+the rule in one call.  The one-node-per-call loop survives in the tests as
+the oracle.  The strong-error study drives every ladder rung with one
 shared Brownian sheet via noise coarsening and fits orders against the
 finest rung.
 """
@@ -66,33 +71,68 @@ class ErrorCurve:
     fit_mask: np.ndarray | None = None
 
 
+# Largest nodes x aliasing-terms table one evaluation of the y-integral
+# builds (1 MiB per float table).
+ALIAS_BUDGET = 2 ** 17
+
+
 def _gauss(points: int):
     x, w = np.polynomial.legendre.leggauss(points)
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0,1]
 
 
-def _cross_term(t: float, x: float, basis: SpectralBasis, coeff: np.ndarray,
-                en_profile: np.ndarray) -> float:
-    """int_0^1 G(t,x,y) K(t,x,y) dy, exact: the cell-wise integral of each
-    continuous mode against the piecewise-constant discrete mode collapses
-    to a single aliasing sum over r = -j (mod n)."""
+def _alias_terms(t: float, n: int) -> int:
+    """Aliasing terms r = 1..r_max of the cross term at time t: the first
+    dropped continuous mode is below exp(-42)."""
+    return int(math.ceil(math.sqrt(42.0 / (4.0 * math.pi ** 2 * t)))) + n
+
+
+def _cross_term(t: np.ndarray, x: float, basis: SpectralBasis, coeff: np.ndarray,
+                en_profile: np.ndarray) -> np.ndarray:
+    """int_0^1 G(t,x,y) K(t,x,y) dy for each time t with coefficient row
+    coeff[i], exact: the cell-wise integral of each continuous mode against
+    the piecewise-constant discrete mode collapses to a single aliasing sum
+    over r = -j (mod n), truncated for the smallest t."""
     n = basis.n
-    r_max = int(math.ceil(math.sqrt(42.0 / (4.0 * math.pi ** 2 * t)))) + n
-    r = np.arange(1.0, r_max + 1.0)
+    r = np.arange(1.0, _alias_terms(float(np.min(t)), n) + 1.0)
     jr = (-r.astype(int)) % n
     chat = n * (1.0 - np.exp(-2j * np.pi * r / n)) / (2j * np.pi * r)
-    z = (np.exp(-4.0 * math.pi ** 2 * r * r * t) * coeff[jr]
-         * np.exp(2j * np.pi * r * x) * en_profile[jr] * chat)
-    return 1.0 + 2.0 * float(np.real(z).sum())
+    mode = np.real(np.exp(2j * np.pi * r * x) * en_profile[jr] * chat)
+    decay = np.multiply.outer(t, -4.0 * math.pi ** 2 * r * r)
+    np.exp(decay, out=decay)
+    decay *= coeff[:, jr]
+    return 1.0 + 2.0 * (decay @ mode)
 
 
-def _sq_diff_y_exact(t: float, x: float, basis: SpectralBasis, coeff: np.ndarray,
-                     en_profile: np.ndarray) -> float:
-    """Exact int_0^1 (G - K)^2 dy = G(2t,x,x) + sum coeff^2 |e^n|^2 - 2 cross."""
+def _sq_diff_y_exact(t: np.ndarray, x: float, basis: SpectralBasis, coeff: np.ndarray,
+                     en_profile: np.ndarray) -> np.ndarray:
+    """Exact int_0^1 (G - K)^2 dy = G(2t,x,x) + sum coeff^2 |e^n|^2 - 2 cross
+    at each time t > 0, coeff holding one row of mode coefficients per time."""
     gsq = heat_kernel_square_integral(t)
-    ksq = float(np.dot(coeff * coeff, np.abs(en_profile) ** 2))
+    ksq = (coeff * coeff) @ (np.abs(en_profile) ** 2)
     cross = _cross_term(t, x, basis, coeff, en_profile)
-    return max(gsq + ksq - 2.0 * cross, 0.0)
+    return np.maximum(gsq + ksq - 2.0 * cross, 0.0)
+
+
+def _integrate(d_of_t, nodes: np.ndarray, weights: np.ndarray, n: int) -> float:
+    """sum weights * D(nodes) for increasing nodes, D evaluated on runs of
+    consecutive nodes whose aliasing table fits ALIAS_BUDGET."""
+    vals = np.empty_like(nodes)
+    k = 0
+    while k < len(nodes):
+        m = max(1, ALIAS_BUDGET // _alias_terms(float(nodes[k]), n))
+        vals[k:k + m] = d_of_t(nodes[k:k + m])
+        k += m
+    return float(np.dot(weights, vals))
+
+
+def _sqrt_rule(s_knots: np.ndarray, quad: QuadratureSpec):
+    """Nodes t = s^2 and weights of composite Gauss in s on the panels
+    between s_knots: int D dt = int 2 s D(s^2) ds."""
+    xi, w = _gauss(quad.t_gauss)
+    lo, hi = s_knots[:-1, None], s_knots[1:, None]
+    s = lo + (hi - lo) * xi
+    return (s * s).ravel(), ((hi - lo) * w * 2.0 * s).ravel()
 
 
 def _tail_bound_semi(n: int, t1: float) -> float:
@@ -119,43 +159,38 @@ def _tail_bound_full(factors: AmplificationFactors, t1: float) -> float:
     return 2.0 * A * A * math.exp(-2 * a * t1) / (2 * a) + 2.0 * s1 * s1 * geo
 
 
-def _head_integral_smooth(d_of_t, n: int, quad: QuadratureSpec) -> float:
-    """int_0^{t_split} D(t) dt with t = s^2; panels graded to resolve the
-    1/n kernel scale near zero."""
-    s_knots = np.concatenate([
-        np.linspace(0.0, min(4.0 / n, math.sqrt(quad.t_split)), quad.fine_panels + 1),
-        np.geomspace(min(4.0 / n, math.sqrt(quad.t_split)), math.sqrt(quad.t_split),
-                     quad.coarse_panels + 1)[1:],
-    ])
-    xi, w = _gauss(quad.t_gauss)
-    total = 0.0
-    for lo, hi in zip(s_knots[:-1], s_knots[1:]):
-        s = lo + (hi - lo) * xi
-        vals = np.array([2.0 * sv * d_of_t(sv * sv) for sv in s])
-        total += float((hi - lo) * np.dot(w, vals))
-    return total
+def _smooth_rule(n: int, quad: QuadratureSpec):
+    """Rule for int_0^{t_split} D(t) dt with t = s^2; panels graded to
+    resolve the 1/n kernel scale near zero."""
+    s_mid = min(4.0 / n, math.sqrt(quad.t_split))
+    return _sqrt_rule(np.concatenate([
+        np.linspace(0.0, s_mid, quad.fine_panels + 1),
+        np.geomspace(s_mid, math.sqrt(quad.t_split), quad.coarse_panels + 1)[1:],
+    ]), quad)
+
+
+def _semi_d(n: int, x: float):
+    """D(t) = int_0^1 |G - G^n|^2 dy as a function of an array of times."""
+    basis = spectral_basis(n)
+    prof = basis.modes(x)
+
+    def d_of_t(t):
+        return _sq_diff_y_exact(t, x, basis, np.exp(np.multiply.outer(t, basis.eigenvalues)), prof)
+
+    return d_of_t
 
 
 def green_error_semi(n: int, x: float = 0.0,
                      quad: QuadratureSpec = QuadratureSpec()) -> float:
     """int_0^inf int_0^1 |G(t,x,y) - G^n(t,x,y)|^2 dy dt, tail included."""
-    basis = spectral_basis(n)
-    prof = basis.modes(x)
-
-    def d_of_t(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        return _sq_diff_y_exact(t, x, basis, np.exp(basis.eigenvalues * t), prof)
-
-    return _head_integral_smooth(d_of_t, n, quad) + _tail_bound_semi(n, quad.t_split)
+    head = _integrate(_semi_d(n, x), *_smooth_rule(n, quad), n)
+    return head + _tail_bound_semi(n, quad.t_split)
 
 
 def green_error_semi_pointwise(n: int, t: float, x: float = 0.0) -> float:
     """int_0^1 |G(t,x,y) - G^n(t,x,y)|^2 dy at one time, the y-integral
     evaluated through the aliasing series."""
-    basis = spectral_basis(n)
-    return _sq_diff_y_exact(t, x, basis, np.exp(basis.eigenvalues * t),
-                            basis.modes(x))
+    return float(_semi_d(n, x)(np.array([t], dtype=float))[0])
 
 
 def green_error_full(n: int, tau: float, theta: float, x: float = 0.0,
@@ -173,33 +208,24 @@ def green_error_full(n: int, tau: float, theta: float, x: float = 0.0,
     factors = AmplificationFactors(basis, tau, theta)
     prof = basis.modes(x)
 
-    def d_of_t(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        coeff = factors.r12 ** factors.step_power(t) * factors.r1
+    def d_of_t(t):
+        coeff = factors.r12 ** factors.step_power(t)[:, None] * factors.r1
         return _sq_diff_y_exact(t, x, basis, coeff, prof)
 
     steps = int(math.ceil(quad.t_split / tau))
     if steps <= quad.resolve_cap:
+        # first interval in the sqrt variable (kernel-difference ~ t^{-1/2}),
+        # then Gauss panels on every further step interval below t_split
+        t0, w0 = _sqrt_rule(np.linspace(0.0, math.sqrt(min(tau, quad.t_split)), 9), quad)
         xi, w = _gauss(quad.t_gauss)
-        total = 0.0
-        # first interval in the sqrt variable (kernel-difference ~ t^{-1/2})
-        s_hi = math.sqrt(min(tau, quad.t_split))
-        for lo, hi in zip(np.linspace(0, s_hi, 9)[:-1], np.linspace(0, s_hi, 9)[1:]):
-            s = lo + (hi - lo) * xi
-            vals = np.array([2.0 * sv * d_of_t(sv * sv) for sv in s])
-            total += float((hi - lo) * np.dot(w, vals))
-        for i in range(1, steps):
-            lo, hi = i * tau, min((i + 1) * tau, quad.t_split)
-            if hi <= lo:
-                break
-            tt = lo + (hi - lo) * xi
-            vals = np.array([d_of_t(tv) for tv in tt])
-            total += float((hi - lo) * np.dot(w, vals))
-        head = total
+        lo = tau * np.arange(1, steps)
+        hi = np.minimum(tau * np.arange(2, steps + 1), quad.t_split)
+        lo, hi = lo[hi > lo, None], hi[hi > lo, None]
+        nodes = np.concatenate([t0, (lo + (hi - lo) * xi).ravel()])
+        weights = np.concatenate([w0, ((hi - lo) * w).ravel()])
     else:
-        head = _head_integral_smooth(d_of_t, n, quad)
-    return head + _tail_bound_full(factors, quad.t_split)
+        nodes, weights = _smooth_rule(n, quad)
+    return _integrate(d_of_t, nodes, weights, n) + _tail_bound_full(factors, quad.t_split)
 
 
 def initial_data_error_full(n: int, tau: float, theta: float, u0: InitialData,

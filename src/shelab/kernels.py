@@ -6,10 +6,16 @@ sum_j c_j e^n_j(x) conj(e_j(kappa_n(y))).  The continuous kernel is
 evaluated through two dual series (a Gaussian image sum for small times,
 a spectral sum for large times) that overlap far below machine precision
 at the crossover.
+
+Time broadcasting: every kernel and square integral below except the
+`*_grid` vectors takes a scalar time or a 1-D array of times.  An array
+adds a leading time axis to the output, shape (len(t),) + the broadcast
+shape of the space arguments; a scalar returns exactly what a single call
+returns (a float for scalar space arguments).  Discrete step counts
+[t/tau] are floored elementwise by `AmplificationFactors.step_power`.
 """
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -90,10 +96,11 @@ class SpectralBasis:
         return m.real ** 2 + m.imag ** 2
 
     def assemble(self, coeff: np.ndarray, x, y):
-        """Re sum_j coeff[j] e^n_j(x) conj(e_j(kappa_n(y)))."""
+        """Re sum_j coeff[..., j] e^n_j(x) conj(e_j(kappa_n(y))); leading axes
+        of coeff (one row per time) lead the output."""
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         ey = self._grid_modes(_floor_quantize(yb, self.n))
-        return np.tensordot(coeff, self.modes(xb) * ey.conj(), axes=(0, 0)).real
+        return np.tensordot(coeff, self.modes(xb) * ey.conj(), axes=(-1, 0)).real
 
     def grid_values(self, coeff: np.ndarray) -> np.ndarray:
         """Kernel values at grid points as a function of q-l (translation
@@ -148,9 +155,9 @@ class AmplificationFactors:
         if eps <= 0.0:
             raise StabilityViolation(j, 1.0 - eps)
 
-    def step_power(self, t: float) -> int:
-        if t < 0.0:
-            raise ValueError("time must be nonnegative")
+    def step_power(self, t):
+        """[t/tau] elementwise: an int for scalar t, an int array otherwise."""
+        _require_nonnegative(t)
         return _floor_steps(t, self.tau)
 
 
@@ -161,30 +168,49 @@ class AmplificationFactors:
 def _heat_kernel_image(t, d, terms: int):
     m = np.arange(-terms, terms + 1)
     z = np.subtract.outer(np.asarray(d, dtype=float), m.astype(float))
-    return np.exp(-z * z / (4.0 * t)).sum(axis=-1) / math.sqrt(4.0 * math.pi * t)
+    t = np.asarray(t, dtype=float)
+    t = t.reshape(t.shape + (1,) * z.ndim)
+    return np.exp(-z * z / (4.0 * t)).sum(axis=-1) / np.sqrt(4.0 * np.pi * t[..., 0])
 
 
 def _heat_kernel_spectral(t, d, terms: int):
     j = np.arange(1, terms + 1)
     cos = np.cos(2.0 * np.pi * np.multiply.outer(np.asarray(d, dtype=float), j))
+    t = np.asarray(t, dtype=float)
+    t = t.reshape(t.shape + (1,) * cos.ndim)
     return 1.0 + 2.0 * (cos * np.exp(-4.0 * np.pi ** 2 * j ** 2 * t)).sum(axis=-1)
 
 
-def heat_kernel(t: float, x, y):
-    """Continuous periodic heat kernel G(t,x,y)."""
-    if not t > 0.0:
-        raise ValueError(f"heat kernel needs t > 0, got {t}")
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    if t < CROSSOVER_TIME:
-        out = _heat_kernel_image(t, d, IMAGE_TERMS)
-    else:
-        out = _heat_kernel_spectral(t, d, SPECTRAL_TERMS)
+def _result(out):
+    """A 0-d result is a float (scalar time and space arguments)."""
     return float(out) if np.ndim(out) == 0 else out
 
 
-def heat_kernel_square_integral(t: float) -> float:
+def _require_nonnegative(t):
+    if np.any(np.asarray(t) < 0.0):
+        raise ValueError("time must be nonnegative")
+
+
+def heat_kernel(t, x, y):
+    """Continuous periodic heat kernel G(t,x,y)."""
+    times = np.asarray(t, dtype=float)
+    if not np.all(times > 0.0):
+        raise ValueError(f"heat kernel needs t > 0, got {t}")
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    times = np.atleast_1d(times)
+    out = np.empty(times.shape + d.shape)
+    small = times < CROSSOVER_TIME
+    if small.any():
+        out[small] = _heat_kernel_image(times[small], d, IMAGE_TERMS)
+    if not small.all():
+        out[~small] = _heat_kernel_spectral(times[~small], d, SPECTRAL_TERMS)
+    return _result(out[0] if np.ndim(t) == 0 else out)
+
+
+def heat_kernel_square_integral(t):
     """int_0^1 G(t,x,y)^2 dy = G(2t,x,x), independent of x."""
-    if not t > 0.0:
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0.0):
         raise ValueError(f"square integral needs t > 0, got {t}")
     return heat_kernel(2.0 * t, 0.0, 0.0)
 
@@ -193,23 +219,19 @@ def heat_kernel_square_integral(t: float) -> float:
 # semi-discrete kernel
 # ---------------------------------------------------------------------------
 
-def semi_green(t: float, x, y, basis: SpectralBasis):
+def semi_green(t, x, y, basis: SpectralBasis):
     """Spatially semi-discrete Green function: piecewise linear in x,
     piecewise constant in y on grid cells."""
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    coeff = np.exp(basis.eigenvalues * t)
-    out = basis.assemble(coeff, x, y)
-    return float(out) if np.ndim(out) == 0 else out
+    _require_nonnegative(t)
+    coeff = np.exp(np.multiply.outer(t, basis.eigenvalues))
+    return _result(basis.assemble(coeff, x, y))
 
 
-def semi_green_square_integral(t: float, x, basis: SpectralBasis):
+def semi_green_square_integral(t, x, basis: SpectralBasis):
     """int_0^1 (G^n(t,x,y))^2 dy = sum_j e^{2 lam_j t} |e^n_j(x)|^2."""
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    coeff = np.exp(2.0 * basis.eigenvalues * t)
-    out = np.tensordot(coeff, basis.mode_abs2_interp(x), axes=(0, 0))
-    return float(out) if np.ndim(out) == 0 else out
+    _require_nonnegative(t)
+    coeff = np.exp(np.multiply.outer(t, 2.0 * basis.eigenvalues))
+    return _result(np.tensordot(coeff, basis.mode_abs2_interp(x), axes=(-1, 0)))
 
 
 def semi_green_grid(t: float, basis: SpectralBasis) -> np.ndarray:
@@ -221,10 +243,14 @@ def semi_green_grid(t: float, basis: SpectralBasis) -> np.ndarray:
 # fully discrete kernels
 # ---------------------------------------------------------------------------
 
-def _full_coeff(t: float, which: str, factors: AmplificationFactors) -> np.ndarray:
+def _power_rows(base: np.ndarray, power):
+    """base ** power, one row per entry of an array of step counts."""
+    return base ** (power if np.ndim(power) == 0 else np.expand_dims(power, -1))
+
+
+def _full_coeff(t, which: str, factors: AmplificationFactors) -> np.ndarray:
     factors.require_stable()
-    power = factors.step_power(t)
-    coeff = factors.r12 ** power
+    coeff = _power_rows(factors.r12, factors.step_power(t))
     if which == "G2":
         coeff = coeff * factors.r1
     elif which != "G1":
@@ -232,20 +258,18 @@ def _full_coeff(t: float, which: str, factors: AmplificationFactors) -> np.ndarr
     return coeff
 
 
-def full_green(t: float, x, y, which: str, factors: AmplificationFactors):
+def full_green(t, x, y, which: str, factors: AmplificationFactors):
     """Fully discrete Green function G1 (propagator) or G2 (noise kernel);
     piecewise constant in t on [i tau, (i+1) tau)."""
-    out = factors.basis.assemble(_full_coeff(t, which, factors), x, y)
-    return float(out) if np.ndim(out) == 0 else out
+    return _result(factors.basis.assemble(_full_coeff(t, which, factors), x, y))
 
 
-def full_green_square_integral(t: float, x, factors: AmplificationFactors):
+def full_green_square_integral(t, x, factors: AmplificationFactors):
     """int_0^1 (G2(t,x,y))^2 dy = sum_j (r1 r2)_j^{2[t/tau]} r1_j^2 |e^n_j(x)|^2."""
     factors.require_stable()
-    power = factors.step_power(t)
-    coeff = factors.r12 ** (2 * power) * factors.r1 ** 2
-    out = np.tensordot(coeff, factors.basis.mode_abs2_interp(x), axes=(0, 0))
-    return float(out) if np.ndim(out) == 0 else out
+    coeff = _power_rows(factors.r12, 2 * factors.step_power(t)) * factors.r1 ** 2
+    out = np.tensordot(coeff, factors.basis.mode_abs2_interp(x), axes=(-1, 0))
+    return _result(out)
 
 
 def full_green_grid(t: float, which: str, factors: AmplificationFactors) -> np.ndarray:

@@ -35,13 +35,13 @@ def _floor_quantize(value, step_count: int) -> np.ndarray:
     return np.where((k + 1) / step_count == value, k + 1, k)
 
 
-def _floor_steps(value: float, step: float) -> int:
-    """Integer k with k <= value/step < k+1, robust to the float round-trip
-    k*step -> k (so the time-flooring map is idempotent)."""
-    k = int(math.floor(value / step))
-    if (k + 1) * step == value:
-        k += 1
-    return k
+def _floor_steps(value, step: float):
+    """Elementwise integer k with k <= value/step < k+1, robust to the float
+    round-trip k*step -> k (so the time-flooring map is idempotent); an int
+    for a scalar value.  The one time-flooring rule."""
+    k = np.floor(np.divide(value, step))
+    k += (k + 1.0) * step == value
+    return int(k) if k.ndim == 0 else k.astype(int)
 
 
 @dataclass(frozen=True)

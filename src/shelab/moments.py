@@ -9,7 +9,9 @@ lambda^2 n tau per cell,
 which this module iterates exactly with the operators of
 `solver.StepOperator`: for n <= DENSE_MAX_N as products with the dense
 symmetric Green matrices B and R1, above that crossover by real FFT along
-each matrix axis (B and R1 act diagonally on the Fourier modes).
+each matrix axis (B and R1 act diagonally on the Fourier modes) in the
+two-pass form M_{i+1} = R1 (R2 M_i R2 + D_i) R1, the circulants commuting;
+the R2 passes are skipped where R2 = I (theta = 1, exponential stepper).
 Nonlinear sigma falls back to Monte Carlo.  Growth rates
 are reported as tail-window regression slopes with confidence intervals --
 a limsup is not computable, a documented estimator is.
@@ -110,8 +112,7 @@ def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: Mod
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     op = StepOperator(grid.n, scheme, model)
-    if not op.dense:
-        r1h, bh = op.r1h, op.r1h * op.r2h
+    r2_is_one = not op.dense and bool(np.all(op.r2h == 1.0))
     gain = model.lam ** 2 * grid.n * scheme.tau * model.sigma.slope ** 2
     u0 = model.u0.values(grid)
     m = np.outer(u0, u0)
@@ -121,9 +122,11 @@ def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: Mod
         if op.dense:
             m = op.b @ m @ op.b + (op.r1 * (gain * np.diag(m))) @ op.r1
         else:
-            d = np.diag(np.diag(m)) * gain
-            m = _circulant_apply(bh, _circulant_apply(bh, m, 0), 1)
-            m = m + _circulant_apply(r1h, _circulant_apply(r1h, d, 0), 1)
+            d = gain * np.diag(m)
+            if not r2_is_one:
+                m = _circulant_apply(op.r2h, _circulant_apply(op.r2h, m, 0), 1)
+            m.flat[::grid.n + 1] += d  # m is a fresh array: recorded matrices are copies
+            m = _circulant_apply(op.r1h, _circulant_apply(op.r1h, m, 0), 1)
         m = (m + m.T) / 2.0
         if i % record_every == 0 or i == steps:
             out.append(MomentMatrix(matrix=m.copy(), time_index=i))
@@ -196,21 +199,26 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     counts = np.zeros(len(record_set))
     horizon = steps + 1
 
-    def tally(states, i):
-        mags = np.abs(states)
-        base = mags.min(axis=1) if index is None else mags[:, index]
-        r, na, nb = pos[i], counts[pos[i]], len(states)
+    def probe(states):
+        return np.abs(states).min(axis=1) if index is None else np.abs(states[:, index])
+
+    def tally(base, rows):
+        """Fold one batch's |u| at the probe (records x paths) into the
+        sums, merging each record's squared deviations pairwise."""
+        na, nb = counts[rows], base.shape[1]
+        seen = na > 0
         for k, q in enumerate(p_list):
             sample = base ** q
-            total = np.sum(sample)
+            total = sample.sum(axis=1)
             mean = total / nb
-            dev = np.sum((sample - mean) ** 2)
-            if na:
-                delta = mean - s1[r, k] / na
-                dev += delta * delta * na * nb / (na + nb)
-            s1[r, k] += total
-            m2[r, k] += dev
-        counts[r] += nb
+            sample -= mean[:, None]
+            sample *= sample
+            dev = sample.sum(axis=1)
+            delta = mean[seen] - s1[rows[seen], k] / na[seen]
+            dev[seen] += delta * delta * na[seen] * nb / (na[seen] + nb)
+            s1[rows, k] += total
+            m2[rows, k] += dev
+        counts[rows] += nb
 
     start = 0
     while start < paths:
@@ -218,8 +226,8 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
         xi = normal_rows([NoiseSeed(seed, path=start + k, purpose="mc").bit_generator()
                           for k in range(count)], steps, grid.n)
         states = np.tile(model.u0.values(grid), (count, 1))
-        if 0 in pos:
-            tally(states, 0)
+        recorded = [0] if 0 in pos else []
+        bases = [probe(states)] if recorded else []
         for i in range(min(steps, horizon - 1)):
             try:
                 states = op.apply(states, xi[:, i, :])
@@ -227,7 +235,11 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
                 horizon = min(horizon, i + 1)
                 break
             if (i + 1) in pos:
-                tally(states, i + 1)
+                recorded.append(i + 1)
+                bases.append(probe(states))
+        del xi
+        if recorded:
+            tally(np.stack(bases), np.array([pos[i] for i in recorded]))
         start += count
     kept = [i for i in record_set if i < horizon and counts[pos[i]] == paths]
     truncated = len(kept) < len(record_set)

@@ -229,6 +229,19 @@ class TestGreenCheck:
         assert rc == 1
         assert "eigenpair-consistency" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("section,key", [
+        ({"ns": [8.5]}, "green_check.ns"), ({"ns": []}, "green_check.ns"),
+        ({"ns": 8}, "green_check.ns"), ({"thetas": [1.5]}, "green_check.thetas"),
+        ({"thetas": []}, "green_check.thetas"),
+    ])
+    def test_unusable_lattice_exit_2(self, tmp_path, capsys, section, key):
+        cfg = write_config(tmp_path, {"green_check": section})
+        assert main(["green-check", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert "checks passed" not in captured.out
+        assert not any(tmp_path.glob("*.csv"))
+
 
 class TestConvergenceCommand:
     def test_green_semi_outputs(self, tmp_path):
@@ -241,6 +254,16 @@ class TestConvergenceCommand:
         e8, e16 = float(lines[2].split(",")[1]), float(lines[3].split(",")[1])
         assert 1.5 <= e8 / e16 <= 2.6
         assert (tmp_path / "green_error.svg").exists()
+
+    @pytest.mark.parametrize("section,key", [
+        ({"kind": "green-semi", "ns": []}, "convergence.ns"),
+        ({"kind": "green-full", "taus": []}, "convergence.taus"),
+    ])
+    def test_empty_green_lists_exit_2(self, tmp_path, capsys, section, key):
+        cfg = write_config(tmp_path, {"convergence": section})
+        assert main(["convergence", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not any(tmp_path.glob("green_error.*"))
 
     def test_strong_kind_writes_curve(self, tmp_path):
         cfg = write_config(tmp_path, {"convergence": {

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import circulant
 
-from shelab.convergence import (QuadratureSpec, green_error_full,
-                                green_error_semi, green_error_semi_pointwise,
-                                initial_data_error_full, strong_error_study)
-from shelab.kernels import (AmplificationFactors, full_green, heat_kernel, semi_green,
-                            spectral_basis)
+from shelab.convergence import (QuadratureSpec, _gauss, _tail_bound_full, _tail_bound_semi,
+                                green_error_full, green_error_semi,
+                                green_error_semi_pointwise, initial_data_error_full,
+                                strong_error_study)
+from shelab.kernels import (AmplificationFactors, full_green, heat_kernel,
+                            heat_kernel_square_integral, semi_green, spectral_basis)
 from shelab.model import InitialData, ModelSpec, SchemeSpec, SigmaSpec
 from shelab.noise import NoiseSeed, coarsen_array, sample_block
 from shelab.solver import BlowupError, StepOperator
@@ -27,6 +29,106 @@ def _sq_diff_y_cells(t: float, x: float, n: int, y_gauss: int = 10) -> float:
     nodes = (np.arange(n)[:, None] + xi[None, :]) / n
     diff = heat_kernel(t, x, nodes) - cell_values[:, None]
     return float(np.sum(diff * diff * w[None, :]) / n)
+
+
+def _sq_diff_node(t: float, x: float, basis, coeff: np.ndarray, en_profile: np.ndarray) -> float:
+    """int_0^1 (G - K)^2 dy at one time through the aliasing series, one
+    node per call: G(2t,x,x) + sum coeff^2 |e^n|^2 - 2 cross."""
+    n = basis.n
+    r_max = int(math.ceil(math.sqrt(42.0 / (4.0 * math.pi ** 2 * t)))) + n
+    r = np.arange(1.0, r_max + 1.0)
+    jr = (-r.astype(int)) % n
+    chat = n * (1.0 - np.exp(-2j * np.pi * r / n)) / (2j * np.pi * r)
+    z = (np.exp(-4.0 * math.pi ** 2 * r * r * t) * coeff[jr]
+         * np.exp(2j * np.pi * r * x) * en_profile[jr] * chat)
+    cross = 1.0 + 2.0 * float(np.real(z).sum())
+    ksq = float(np.dot(coeff * coeff, np.abs(en_profile) ** 2))
+    return max(heat_kernel_square_integral(t) + ksq - 2.0 * cross, 0.0)
+
+
+def _sqrt_panels_per_node(d_of_t, s_knots, quad) -> float:
+    xi, w = _gauss(quad.t_gauss)
+    total = 0.0
+    for lo, hi in zip(s_knots[:-1], s_knots[1:]):
+        s = lo + (hi - lo) * xi
+        total += float((hi - lo) * np.dot(w, np.array([2.0 * sv * d_of_t(sv * sv) for sv in s])))
+    return total
+
+
+def _smooth_head_per_node(d_of_t, n, quad) -> float:
+    s_mid = min(4.0 / n, math.sqrt(quad.t_split))
+    return _sqrt_panels_per_node(d_of_t, np.concatenate([
+        np.linspace(0.0, s_mid, quad.fine_panels + 1),
+        np.geomspace(s_mid, math.sqrt(quad.t_split), quad.coarse_panels + 1)[1:]]), quad)
+
+
+def green_error_semi_per_node(n, x=0.0, quad=QuadratureSpec()) -> float:
+    """green_error_semi with the kernel difference evaluated one time node
+    per call (the quadrature loop the array evaluation replaced)."""
+    basis = spectral_basis(n)
+    prof = basis.modes(x)
+
+    def d_of_t(t):
+        return _sq_diff_node(t, x, basis, np.exp(basis.eigenvalues * t), prof)
+
+    return _smooth_head_per_node(d_of_t, n, quad) + _tail_bound_semi(n, quad.t_split)
+
+
+def green_error_full_per_node(n, tau, theta, x=0.0, quad=QuadratureSpec()) -> float:
+    """green_error_full, one time node per call."""
+    basis = spectral_basis(n)
+    factors = AmplificationFactors(basis, tau, theta)
+    prof = basis.modes(x)
+
+    def d_of_t(t):
+        coeff = factors.r12 ** factors.step_power(t) * factors.r1
+        return _sq_diff_node(t, x, basis, coeff, prof)
+
+    steps = int(math.ceil(quad.t_split / tau))
+    if steps > quad.resolve_cap:
+        return _smooth_head_per_node(d_of_t, n, quad) + _tail_bound_full(factors, quad.t_split)
+    total = _sqrt_panels_per_node(d_of_t, np.linspace(0, math.sqrt(min(tau, quad.t_split)), 9),
+                                  quad)
+    xi, w = _gauss(quad.t_gauss)
+    for i in range(1, steps):
+        lo, hi = i * tau, min((i + 1) * tau, quad.t_split)
+        if hi <= lo:
+            break
+        total += float((hi - lo) * np.dot(w, np.array([d_of_t(tv) for tv in lo + (hi - lo) * xi])))
+    return total + _tail_bound_full(factors, quad.t_split)
+
+
+class TestArrayEvaluationAgainstPerNodeOracle:
+    @pytest.mark.parametrize("n,tau,theta,x,quad", [
+        (64, 2 ** -3, 1.0, 0.0, {}), (64, 2 ** -7, 1.0, 0.0, {}), (16, 2 ** -8, 0.5, 0.37, {}),
+        (16, 0.003, 1.0, 0.0, {"t_split": 0.01}), (16, 2 ** -9, 1.0, 0.0, {"resolve_cap": 0}),
+        (8, 1e-6, 0.75, 0.2, {})])
+    def test_green_error_full(self, n, tau, theta, x, quad):
+        # resolve_cap 0 and tau = 1e-6 take the smooth branch, the rest
+        # resolve the staircase; tau = 0.003 cuts its last step interval at t_split
+        quad = QuadratureSpec(**quad)
+        got = green_error_full(n, tau, theta, x=x, quad=quad)
+        assert got == pytest.approx(green_error_full_per_node(n, tau, theta, x, quad), rel=1e-12)
+
+    @pytest.mark.parametrize("n,x", [(8, 0.0), (16, 0.37), (64, 0.0)])
+    def test_green_error_semi(self, n, x):
+        assert green_error_semi(n, x) == pytest.approx(green_error_semi_per_node(n, x), rel=1e-12)
+        basis = spectral_basis(n)
+        for t in (1e-6, 1e-3, 0.2):
+            want = _sq_diff_node(t, x, basis, np.exp(basis.eigenvalues * t), basis.modes(x))
+            assert green_error_semi_pointwise(n, t, x) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_peak_memory_bounded(self):
+        # the aliasing tables are capped: the stacked first interval alone
+        # took 7.4 MiB
+        green_error_full(64, 2 ** -7, 1.0)
+        tracemalloc.start()
+        try:
+            green_error_full(64, 2 ** -7, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestGreenErrorSemi:

@@ -104,6 +104,55 @@ def test_grid_points_match_cosine_route(n, t, tau, theta):
                            full_green_grid(t, which, factors)[d], rtol=0.0, atol=1e-12)
 
 
+def _assert_stacks_scalar_calls(fn, times):
+    # an array of times gives the stack of the scalar calls
+    arr = fn(times)
+    stack = np.stack([np.asarray(fn(float(t))) for t in times])
+    assert arr.shape == stack.shape
+    assert np.max(np.abs(arr - stack)) <= 1e-13 * np.max(np.abs(stack))
+
+
+@given(n=st.integers(min_value=3, max_value=40),
+       theta=st.sampled_from([0.5, 0.75, 1.0]),
+       tau=st.floats(min_value=1e-4, max_value=0.05),
+       k=st.integers(min_value=0, max_value=39),
+       frac=st.sampled_from([0.0, 0.25, 0.61]),
+       times=st.lists(st.floats(min_value=1e-5, max_value=20.0), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_time_array_equals_scalar_calls(n, theta, tau, k, frac, times):
+    basis = spectral_basis(n)
+    factors = AmplificationFactors(basis, tau, theta)
+    x = ((k % n) + frac) / n  # a grid point when frac == 0
+    y = np.array([0.0, 0.3, (k % n + 0.5) / n])
+    # both sides of the image/spectral crossover in every example
+    t = np.array(times + [0.5 * CROSSOVER_TIME, 2.0 * CROSSOVER_TIME])
+    for fn in (lambda s: heat_kernel(s, x, y),
+               heat_kernel_square_integral,
+               lambda s: semi_green(s, x, y, basis),
+               lambda s: semi_green_square_integral(s, x, basis),
+               lambda s: full_green(s, x, y, "G1", factors),
+               lambda s: full_green(s, x, y, "G2", factors),
+               lambda s: full_green_square_integral(s, x, factors)):
+        _assert_stacks_scalar_calls(fn, t)
+    assert np.array_equal(factors.step_power(t), [factors.step_power(float(s)) for s in t])
+
+
+def test_scalar_time_returns_float():
+    basis = spectral_basis(5)
+    factors = AmplificationFactors(basis, 0.01, 1.0)
+    for value in (heat_kernel(0.1, 0.2, 0.3), heat_kernel_square_integral(0.1),
+                  semi_green(0.1, 0.2, 0.3, basis), semi_green_square_integral(0.1, 0.2, basis),
+                  full_green(0.1, 0.2, 0.3, "G2", factors),
+                  full_green_square_integral(0.1, 0.2, factors)):
+        assert type(value) is float
+    assert type(factors.step_power(0.05)) is int
+    assert factors.step_power(np.array([0.0, 0.05, 0.1])).tolist() == [0, 5, 10]
+    with pytest.raises(ValueError):
+        heat_kernel(np.array([0.1, 0.0]), 0.2, 0.3)
+    with pytest.raises(ValueError):
+        factors.step_power(np.array([0.1, -0.01]))
+
+
 class TestSemiGreen:
     def test_cellwise_conservation_exact(self):
         basis = spectral_basis(5)
