@@ -5,7 +5,10 @@ The discrete kernels are mode sums over one complex interpolated mode,
 sum_j c_j e^n_j(x) conj(e_j(kappa_n(y))).  The continuous kernel is
 evaluated through two dual series (a Gaussian image sum for small times,
 a spectral sum for large times) that overlap far below machine precision
-at the crossover.
+at the crossover.  A call evaluates all of its spectral-branch times as one
+matrix product, a (times x modes) decay table times the (modes x points)
+cosine table, and its image-branch times one row of points each, so no
+times x points x terms tensor is built.
 
 Time broadcasting: every kernel and square integral below except the
 `*_grid` vectors takes a scalar time or a 1-D array of times.  An array
@@ -166,19 +169,26 @@ class AmplificationFactors:
 # ---------------------------------------------------------------------------
 
 def _heat_kernel_image(t, d, terms: int):
-    m = np.arange(-terms, terms + 1)
-    z = np.subtract.outer(np.asarray(d, dtype=float), m.astype(float))
+    """Image sum, one row of points per time, so the (points x images)
+    table is the only large temporary."""
     t = np.asarray(t, dtype=float)
-    t = t.reshape(t.shape + (1,) * z.ndim)
-    return np.exp(-z * z / (4.0 * t)).sum(axis=-1) / np.sqrt(4.0 * np.pi * t[..., 0])
+    m = np.arange(-terms, terms + 1, dtype=float)
+    z2 = np.subtract.outer(np.asarray(d, dtype=float), m) ** 2
+    out = np.empty((t.size,) + z2.shape[:-1])
+    for k, tk in enumerate(t.ravel()):
+        out[k] = np.exp(z2 / (-4.0 * tk)).sum(axis=-1) / np.sqrt(4.0 * np.pi * tk)
+    return out.reshape(t.shape + z2.shape[:-1])
 
 
 def _heat_kernel_spectral(t, d, terms: int):
+    """Spectral sum for all times as one product of the (times x modes)
+    decay table with the (modes x points) cosine table."""
+    t, d = np.asarray(t, dtype=float), np.asarray(d, dtype=float)
     j = np.arange(1, terms + 1)
-    cos = np.cos(2.0 * np.pi * np.multiply.outer(np.asarray(d, dtype=float), j))
-    t = np.asarray(t, dtype=float)
-    t = t.reshape(t.shape + (1,) * cos.ndim)
-    return 1.0 + 2.0 * (cos * np.exp(-4.0 * np.pi ** 2 * j ** 2 * t)).sum(axis=-1)
+    cos = np.multiply.outer(2.0 * np.pi * j, d.ravel())
+    np.cos(cos, out=cos)
+    decay = np.exp(np.multiply.outer(t, -4.0 * np.pi ** 2 * j ** 2))
+    return (1.0 + 2.0 * (decay @ cos)).reshape(t.shape + d.shape)
 
 
 def _result(out):

@@ -148,10 +148,8 @@ def second_moment_series(matrices, tau: float, probe="min") -> MomentSeries:
     grid infimum (min over grid points, matching the lower-bound theorems)."""
     index = _probe_index(probe, matrices[0].matrix.shape[0])
     times = np.array([m.time_index for m in matrices]) * tau
-    if index is None:
-        values = np.array([m.diagonal.min() for m in matrices])
-    else:
-        values = np.array([m.diagonal[index] for m in matrices])
+    diagonals = np.stack([m.matrix.diagonal() for m in matrices])
+    values = diagonals.min(axis=1) if index is None else diagonals[:, index]
     return MomentSeries(times=times, values=values, p=2.0, source={"kind": "exact"})
 
 

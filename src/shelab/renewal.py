@@ -8,9 +8,19 @@ h(mu) = b / sqrt(mu^2 b^2 + c) - (1/mu - 1) vanishes, c = 2 n^2 pi.
 Discrete case: g~(r) = b~ e^{-pi mu^2 b~^2 r tau} (1 - e^{-4 n^2 pi^2 r tau})
 tau / sqrt(r tau) with b~ = lambda^2 J0^2 / (8 sqrt(pi)) has mass one iff
 h~(mu) = sqrt(tau) (S(a1) - S(a1 + 4 n^2 pi^2 tau)) - 1/b~ vanishes, where
-a1 = pi mu^2 b~^2 tau and S(a) = sum_{r>=1} e^{-a r} / sqrt(r) = Li_{1/2}(e^{-a})
-is evaluated exactly through mpmath's polylogarithm (the tests cross-check it
-against a truncated summation with a certified geometric tail bound).
+a1 = pi mu^2 b~^2 tau and S(a) = sum_{r>=1} e^{-a r} / sqrt(r) = Li_{1/2}(e^{-a}).
+
+S is evaluated in float through two dual series that cross over at a = 1:
+- for a < 1, the expansion about a = 0 (DLMF 25.12.12),
+  S(a) = sqrt(pi / a) + sum_{k>=0} zeta(1/2 - k) (-a)^k / k!, which
+  converges for a < 2 pi.  It is truncated after 40 terms; since
+  |zeta(1/2 - k)| / k! ~ 2 / (sqrt(k) (2 pi)^{k+1/2}), the neglected tail is
+  below 1e-31 relative at a = 1 and smaller below it;
+- for a >= 1, the direct sum over r <= R = ceil(40 / a), whose tail
+  e^{-a(R+1)} / (sqrt(R+1) (1 - e^{-a})) is below 2 e^{-40} S(a), about
+  1e-17 relative.
+The tests pin both branches against mpmath's polylogarithm and against a
+truncated summation with a certified geometric tail bound.
 
 Both mass functions are strictly monotone in mu, so the sign change at the
 bracket ends that Brent's method checks means exactly one root.  For any
@@ -24,8 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
-from scipy import integrate
+import numpy as np
+from scipy import integrate, special
 from scipy.optimize import brentq
 
 from .stability import sharp_gate
@@ -87,12 +97,25 @@ def continuous_mu(lam: float, j0: float, n: int, zeta: float | None = None) -> R
                        kind="continuous")
 
 
+def _small_a_coefficients(terms: int) -> np.ndarray:
+    """zeta(1/2 - k) (-1)^k / k! for k < terms: S(a) - sqrt(pi / a) in powers of a."""
+    k = np.arange(terms)
+    return special.zeta(0.5 - k) * (-1.0) ** k / special.factorial(k)
+
+
+_SERIES_TERMS = 40
+_SMALL_A_COEFF = _small_a_coefficients(_SERIES_TERMS)
+
+
 def sqrt_exp_series(a: float) -> float:
-    """S(a) = sum_{r>=1} e^{-a r} / sqrt(r) = Li_{1/2}(e^{-a}), exact."""
+    """S(a) = sum_{r>=1} e^{-a r} / sqrt(r) = Li_{1/2}(e^{-a}), in float to
+    a few ulp (module docstring: both branches and their truncation)."""
     if not a > 0.0:
         raise ValueError("series needs a > 0")
-    with mpmath.workdps(30):
-        return float(mpmath.polylog(mpmath.mpf("0.5"), mpmath.e ** (-mpmath.mpf(a))))
+    if a < 1.0:
+        return math.sqrt(math.pi / a) + float(np.polynomial.polynomial.polyval(a, _SMALL_A_COEFF))
+    r = np.arange(1.0, math.ceil(_SERIES_TERMS / a) + 1.0)
+    return float(np.sum(np.exp(-a * r) / np.sqrt(r)))
 
 
 def discrete_mu_tau_limit(lam: float, j0: float, n: int, zeta: float) -> RenewalRoot:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shelab.checks import CheckResult, lemma_suite
+from shelab.kernels import heat_kernel
 
 
 def test_reduced_lattice_passes():
@@ -50,7 +52,31 @@ def test_merge_all_equals_merge_in_order(margins, start):
         one.merge(m, d)
     many.merge_all(np.array(margins), details)
     assert (many.passed, many.detail) == (one.passed, one.detail)
-    assert many.worst_margin == one.worst_margin
+    assert np.array_equal([many.worst_margin], [one.worst_margin], equal_nan=True)
+    if any(math.isnan(m) for m in margins):
+        first = details[[math.isnan(m) for m in margins].index(True)]
+        assert not many.passed
+        assert math.isnan(many.worst_margin)
+        assert many.detail == f"{first} margin=nan"
+
+
+def test_nan_kernel_fails_conservation(monkeypatch):
+    # a kernel that returns nan at one time must not pass the suite
+    from shelab import checks
+
+    def nan_at_one_time(t, x, y):
+        g = heat_kernel(t, x, y)
+        g[7] = np.nan
+        return g
+
+    monkeypatch.setattr(checks, "heat_kernel", nan_at_one_time)
+    results = {r.name: r for r in lemma_suite(ns=(4,), thetas=(1.0,))}
+    failed = {name for name, r in results.items() if not r.passed}
+    assert failed == {"continuous-conservation", "continuous-square-identity"}
+    conservation = results["continuous-conservation"]
+    assert math.isnan(conservation.worst_margin)
+    assert conservation.detail.startswith(f"t={checks.T_GRID[7]:g} ")
+    assert conservation.detail.endswith("margin=nan")
 
 
 @pytest.mark.parametrize("kwargs,name", [

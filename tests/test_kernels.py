@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shelab.kernels import (CROSSOVER_TIME, IMAGE_TERMS, SPECTRAL_TERMS,
                             AmplificationFactors, StabilityViolation,
@@ -17,6 +17,16 @@ def quad_unit_interval(fn, panels=512, order=8):
     x, w = np.polynomial.legendre.leggauss(order)
     nodes = (np.arange(panels)[:, None] + 0.5 * (x + 1.0)[None, :]) / panels
     return float(np.sum(fn(nodes.ravel()).reshape(panels, order) * 0.5 * w) / panels)
+
+
+def broadcast_spectral_sum(t, d, terms):
+    """1 + 2 sum_j cos(2 pi j d) e^{-4 pi^2 j^2 t} through a times x points x
+    modes tensor: the direct form the kernels' matrix product replaces."""
+    j = np.arange(1, terms + 1)
+    cos = np.cos(2.0 * np.pi * np.multiply.outer(np.asarray(d, dtype=float), j))
+    t = np.asarray(t, dtype=float)
+    t = t.reshape(t.shape + (1,) * cos.ndim)
+    return 1.0 + 2.0 * (cos * np.exp(-4.0 * np.pi ** 2 * j ** 2 * t)).sum(axis=-1)
 
 
 class TestSpectralBasis:
@@ -54,6 +64,20 @@ class TestHeatKernel:
             image = _heat_kernel_image(t, d, IMAGE_TERMS)
             spectral = _heat_kernel_spectral(t, d, SPECTRAL_TERMS)
             assert abs(image - spectral) < 1e-10
+
+    @given(times=st.lists(st.floats(min_value=CROSSOVER_TIME, max_value=50.0),
+                          min_size=1, max_size=6),
+           d=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=9))
+    @example(times=[CROSSOVER_TIME, 0.1, 1.0, 100.0], d=np.linspace(-1.0, 1.0, 2049).tolist())
+    @settings(max_examples=40, deadline=None)
+    def test_spectral_product_matches_broadcast_sum(self, times, d):
+        from shelab.kernels import _heat_kernel_spectral
+        t, d = np.array(times), np.array(d)
+        got = _heat_kernel_spectral(t, d, SPECTRAL_TERMS)
+        want = broadcast_spectral_sum(t, d, SPECTRAL_TERMS)
+        assert got.shape == want.shape == (len(t), len(d))
+        tol = 1e-14 * np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= tol)
 
     def test_against_brute_force_spectral(self):
         j = np.arange(1, 2001)

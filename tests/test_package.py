@@ -1,6 +1,8 @@
+import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -37,6 +39,47 @@ def test_import_leaves_mpmath_precision_alone():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout.split()
     assert out[0] == out[1]
+
+
+def test_import_does_not_load_mpmath():
+    # mpmath is a test-only oracle: no shelab module may pull it in
+    code = ("import importlib, sys; "
+            f"[importlib.import_module('shelab.' + m) for m in {MODULES!r}]; "
+            "print('mpmath' in sys.modules)")
+    import shelab
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shelab.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.split()
+    assert out == ["False"]
+
+
+def _top_level_imports(path: str) -> set[str]:
+    """First components of the absolute imports in one source file."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_runtime_imports_declared():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements}
+    src = os.path.join(ROOT, "src", "shelab")
+    imported = set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            imported |= _top_level_imports(os.path.join(src, name))
+    third_party = {m for m in imported
+                   if m not in sys.stdlib_module_names and m not in ("__future__", "shelab")}
+    assert third_party, "the scan found no third-party imports"
+    assert third_party <= declared, f"undeclared runtime imports: {third_party - declared}"
 
 
 def test_benchmark_targets_resolve():

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shelab import renewal
 from shelab.renewal import (GateViolation, continuous_mu, discrete_mu,
@@ -25,6 +26,13 @@ def sqrt_exp_series_truncated(a: float, tol: float = 1e-12,
         if tail < tol:
             return total
     raise RuntimeError(f"series did not certify below {tol} within {max_terms} terms")
+
+
+def sqrt_exp_series_polylog(a: float) -> float:
+    """S(a) = Li_{1/2}(e^{-a}) through mpmath's polylogarithm at 30 digits:
+    the oracle for both float branches."""
+    with mpmath.workdps(30):
+        return float(mpmath.polylog(mpmath.mpf("0.5"), mpmath.exp(-mpmath.mpf(a))))
 
 
 def scan_diffs(fn, lo: float, hi: float) -> np.ndarray:
@@ -88,6 +96,22 @@ class TestSeries:
     def test_truncated_matches_polylog(self, a):
         assert sqrt_exp_series_truncated(a) == pytest.approx(sqrt_exp_series(a),
                                                              abs=2e-12)
+
+    # log-uniform over [1e-9, 60], which spans both branches (crossover a = 1)
+    @given(st.floats(math.log(1e-9), math.log(60.0)).map(math.exp))
+    @example(1e-9)
+    @example(math.nextafter(1.0, 0.0))
+    @example(1.0)
+    @example(60.0)
+    @settings(max_examples=200, deadline=None)
+    def test_float_series_matches_polylog_oracle(self, a):
+        oracle = sqrt_exp_series_polylog(a)
+        assert abs(sqrt_exp_series(a) - oracle) <= 2e-15 * oracle
+
+    @pytest.mark.parametrize("a", [0.0, -1e-9, -2.0, float("nan"), float("-inf")])
+    def test_nonpositive_or_nan_exponent_raises(self, a):
+        with pytest.raises(ValueError, match="a > 0"):
+            sqrt_exp_series(a)
 
     def test_certified_truncation_refuses_tiny_exponent(self):
         with pytest.raises(RuntimeError):
