@@ -15,8 +15,8 @@ one aliasing table of at most ALIAS_BUDGET entries, so the few nodes near
 t = 0 (thousands of aliasing terms each) go in small runs and the rest of
 the rule in one call.  The one-node-per-call loop survives in the tests as
 the oracle.  The strong-error study drives every ladder rung with one
-shared Brownian sheet via noise coarsening and fits orders against the
-finest rung.
+shared Brownian sheet via noise coarsening (one halving tree shared by all
+rungs) and fits orders against the finest rung.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .model import GridSpec, InitialData, ModelSpec, SchemeSpec, validate_run_co
 from .moments import ols
 # normals_from_raw is also bound here because perfbench's tracer test patches
 # and restores it in this module's namespace.
-from .noise import NoiseSeed, coarsen_array, normal_rows, normals_from_raw  # noqa: F401
+from .noise import NoiseSeed, coarsen_ladder, normal_rows, normals_from_raw  # noqa: F401
 from .solver import BlowupError, StepOperator
 from .stability import check_stability
 
@@ -70,6 +70,10 @@ class ErrorCurve:
     mode: str = ""
     fit_mask: np.ndarray | None = None
 
+
+# Fine noise cells per path that strong_error_study reads at a time (as
+# far as T allows); a chunk of the criterion-8 temporal ladder's 64 x 64.
+CHUNK_CELLS = 4096
 
 # Largest nodes x aliasing-terms table one evaluation of the y-integral
 # builds (1 MiB per float table).
@@ -254,8 +258,11 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     the reference by at least `fit_separation` in the refined coordinate
     enter the order fit (a too-close reference deflates the coupled error:
     with slow orders the errors of rung and reference stay comparable and
-    positively correlated).  Every rung must pass validate_run_config
-    (ValueError otherwise); a blow-up is re-raised with the rung's step index.
+    positively correlated).  Every rung must pass validate_run_config, and
+    the ladder must refine one axis with at least two rungs to fit; both are
+    checked before any noise is drawn (ValueError).  A blow-up is re-raised
+    with the rung's step index.  Each chunk of fine noise is coarsened to
+    every rung through one shared halving tree (noise.coarsen_ladder).
     """
     if len(ladder) < 3:
         raise ValueError("ladder needs at least two rungs plus the reference")
@@ -270,9 +277,15 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     m_f = int(round(T / tau_f))
     if abs(m_f * tau_f - T) > 1e-9:
         raise ValueError("T must be a multiple of the reference step")
-    chunk = max(tf for _, tf in factors)
+    chunk = math.lcm(*(tf for _, tf in factors))
     if m_f % chunk:
-        raise ValueError("T must cover a whole number of coarsest steps")
+        raise ValueError("T must be a whole number of steps of every rung")
+    # Read whole steps of every rung, at least CHUNK_CELLS fine cells per path
+    # where T allows: reading in chunks never changes a bit of the noise,
+    # and one-row chunks (a spatial ladder) would map every path's words
+    # in thousands of tiny calls.
+    while chunk * n_f < CHUNK_CELLS and m_f % (2 * chunk) == 0:
+        chunk *= 2
     ops, probes = [], []
     for (n_r, tau_r) in ladder:
         scheme = SchemeSpec(tau=tau_r, theta=theta)
@@ -285,29 +298,6 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
         if abs(idx - round(idx)) > 1e-9:
             raise ValueError(f"probe {probe_x} is not a grid point of n={n_r}")
         probes.append(int(round(idx)) % n_r)
-    sq_err = np.zeros(len(rungs))
-    done = 0
-    while done < paths:
-        count = min(100, paths - done)
-        gens = [NoiseSeed(seed, path=done + k, purpose="strong").bit_generator()
-                for k in range(count)]
-        states = [np.tile(model.u0.values(GridSpec(nr)), (count, 1))
-                  for (nr, _) in ladder]
-        for start in range(0, m_f, chunk):
-            xi = normal_rows(gens, chunk, n_f)
-            for r, (sf, tf) in enumerate(factors):
-                rows = coarsen_array(xi, sf, tf) if (sf, tf) != (1, 1) else xi
-                for s in range(chunk // tf):
-                    try:
-                        states[r] = ops[r].apply(states[r], rows[:, s, :])
-                    except BlowupError as err:
-                        raise BlowupError(start // tf + s + 1, err.magnitude) from None
-        ref = states[-1][:, probes[-1]]
-        for r in range(len(rungs)):
-            d = states[r][:, probes[r]] - ref
-            sq_err[r] += float(np.dot(d, d))
-        done += count
-    errors = np.sqrt(sq_err / paths)
     ns = {n for n, _ in rungs}
     taus = {t for _, t in rungs}
     if len(taus) > 1 and len(ns) == 1:
@@ -324,6 +314,28 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
         raise ValueError("ladder must refine exactly one of (n, tau)")
     if mask.sum() < 2:
         raise ValueError("fewer than two rungs are separated enough to fit an order")
+    sq_err = np.zeros(len(rungs))
+    done = 0
+    while done < paths:
+        count = min(100, paths - done)
+        gens = [NoiseSeed(seed, path=done + k, purpose="strong").bit_generator()
+                for k in range(count)]
+        states = [np.tile(model.u0.values(GridSpec(nr)), (count, 1))
+                  for (nr, _) in ladder]
+        for start in range(0, m_f, chunk):
+            xi = normal_rows(gens, chunk, n_f)
+            for r, ((_, tf), rows) in enumerate(zip(factors, coarsen_ladder(xi, factors))):
+                for s in range(chunk // tf):
+                    try:
+                        states[r] = ops[r].apply(states[r], rows[:, s, :])
+                    except BlowupError as err:
+                        raise BlowupError(start // tf + s + 1, err.magnitude) from None
+        ref = states[-1][:, probes[-1]]
+        for r in range(len(rungs)):
+            d = states[r][:, probes[r]] - ref
+            sq_err[r] += float(np.dot(d, d))
+        done += count
+    errors = np.sqrt(sq_err / paths)
     slope, ci, _, _ = ols(np.log(coords[mask]), np.log(errors[mask]))
     return ErrorCurve(resolutions=list(rungs), errors=errors,
                       fitted_order=sign * slope, ci=ci, mode=mode, fit_mask=mask)

@@ -198,7 +198,15 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     horizon = steps + 1
 
     def probe(states):
-        return np.abs(states).min(axis=1) if index is None else np.abs(states[:, index])
+        if index is not None:
+            return np.abs(states[:, index])
+        if states.shape[0] <= states.shape[1]:
+            return np.abs(states).min(axis=1)
+        # more paths than grid points: reduce across columns, over contiguous
+        # rows of paths, instead of one short reduction per path
+        cols = states.T.copy()
+        np.abs(cols, out=cols)
+        return cols.min(axis=0)
 
     def tally(base, rows):
         """Fold one batch's |u| at the probe (records x paths) into the

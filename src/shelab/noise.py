@@ -9,6 +9,8 @@ Both choices are recorded in :data:`GENERATOR_ID` and embedded in every
 output header; the same (seed, stream) always reproduces the same bits.
 Every path reads its stream through :func:`normal_rows`, one row per fine
 time step, so chunk and batch sizes never change a bit of a path's noise.
+Coarse noise for the grids of a ladder is aggregated from the fine block
+through one shared halving tree (:func:`coarsen_ladder`).
 
 The scheme's stochastic increment at (t_i, x_j) is realized downstream as
 lambda * sqrt(n tau) * sigma(u) * xi[i, j]: the Brownian-sheet cell
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-__all__ = ["GENERATOR_ID", "NoiseSeed", "normal_rows", "sample_block", "coarsen_array"]
+__all__ = ["GENERATOR_ID", "NoiseSeed", "normal_rows", "sample_block", "coarsen_array",
+           "coarsen_ladder"]
 
 GENERATOR_ID = "philox4x64/seedseq+ndtri-v1"
 
@@ -46,19 +49,27 @@ class NoiseSeed:
         return np.random.Philox(ss)
 
 
-def normals_from_raw(raw: np.ndarray) -> np.ndarray:
-    """Fixed raw-bits -> standard normal map (documented in GENERATOR_ID)."""
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    return ndtri(u)
+def normals_from_raw(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Fixed raw-bits -> standard normal map (documented in GENERATOR_ID),
+    written into `out` (float64, raw's shape) when given; `raw` is left
+    unchanged."""
+    if out is None:
+        out = np.empty(raw.shape)
+    np.add(raw >> np.uint64(11), 0.5, out=out)
+    out *= 2.0 ** -53
+    return ndtri(out, out=out)
 
 
 def normal_rows(gens, rows: int, n: int) -> np.ndarray:
     """The next (rows, n) block of each generator's stream, shape
     (paths, rows, n).  Later calls continue every stream, so reading in
     chunks gives the bits of one long read.  Each path's words are mapped
-    on their own, so the map's temporaries stay path-sized."""
-    return np.stack([normals_from_raw(g.random_raw(rows * n)).reshape(rows, n)
-                     for g in gens])
+    in place into its slice of the one output array, so the only
+    temporaries are one path's raw words."""
+    out = np.empty((len(gens), rows, n))
+    for g, block in zip(gens, out):
+        normals_from_raw(g.random_raw(rows * n).reshape(rows, n), out=block)
+    return out
 
 
 def sample_block(seed: NoiseSeed, m: int, n: int) -> np.ndarray:
@@ -78,6 +89,10 @@ def _halve(xi: np.ndarray, axis: int) -> np.ndarray:
     return (xi[even] + xi[odd]) * _INV_SQRT2
 
 
+def _power_of_two(f: int) -> bool:
+    return f >= 1 and (f & (f - 1)) == 0
+
+
 def coarsen_array(xi: np.ndarray, space_factor: int, time_factor: int) -> np.ndarray:
     """Aggregate fine unit-variance cell variates to coarse ones.
 
@@ -91,7 +106,7 @@ def coarsen_array(xi: np.ndarray, space_factor: int, time_factor: int) -> np.nda
         raise ValueError(
             f"factors ({time_factor}, {space_factor}) do not divide block ({m}, {n})")
     tf, sf = int(time_factor), int(space_factor)
-    if tf >= 1 and sf >= 1 and (tf & (tf - 1)) == 0 and (sf & (sf - 1)) == 0:
+    if _power_of_two(tf) and _power_of_two(sf):
         out = xi
         while tf > 1 or sf > 1:
             if tf > 1:
@@ -104,3 +119,30 @@ def coarsen_array(xi: np.ndarray, space_factor: int, time_factor: int) -> np.nda
     shape = xi.shape[:-2] + (m // tf, tf, n // sf, sf)
     return xi.reshape(shape).sum(axis=(-3, -1)) / np.sqrt(tf * sf)
 
+
+def _continues(level: tuple, rung: tuple) -> bool:
+    """Whether coarsen_array from the tree level (s, t) to the rung (sf, tf)
+    takes the halvings that coarsen_array from the fine block takes after
+    that level: the level lies on the rung's path and is balanced, or the
+    axis it is ahead on is one the rung has finished."""
+    (s, t), (sf, tf) = level, rung
+    return sf % s == 0 and tf % t == 0 and (s == t or (s > t and t == tf) or (t > s and s == sf))
+
+
+def coarsen_ladder(xi: np.ndarray, factors) -> list:
+    """coarsen_array(xi, sf, tf) for each (sf, tf) in `factors`, bit for bit,
+    with the rungs sharing one halving tree.
+
+    Power-of-two rungs are built in order of depth, each from the deepest
+    level already built that its own interleaved halving sequence passes
+    through (:func:`_continues`), so a ladder refining one axis is a single
+    chain from fine to coarse.  Other factors are coarsened from `xi`
+    directly.
+    """
+    tree = {(1, 1): xi}
+    shared = {f for f in factors if _power_of_two(f[0]) and _power_of_two(f[1])}
+    for rung in sorted(shared - tree.keys(), key=lambda f: f[0] * f[1]):
+        s, t = max((level for level in tree if _continues(level, rung)),
+                   key=lambda level: level[0] * level[1])
+        tree[rung] = coarsen_array(tree[s, t], rung[0] // s, rung[1] // t)
+    return [tree[f] if f in tree else coarsen_array(xi, *f) for f in factors]

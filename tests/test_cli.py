@@ -285,6 +285,6 @@ class TestConvergenceCommand:
     def test_strong_blowup_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": {"lambda": 1e160}, "convergence": {
             "kind": "strong", "theta": 1.0, "T": 0.0625, "paths": 2,
-            "ladder": [[8, 0.015625], [8, 0.0078125], [8, 0.00390625]]}})
+            "ladder": [[8, 0.015625], [8, 0.0078125], [8, 0.001953125]]}})
         assert main(["convergence", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
         assert "at step 1:" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import circulant
 
+import shelab.convergence
 from shelab.convergence import (QuadratureSpec, _gauss, _tail_bound_full, _tail_bound_semi,
                                 green_error_full, green_error_semi,
                                 green_error_semi_pointwise, initial_data_error_full,
@@ -234,6 +235,38 @@ class TestStrongErrorStudy:
             strong_error_study([(8, 2 ** -4), (16, 2 ** -5), (32, 2 ** -6)],
                                pam_model, 1.0, 0.5, 4, 0)
 
+    @pytest.mark.parametrize("ladder, kwargs, message", [
+        ([(8, 2 ** -4), (16, 2 ** -5), (32, 2 ** -6)], {}, "refine exactly one"),
+        ([(8, 2 ** -6), (8, 2 ** -7), (8, 2 ** -8)], {}, "fewer than two rungs"),
+        ([(8, 2 ** -10), (16, 2 ** -10), (32, 2 ** -10), (64, 2 ** -10)],
+         {"fit_separation": 16}, "fewer than two rungs"),
+        ([(8, 12 * 2 ** -12), (8, 8 * 2 ** -12), (8, 2 ** -12)], {"T": 36 * 2 ** -12},
+         "whole number of steps of every rung"),
+    ])
+    def test_bad_ladder_rejected_before_noise(self, pam_model, monkeypatch, ladder, kwargs,
+                                              message):
+        def no_noise(*args):
+            raise AssertionError("noise read before the ladder was checked")
+
+        monkeypatch.setattr(shelab.convergence, "normal_rows", no_noise)
+        kwargs = {"T": 0.5, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            strong_error_study(ladder, pam_model, 1.0, paths=4, seed=0, **kwargs)
+
+    def test_spatial_ladder_reads_noise_in_whole_chunks(self, pam_model, monkeypatch):
+        # one-row steps are read CHUNK_CELLS fine cells at a time, not row by row
+        reads = []
+        inner = shelab.convergence.normal_rows
+
+        def counted(gens, rows, n):
+            reads.append((len(gens), rows, n))
+            return inner(gens, rows, n)
+
+        monkeypatch.setattr(shelab.convergence, "normal_rows", counted)
+        ladder = [(8, 2 ** -10), (16, 2 ** -10), (32, 2 ** -10), (64, 2 ** -10)]
+        strong_error_study(ladder, pam_model, theta=1.0, T=2 ** -3, paths=3, seed=0)
+        assert reads == [(3, 64, 64), (3, 64, 64)]
+
     def test_rungs_validated(self, pam_model):
         with pytest.raises(ValueError, match="theta out of range"):
             strong_error_study([(8, 2 ** -6), (8, 2 ** -7), (8, 2 ** -10)], pam_model,
@@ -245,7 +278,7 @@ class TestStrongErrorStudy:
     def test_blowup_names_rung_step(self):
         model = ModelSpec(lam=1e160, sigma=SigmaSpec.linear(1.0), u0=InitialData.constant(1.0))
         with pytest.raises(BlowupError, match="at step 1:") as err:
-            strong_error_study([(8, 2 ** -6), (8, 2 ** -7), (8, 2 ** -8)], model,
+            strong_error_study([(8, 2 ** -6), (8, 2 ** -7), (8, 2 ** -9)], model,
                                1.0, 2 ** -4, 2, 0)
         assert err.value.step_index == 1
 

@@ -29,6 +29,42 @@ def make(n, tau, theta, lam, slope=1.0, i0=1.0, stepper="theta"):
                       u0=InitialData.constant(i0)))
 
 
+def assert_matches_reference_loop(grid, scheme, model, steps, paths, record, orders=(2.0, 4.0),
+                                  seed=11):
+    """mc_moment at probe "min" equals, bit for bit, a loop that draws each
+    path with sample_block, takes |u| per path and merges the batches'
+    squared deviations pairwise (Chan et al.)."""
+    batch = int(4e6 / (steps * grid.n))
+    got = mc_moment(grid, scheme, model, list(orders), "min",
+                    [i * scheme.tau for i in record], paths, seed=seed)
+    op = StepOperator(grid.n, scheme, model)
+    s1 = np.zeros((len(record), len(orders)))
+    m2 = np.zeros_like(s1)
+    for start in range(0, paths, batch):
+        count = min(batch, paths - start)
+        xi = np.stack([sample_block(NoiseSeed(seed, path=start + k, purpose="mc"),
+                                    steps, grid.n) for k in range(count)])
+        states = np.tile(model.u0.values(grid), (count, 1))
+        for i in range(steps + 1):
+            if i:
+                states = op.apply(states, xi[:, i - 1, :])
+            if i in record:
+                base = np.abs(states).min(axis=1)
+                for k, q in enumerate(orders):
+                    r, sample = record.index(i), base ** q
+                    mean = np.sum(sample) / count
+                    dev = np.sum((sample - mean) ** 2)
+                    if start:
+                        delta = mean - s1[r, k] / start
+                        dev += delta * delta * start * count / (start + count)
+                    s1[r, k] += np.sum(sample)
+                    m2[r, k] += dev
+    for k, series in enumerate(got):
+        values = s1[:, k] / paths
+        assert np.array_equal(series.values, values)
+        assert np.array_equal(series.stderr, np.sqrt(m2[:, k] / (paths * (paths - 1))))
+
+
 class TestExactRecursion:
     def test_zero_noise_is_constant(self):
         grid, scheme, model = make(5, 0.01, 1.0, 0.0, i0=2.0)
@@ -239,37 +275,17 @@ class TestMcMoment:
         # reference draws each path with sample_block and tallies per batch,
         # merging the batches' squared deviations pairwise (Chan et al.)
         grid, scheme, model = make(64, 1e-4, 1.0, 1.0)
-        steps, paths, record, orders = 1000, 130, [0, 300, 1000], (2.0, 4.0)
-        batch = int(4e6 / (steps * grid.n))
-        assert batch < paths
-        got = mc_moment(grid, scheme, model, list(orders), "min",
-                        [i * scheme.tau for i in record], paths, seed=11)
-        op = StepOperator(grid.n, scheme, model)
-        s1 = np.zeros((len(record), len(orders)))
-        m2 = np.zeros_like(s1)
-        for start in range(0, paths, batch):
-            count = min(batch, paths - start)
-            xi = np.stack([sample_block(NoiseSeed(11, path=start + k, purpose="mc"),
-                                        steps, grid.n) for k in range(count)])
-            states = np.tile(model.u0.values(grid), (count, 1))
-            for i in range(steps + 1):
-                if i:
-                    states = op.apply(states, xi[:, i - 1, :])
-                if i in record:
-                    base = np.abs(states).min(axis=1)
-                    for k, q in enumerate(orders):
-                        r, sample = record.index(i), base ** q
-                        mean = np.sum(sample) / count
-                        dev = np.sum((sample - mean) ** 2)
-                        if start:
-                            delta = mean - s1[r, k] / start
-                            dev += delta * delta * start * count / (start + count)
-                        s1[r, k] += np.sum(sample)
-                        m2[r, k] += dev
-        for k, series in enumerate(got):
-            values = s1[:, k] / paths
-            assert np.array_equal(series.values, values)
-            assert np.array_equal(series.stderr, np.sqrt(m2[:, k] / (paths * (paths - 1))))
+        steps, paths = 1000, 130
+        assert int(4e6 / (steps * grid.n)) < paths
+        assert_matches_reference_loop(grid, scheme, model, steps, paths, [0, 300, 1000])
+
+    def test_tall_batches_match_reference_loop(self):
+        # batches of more paths than grid points take the grid minimum
+        # across columns; the reference takes it per path
+        grid, scheme, model = make(8, 1e-3, 1.0, 1.0)
+        steps, paths = 400, 2600
+        assert grid.n < int(4e6 / (steps * grid.n)) < paths
+        assert_matches_reference_loop(grid, scheme, model, steps, paths, [0, 1, 250, 400])
 
     def test_blowup_truncates_with_flag(self):
         grid = GridSpec(4)

@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtri
 
-from shelab.noise import (GENERATOR_ID, NoiseSeed, coarsen_array, normal_rows,
-                          sample_block)
+import shelab.noise
+from shelab.noise import (GENERATOR_ID, NoiseSeed, coarsen_array, coarsen_ladder,
+                          normal_rows, normals_from_raw, sample_block)
+
+
+def stacked_normal_rows(gens, rows, n):
+    """Each path's words mapped out of place and the blocks stacked: the
+    direct form of normal_rows."""
+    return np.stack([
+        ndtri(((g.random_raw(rows * n) >> np.uint64(11)).astype(np.float64) + 0.5)
+              * 2.0 ** -53).reshape(rows, n)
+        for g in gens])
 
 
 class TestSampleBlock:
@@ -51,6 +63,80 @@ class TestNormalRows:
         rows = normal_rows([s.bit_generator() for s in seeds], 6, 3)
         for p, s in enumerate(seeds):
             assert np.array_equal(rows[p], sample_block(s, 6, 3))
+
+    @given(paths=st.integers(min_value=1, max_value=5),
+           chunks=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=4),
+           n=st.integers(min_value=1, max_value=12),
+           seed=st.integers(min_value=0, max_value=2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_stacked_oracle_across_chunks(self, paths, chunks, n, seed):
+        seeds = [NoiseSeed(seed, path=p, purpose="strong") for p in range(paths)]
+        gens = [s.bit_generator() for s in seeds]
+        oracle = [s.bit_generator() for s in seeds]
+        for rows in chunks:
+            got = normal_rows(gens, rows, n)
+            assert got.shape == (paths, rows, n) and got.dtype == np.float64
+            assert np.array_equal(got, stacked_normal_rows(oracle, rows, n))
+
+    def test_normals_from_raw_into_out_leaves_raw(self):
+        raw = NoiseSeed(8).bit_generator().random_raw(60).reshape(6, 10)
+        kept = raw.copy()
+        out = np.full((6, 10), np.nan)
+        got = normals_from_raw(raw, out=out)
+        assert got is out
+        assert np.array_equal(raw, kept)
+        assert np.array_equal(out, normals_from_raw(raw))
+
+
+def _ladders():
+    """Rung factors (space, time) against a fine block, reference last:
+    temporal, spatial and diagonal chains, arbitrary power-of-two pairs, and
+    ladders with factors that are not powers of two."""
+    pow2 = st.sampled_from([1, 2, 4, 8])
+    one_axis = st.lists(pow2, min_size=1, max_size=5)
+    return st.one_of(
+        one_axis.map(lambda fs: [(1, f) for f in fs] + [(1, 1)]),
+        one_axis.map(lambda fs: [(f, 1) for f in fs] + [(1, 1)]),
+        one_axis.map(lambda fs: [(f, f) for f in fs] + [(1, 1)]),
+        st.lists(st.tuples(pow2, pow2), min_size=1, max_size=6).map(lambda fs: fs + [(1, 1)]),
+        st.lists(st.tuples(st.sampled_from([1, 2, 3, 4, 6]), st.sampled_from([1, 2, 4])),
+                 min_size=1, max_size=4).map(lambda fs: fs + [(1, 1)]),
+    )
+
+
+class TestCoarsenLadder:
+    @given(factors=_ladders(), seed=st.integers(min_value=0, max_value=2 ** 32))
+    @example(factors=[(1, 64), (1, 32), (1, 16), (1, 8), (1, 4), (1, 1)], seed=13)
+    @example(factors=[(8, 1), (4, 1), (2, 1), (1, 1)], seed=13)
+    @example(factors=[(4, 4), (2, 2), (1, 1)], seed=1)
+    @example(factors=[(2, 8), (8, 2), (4, 4), (1, 8), (8, 1), (1, 1)], seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_every_rung_matches_coarsen_array(self, factors, seed):
+        m = max(tf for _, tf in factors) * 2
+        n = 24 * max(sf for sf, _ in factors)
+        xi = normal_rows([NoiseSeed(seed, path=p).bit_generator() for p in range(2)], m, n)
+        got = coarsen_ladder(xi, factors)
+        assert len(got) == len(factors)
+        for (sf, tf), rows in zip(factors, got):
+            assert np.array_equal(rows, coarsen_array(xi, sf, tf)), (sf, tf)
+
+    def test_one_axis_ladder_is_one_chain(self, monkeypatch):
+        calls = []
+        inner = shelab.noise.coarsen_array
+
+        def counted(xi, sf, tf):
+            calls.append((xi.shape, sf, tf))
+            return inner(xi, sf, tf)
+
+        monkeypatch.setattr(shelab.noise, "coarsen_array", counted)
+        xi = sample_block(NoiseSeed(3), 64, 8)
+        coarsen_ladder(xi, [(1, 64), (1, 32), (1, 16), (1, 8), (1, 4), (1, 1)])
+        assert calls == [((64, 8), 1, 4), ((16, 8), 1, 2), ((8, 8), 1, 2),
+                         ((4, 8), 1, 2), ((2, 8), 1, 2)]
+
+    def test_reference_rung_is_the_fine_block(self):
+        xi = sample_block(NoiseSeed(4), 8, 8)
+        assert coarsen_ladder(xi, [(2, 2), (1, 1)])[1] is xi
 
 
 class TestCoarsen:
