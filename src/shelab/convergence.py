@@ -71,10 +71,6 @@ class ErrorCurve:
     fit_mask: np.ndarray | None = None
 
 
-# Fine noise cells per path that strong_error_study reads at a time (as
-# far as T allows); a chunk of the criterion-8 temporal ladder's 64 x 64.
-CHUNK_CELLS = 4096
-
 # Largest nodes x aliasing-terms table one evaluation of the y-integral
 # builds (1 MiB per float table).
 ALIAS_BUDGET = 2 ** 17
@@ -277,15 +273,9 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     m_f = int(round(T / tau_f))
     if abs(m_f * tau_f - T) > 1e-9:
         raise ValueError("T must be a multiple of the reference step")
-    chunk = math.lcm(*(tf for _, tf in factors))
+    chunk = max(tf for _, tf in factors)
     if m_f % chunk:
-        raise ValueError("T must be a whole number of steps of every rung")
-    # Read whole steps of every rung, at least CHUNK_CELLS fine cells per path
-    # where T allows: reading in chunks never changes a bit of the noise,
-    # and one-row chunks (a spatial ladder) would map every path's words
-    # in thousands of tiny calls.
-    while chunk * n_f < CHUNK_CELLS and m_f % (2 * chunk) == 0:
-        chunk *= 2
+        raise ValueError("T must cover a whole number of coarsest steps")
     ops, probes = [], []
     for (n_r, tau_r) in ladder:
         scheme = SchemeSpec(tau=tau_r, theta=theta)

@@ -200,10 +200,8 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     def probe(states):
         if index is not None:
             return np.abs(states[:, index])
-        if states.shape[0] <= states.shape[1]:
-            return np.abs(states).min(axis=1)
-        # more paths than grid points: reduce across columns, over contiguous
-        # rows of paths, instead of one short reduction per path
+        # grid minimum taken across columns: contiguous rows of paths
+        # instead of one short reduction per path
         cols = states.T.copy()
         np.abs(cols, out=cols)
         return cols.min(axis=0)

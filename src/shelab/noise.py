@@ -120,29 +120,22 @@ def coarsen_array(xi: np.ndarray, space_factor: int, time_factor: int) -> np.nda
     return xi.reshape(shape).sum(axis=(-3, -1)) / np.sqrt(tf * sf)
 
 
-def _continues(level: tuple, rung: tuple) -> bool:
-    """Whether coarsen_array from the tree level (s, t) to the rung (sf, tf)
-    takes the halvings that coarsen_array from the fine block takes after
-    that level: the level lies on the rung's path and is balanced, or the
-    axis it is ahead on is one the rung has finished."""
-    (s, t), (sf, tf) = level, rung
-    return sf % s == 0 and tf % t == 0 and (s == t or (s > t and t == tf) or (t > s and s == sf))
-
-
 def coarsen_ladder(xi: np.ndarray, factors) -> list:
     """coarsen_array(xi, sf, tf) for each (sf, tf) in `factors`, bit for bit,
-    with the rungs sharing one halving tree.
+    with the rungs sharing one halving tree.  All factors must coarsen the
+    same single axis (ValueError otherwise), as the rungs of a ladder that
+    refines one of (n, tau) do.
 
-    Power-of-two rungs are built in order of depth, each from the deepest
-    level already built that its own interleaved halving sequence passes
-    through (:func:`_continues`), so a ladder refining one axis is a single
-    chain from fine to coarse.  Other factors are coarsened from `xi`
-    directly.
+    Power-of-two rungs form one chain: in increasing order of factor, each
+    is coarsened from the previous one.  Other factors are coarsened from
+    `xi` directly.
     """
-    tree = {(1, 1): xi}
-    shared = {f for f in factors if _power_of_two(f[0]) and _power_of_two(f[1])}
-    for rung in sorted(shared - tree.keys(), key=lambda f: f[0] * f[1]):
-        s, t = max((level for level in tree if _continues(level, rung)),
-                   key=lambda level: level[0] * level[1])
-        tree[rung] = coarsen_array(tree[s, t], rung[0] // s, rung[1] // t)
+    if any(sf > 1 for sf, _ in factors) and any(tf > 1 for _, tf in factors):
+        raise ValueError(f"factors {list(factors)} do not all coarsen the same single axis")
+    prev = (1, 1)
+    tree = {prev: xi}
+    for f in sorted({f for f in factors if _power_of_two(f[0]) and _power_of_two(f[1])}
+                    - {prev}):
+        tree[f] = coarsen_array(tree[prev], f[0] // prev[0], f[1] // prev[1])
+        prev = f
     return [tree[f] if f in tree else coarsen_array(xi, *f) for f in factors]

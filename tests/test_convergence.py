@@ -240,8 +240,8 @@ class TestStrongErrorStudy:
         ([(8, 2 ** -6), (8, 2 ** -7), (8, 2 ** -8)], {}, "fewer than two rungs"),
         ([(8, 2 ** -10), (16, 2 ** -10), (32, 2 ** -10), (64, 2 ** -10)],
          {"fit_separation": 16}, "fewer than two rungs"),
-        ([(8, 12 * 2 ** -12), (8, 8 * 2 ** -12), (8, 2 ** -12)], {"T": 36 * 2 ** -12},
-         "whole number of steps of every rung"),
+        ([(8, 2 ** -6), (8, 2 ** -7), (8, 2 ** -10)], {"T": 2 ** -7},
+         "whole number of coarsest steps"),
     ])
     def test_bad_ladder_rejected_before_noise(self, pam_model, monkeypatch, ladder, kwargs,
                                               message):
@@ -252,20 +252,6 @@ class TestStrongErrorStudy:
         kwargs = {"T": 0.5, **kwargs}
         with pytest.raises(ValueError, match=message):
             strong_error_study(ladder, pam_model, 1.0, paths=4, seed=0, **kwargs)
-
-    def test_spatial_ladder_reads_noise_in_whole_chunks(self, pam_model, monkeypatch):
-        # one-row steps are read CHUNK_CELLS fine cells at a time, not row by row
-        reads = []
-        inner = shelab.convergence.normal_rows
-
-        def counted(gens, rows, n):
-            reads.append((len(gens), rows, n))
-            return inner(gens, rows, n)
-
-        monkeypatch.setattr(shelab.convergence, "normal_rows", counted)
-        ladder = [(8, 2 ** -10), (16, 2 ** -10), (32, 2 ** -10), (64, 2 ** -10)]
-        strong_error_study(ladder, pam_model, theta=1.0, T=2 ** -3, paths=3, seed=0)
-        assert reads == [(3, 64, 64), (3, 64, 64)]
 
     def test_rungs_validated(self, pam_model):
         with pytest.raises(ValueError, match="theta out of range"):
@@ -281,6 +267,27 @@ class TestStrongErrorStudy:
             strong_error_study([(8, 2 ** -6), (8, 2 ** -7), (8, 2 ** -9)], model,
                                1.0, 2 ** -4, 2, 0)
         assert err.value.step_index == 1
+
+    def test_blowup_reported_in_time_order(self, pam_model, monkeypatch):
+        # a finer rung blows up at its step 3, the coarsest rung only at its
+        # step 40: rungs advance through time together, one chunk of the
+        # coarsest step at a time, so step 3 is the one reported
+        blowup_step = {8: 40, 32: 3}
+
+        class Failing(StepOperator):
+            steps = 0
+
+            def apply(self, u, xi):
+                self.steps += 1
+                if self.steps == blowup_step.get(self.n):
+                    raise BlowupError(self.steps, 1e151)
+                return super().apply(u, xi)
+
+        monkeypatch.setattr(shelab.convergence, "StepOperator", Failing)
+        ladder = [(8, 2 ** -10), (16, 2 ** -10), (32, 2 ** -10), (64, 2 ** -10)]
+        with pytest.raises(BlowupError) as err:
+            strong_error_study(ladder, pam_model, theta=1.0, T=2 ** -4, paths=2, seed=0)
+        assert err.value.step_index == 3
 
     def test_deterministic_temporal_orders(self):
         # classical theta-scheme orders with the noise off: ~1 for theta=1,

@@ -280,8 +280,8 @@ class TestMcMoment:
         assert_matches_reference_loop(grid, scheme, model, steps, paths, [0, 300, 1000])
 
     def test_tall_batches_match_reference_loop(self):
-        # batches of more paths than grid points take the grid minimum
-        # across columns; the reference takes it per path
+        # batches of more paths than grid points, as in pam-hierarchy: the
+        # grid minimum is taken across columns, the reference takes it per path
         grid, scheme, model = make(8, 1e-3, 1.0, 1.0)
         steps, paths = 400, 2600
         assert grid.n < int(4e6 / (steps * grid.n)) < paths
