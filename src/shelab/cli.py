@@ -222,12 +222,17 @@ def cmd_sweep(args) -> int:
     lambdas = [float(v) for v in sec.get("lambdas", [])]
     if len(lambdas) < 2:
         raise ConfigError("sweep needs at least two 'lambdas' to fit the lambda^4 law")
-    result = lambda_scaling_sweep(zeta=float(sec.get("zeta", 1.0)), lambdas=lambdas,
-                                  theta=float(sec.get("theta", 1.0)),
-                                  sigma_slope=float(sec.get("sigma_slope", 1.0)),
-                                  i0=float(sec.get("i0", 1.0)),
-                                  gate_safety=float(sec.get("gate_safety", 0.5)),
-                                  threads=_threads(args))
+    try:
+        result = lambda_scaling_sweep(zeta=float(sec.get("zeta", 1.0)), lambdas=lambdas,
+                                      theta=float(sec.get("theta", 1.0)),
+                                      sigma_slope=float(sec.get("sigma_slope", 1.0)),
+                                      i0=float(sec.get("i0", 1.0)),
+                                      gate_safety=float(sec.get("gate_safety", 0.5)),
+                                      threads=_threads(args))
+    except ValueError as err:  # a bad zeta or slope names its key first
+        if str(err).startswith(("zeta ", "sigma_slope ")):
+            raise ConfigError(f"sweep.{err}") from None
+        raise
     manifest = _manifest(cfg)
     write_csv(_out(args, "sweep.csv"),
               ["lambda", "n", "tau", "gamma2", "ci_halfwidth", "gate_ok"],

@@ -257,8 +257,9 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     positively correlated).  Every rung must pass validate_run_config, and
     the ladder must refine one axis with at least two rungs to fit; both are
     checked before any noise is drawn (ValueError).  A blow-up is re-raised
-    with the rung's step index.  Each chunk of fine noise is coarsened to
-    every rung through one shared halving tree (noise.coarsen_ladder).
+    naming the rung's (n, tau) and its own step index.  Each chunk of fine
+    noise is coarsened to every rung through one shared halving tree
+    (noise.coarsen_ladder).
     """
     if len(ladder) < 3:
         raise ValueError("ladder needs at least two rungs plus the reference")
@@ -319,7 +320,8 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
                     try:
                         states[r] = ops[r].apply(states[r], rows[:, s, :])
                     except BlowupError as err:
-                        raise BlowupError(start // tf + s + 1, err.magnitude) from None
+                        raise BlowupError(start // tf + s + 1, err.magnitude,
+                                          rung=ladder[r]) from None
         ref = states[-1][:, probes[-1]]
         for r in range(len(rungs)):
             d = states[r][:, probes[r]] - ref

@@ -4,17 +4,21 @@ For linear sigma the second moments of the scheme obey a closed
 deterministic recursion: with B = R1 R2 (circulant) and noise covariance
 lambda^2 n tau per cell,
 
-    M_{i+1} = B M_i B^T + lambda^2 n tau c^2 * R1 diag(M_i)_{jj} R1^T,
+    M_{i+1} = B M_i B^T + lambda^2 n tau c^2 * R1 diag(M_i)_{jj} R1^T.
 
-which this module iterates exactly with the operators of
-`solver.StepOperator`: for n <= DENSE_MAX_N as products with the dense
-symmetric Green matrices B and R1, above that crossover by real FFT along
-each matrix axis (B and R1 act diagonally on the Fourier modes) in the
-two-pass form M_{i+1} = R1 (R2 M_i R2 + D_i) R1, the circulants commuting;
-the R2 passes are skipped where R2 = I (theta = 1, exponential stepper).
-Nonlinear sigma falls back to Monte Carlo.  Growth rates
-are reported as tail-window regression slopes with confidence intervals --
-a limsup is not computable, a documented estimator is.
+For constant u0 every M_i is circulant, its Fourier eigenvalues evolve by
+mu_{i+1} = A mu_i with A = diag(b^2) + lambda^2 tau c^2 r1^2 1^T, and all
+recorded matrices come in closed form from one eigendecomposition of the
+symmetric conjugate diag(r1)^{-1} A diag(r1).  Other initial data are
+iterated with the operators of `solver.StepOperator`: for n <= DENSE_MAX_N
+as products with the dense symmetric Green matrices B and R1, above that
+crossover by real FFT along each matrix axis (B and R1 act diagonally on
+the Fourier modes) in the two-pass form M_{i+1} = R1 (R2 M_i R2 + D_i) R1,
+the circulants commuting; the R2 passes are skipped where R2 = I
+(theta = 1, exponential stepper).  Nonlinear sigma falls back to Monte
+Carlo.  Growth rates are reported as tail-window regression slopes with
+confidence intervals -- a limsup is not computable, a documented estimator
+is.
 """
 from __future__ import annotations
 
@@ -28,7 +32,8 @@ from scipy import stats
 from .model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec,
                     validate_run_config)
 from .noise import NoiseSeed, normal_rows
-from .solver import BlowupError, StepOperator
+from .kernels import spectral_basis
+from .solver import BlowupError, StepOperator, mode_factors
 from .stability import (check_sharp_regime, check_stability, positivity_time_full,
                         sharp_gate)
 
@@ -99,9 +104,29 @@ def _circulant_apply(half_factors: np.ndarray, mat: np.ndarray, axis: int) -> np
     return np.fft.irfft(spec * half_factors.reshape(shape), n=mat.shape[axis], axis=axis)
 
 
+def _constant_data_moments(r1: np.ndarray, b: np.ndarray, gain: float, i0: float,
+                           indices: list[int]) -> np.ndarray:
+    """(records, n, n) moment matrices at the step indices for u0 = i0.
+
+    Every M_k is circulant; its eigenvalues mu_k = A^k mu_0 with
+    A = diag(b^2) + (gain/n) r1^2 1^T.  diag(r1) (r1 > 0) conjugates A to
+    the symmetric S = diag(b^2) + (gain/n) r1 r1^T = V diag(w) V^T, so
+    mu_k = r1 (V (w^k * V^T (mu_0 / r1))) with mu_0 = n i0^2 e_0.
+    """
+    n = len(r1)
+    w, v = np.linalg.eigh(np.diag(b * b) + (gain / n) * np.outer(r1, r1))
+    z = v[0] * (n * i0 * i0 / r1[0])
+    mu = (np.power(w, np.array(indices)[:, None]) * z) @ v.T * r1
+    rows = np.fft.irfft(mu[:, :n // 2 + 1], n=n, axis=1)
+    d = np.arange(n)
+    rows = (rows + rows[:, -d % n]) / 2.0  # irfft is even only to roundoff: symmetric M
+    return rows[:, (d[None, :] - d[:, None]) % n]
+
+
 def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec,
                                   steps: int, record_every: int = 1) -> list[MomentMatrix]:
-    """Exact (up to roundoff) second-moment matrices for linear sigma."""
+    """Exact (up to roundoff) second-moment matrices for linear sigma; for
+    constant u0 in closed form, as views into one array."""
     if not model.sigma.is_linear:
         raise ValueError("exact recursion supports linear sigma only; use Monte Carlo")
     report = validate_run_config(grid, scheme)
@@ -111,10 +136,18 @@ def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: Mod
         raise ValueError(f"steps must be >= 0, got {steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    op = StepOperator(grid.n, scheme, model)
-    r2_is_one = not op.dense and bool(np.all(op.r2h == 1.0))
     gain = model.lam ** 2 * grid.n * scheme.tau * model.sigma.slope ** 2
     u0 = model.u0.values(grid)
+    if np.all(u0 == u0[0]):
+        indices = list(range(0, steps + 1, record_every))
+        if indices[-1] != steps:
+            indices.append(steps)
+        r1, r2 = mode_factors(spectral_basis(grid.n), scheme)
+        stack = _constant_data_moments(r1, r1 * r2, gain, float(u0[0]), indices)
+        stack[0] = np.outer(u0, u0)
+        return [MomentMatrix(matrix=m, time_index=i) for i, m in zip(indices, stack)]
+    op = StepOperator(grid.n, scheme, model)
+    r2_is_one = not op.dense and bool(np.all(op.r2h == 1.0))
     m = np.outer(u0, u0)
     out = [MomentMatrix(matrix=m.copy(), time_index=0)]
     for i in range(1, steps + 1):
@@ -370,7 +403,13 @@ def lambda_scaling_sweep(zeta: float, lambdas, theta: float = 1.0,
     """Fitted gamma_2 against lambda with n = max(3, ceil(zeta lambda^2)) and
     tau chosen to pass the sharp-regime gate; regime violations are flagged
     per point, and fewer than two finite gamma_2 raise ValueError.  Points
-    run on a worker pool when threads > 1; results aggregate in input order."""
+    run on a worker pool when threads > 1; results aggregate in input order.
+    zeta must be finite and positive, sigma_slope finite and nonzero."""
+    if not (math.isfinite(zeta) and zeta > 0.0):
+        raise ValueError(f"zeta must be finite and > 0, got {zeta!r}")
+    if not (math.isfinite(sigma_slope) and sigma_slope != 0.0):
+        raise ValueError(f"sigma_slope must be finite and nonzero, got {sigma_slope!r}")
+
     def point(lam):
         return _sweep_point(zeta, lam, theta, sigma_slope, i0, gate_safety)
 

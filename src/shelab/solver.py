@@ -32,6 +32,7 @@ __all__ = [
     "BlowupError",
     "StepOperator",
     "discrete_laplacian",
+    "mode_factors",
     "simulate",
 ]
 
@@ -45,14 +46,17 @@ DENSE_MAX_N = 96
 
 
 class BlowupError(RuntimeError):
-    """Moment blow-up horizon reached: |u| exceeded the monitor limit."""
+    """Moment blow-up horizon reached: |u| exceeded the monitor limit.  On
+    a ladder, `rung` is the (n, tau) whose own step `step_index` blew up."""
 
-    def __init__(self, step_index: int, magnitude: float):
+    def __init__(self, step_index: int, magnitude: float, rung: tuple | None = None):
         self.step_index = step_index
         self.magnitude = magnitude
+        self.rung = rung
+        where = "" if rung is None else f" on rung (n, tau) = ({rung[0]}, {rung[1]!r})"
         super().__init__(
             f"moment blow-up horizon reached at step {step_index}: "
-            f"|u| = {magnitude:.3g} exceeds {BLOWUP_LIMIT:.0e}")
+            f"|u| = {magnitude:.3g} exceeds {BLOWUP_LIMIT:.0e}{where}")
 
 
 def discrete_laplacian(values: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -60,6 +64,17 @@ def discrete_laplacian(values: np.ndarray, n: int | None = None) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     n = v.shape[-1] if n is None else n
     return n * n * (np.roll(v, -1, axis=-1) - 2.0 * v + np.roll(v, 1, axis=-1))
+
+
+def mode_factors(basis, scheme: SchemeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(r1, r2) on all n Fourier modes in FFT order: the theta scheme's
+    factors (checked stable), or exp(tau lam_j) and 1 for the exponential
+    integrator."""
+    if scheme.stepper == "theta":
+        factors = AmplificationFactors(basis, scheme.tau, scheme.theta)
+        factors.require_stable()
+        return factors.r1, factors.r2
+    return np.exp(scheme.tau * basis.eigenvalues), np.ones(basis.n)
 
 
 class StepOperator:
@@ -75,13 +90,7 @@ class StepOperator:
         self.scheme = scheme
         self.model = model
         basis = spectral_basis(self.n)
-        if scheme.stepper == "theta":
-            factors = AmplificationFactors(basis, scheme.tau, scheme.theta)
-            factors.require_stable()
-            r1, r2 = factors.r1, factors.r2
-        else:
-            r1 = np.exp(scheme.tau * basis.eigenvalues)
-            r2 = np.ones(self.n)
+        r1, r2 = mode_factors(basis, scheme)
         self.dense = self.n <= DENSE_MAX_N
         if self.dense:
             q = np.arange(self.n)

@@ -159,6 +159,17 @@ class TestSweep:
         assert not (tmp_path / "sweep.csv").exists()
 
 
+    @pytest.mark.parametrize("key,value", [("zeta", 0.0), ("zeta", -1.0),
+                                           ("zeta", float("nan")), ("zeta", float("inf")),
+                                           ("sigma_slope", 0.0),
+                                           ("sigma_slope", float("inf"))])
+    def test_bad_zeta_or_slope_exit_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"sweep": {"lambdas": [1.0, 1.5], key: value}})
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"sweep.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+
 class TestRenewal:
     def test_rows_match_module(self, tmp_path):
         from shelab.renewal import continuous_mu
@@ -287,4 +298,6 @@ class TestConvergenceCommand:
             "kind": "strong", "theta": 1.0, "T": 0.0625, "paths": 2,
             "ladder": [[8, 0.015625], [8, 0.0078125], [8, 0.001953125]]}})
         assert main(["convergence", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
-        assert "at step 1:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "at step 1:" in err
+        assert "rung (n, tau) = (8, 0.015625)" in err

@@ -267,6 +267,8 @@ class TestStrongErrorStudy:
             strong_error_study([(8, 2 ** -6), (8, 2 ** -7), (8, 2 ** -9)], model,
                                1.0, 2 ** -4, 2, 0)
         assert err.value.step_index == 1
+        assert err.value.rung == (8, 2 ** -6)
+        assert "rung (n, tau) = (8, 0.015625)" in str(err.value)
 
     def test_blowup_reported_in_time_order(self, pam_model, monkeypatch):
         # a finer rung blows up at its step 3, the coarsest rung only at its
@@ -288,6 +290,7 @@ class TestStrongErrorStudy:
         with pytest.raises(BlowupError) as err:
             strong_error_study(ladder, pam_model, theta=1.0, T=2 ** -4, paths=2, seed=0)
         assert err.value.step_index == 3
+        assert err.value.rung == (32, 2 ** -10)
 
     def test_deterministic_temporal_orders(self):
         # classical theta-scheme orders with the noise off: ~1 for theta=1,

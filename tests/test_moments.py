@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
+import shelab.moments
 from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
 from shelab.moments import (MomentSeries, exact_second_moment_recursion,
                             fit_growth, intermittency_report,
@@ -147,18 +150,24 @@ class TestExactRecursion:
         ls = np.arange(len(y) - n_start)
         assert np.all(y[n_start:] >= base * (1.0 + beta) ** ls * (1.0 - 1e-9))
 
-    @pytest.mark.parametrize("stepper,n", [
-        ("theta", 6), ("exponential", 6),
-        ("theta", DENSE_MAX_N + 8), ("exponential", DENSE_MAX_N + 8)],
-        ids=["theta", "exponential", "theta-fft", "exponential-fft"])
-    def test_against_dense_matrix_recursion(self, stepper, n):
+    @pytest.mark.parametrize("stepper,n,constant", [
+        (stepper, n, constant) for constant in (True, False)
+        for n in (6, DENSE_MAX_N + 8) for stepper in ("theta", "exponential")],
+        ids=[stepper + fft + samples for samples in ("", "-samples")
+             for fft in ("", "-fft") for stepper in ("theta", "exponential")])
+    def test_against_dense_matrix_recursion(self, stepper, n, constant):
         # clarity-route oracle: iterate the same recursion with explicit
-        # circulant matrices, on both sides of the dense/FFT crossover
+        # circulant matrices, on both sides of the dense/FFT crossover;
+        # constant u0 takes the closed form, samples the stepping loop
         from scipy.linalg import circulant
 
         from shelab.kernels import spectral_basis
         tau, theta, lam, steps = 2e-3, 0.75, 1.2, 50
         grid, scheme, model = make(n, tau, theta, lam, i0=0.9, stepper=stepper)
+        u0 = model.u0.values(grid)
+        if not constant:
+            u0 = u0 + 0.3 * np.sin(2 * np.pi * np.arange(n) / n)
+            model = ModelSpec(lam=lam, sigma=model.sigma, u0=InitialData.grid_samples(u0))
         half = spectral_basis(n).eigenvalues[: n // 2 + 1]
         if stepper == "theta":
             r1h, r2h = 1.0 / (1.0 - theta * tau * half), 1.0 + (1.0 - theta) * tau * half
@@ -168,12 +177,31 @@ class TestExactRecursion:
         r2 = circulant(np.fft.irfft(r2h, n)).T
         b = r1 @ r2
         gain = lam ** 2 * n * tau
-        m_dense = np.full((n, n), 0.81)
+        m_dense = np.outer(u0, u0)
         for _ in range(steps):
             m_dense = b @ m_dense @ b.T + gain * r1 @ np.diag(np.diag(m_dense)) @ r1.T
         mats = exact_second_moment_recursion(grid, scheme, model, steps,
                                              record_every=steps)
         assert np.allclose(mats[-1].matrix, m_dense, rtol=1e-11, atol=1e-13)
+
+    @pytest.mark.parametrize("constant,fft_passes", [(True, False), (False, True)],
+                             ids=["constant", "samples"])
+    def test_constant_data_skips_the_stepping_loop(self, monkeypatch, constant, fft_passes):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return circulant_apply(*args, **kwargs)
+
+        circulant_apply = shelab.moments._circulant_apply
+        monkeypatch.setattr(shelab.moments, "_circulant_apply", counting)
+        n = DENSE_MAX_N + 8
+        u0 = np.full(n, 0.9) if constant else 0.9 + 0.3 * np.cos(2 * np.pi * np.arange(n) / n)
+        model = ModelSpec(lam=1.2, sigma=SigmaSpec.linear(1.0),
+                          u0=InitialData.grid_samples(u0))
+        exact_second_moment_recursion(GridSpec(n), SchemeSpec(tau=2e-3, theta=0.75),
+                                      model, 5)
+        assert bool(calls) == fft_passes
 
     def test_exponential_stepper_recursion_agrees_at_small_tau(self):
         # the exponential integrator and the implicit scheme share moment
@@ -204,6 +232,77 @@ class TestExactRecursion:
             fit = fit_growth(series, window=(max(t_pos, 0.6), steps * tau))
             gammas[theta] = fit.gamma
         assert abs(gammas[1.0] - gammas[0.0]) <= 0.1 * max(gammas.values())
+
+
+def _mode_factors(n, tau, theta, stepper):
+    lam = -4.0 * n * n * np.sin(np.arange(n) * np.pi / n) ** 2
+    if stepper == "exponential":
+        return np.exp(tau * lam), np.ones(n)
+    return 1.0 / (1.0 - theta * tau * lam), 1.0 + (1.0 - theta) * tau * lam
+
+
+@given(n=st.integers(min_value=3, max_value=DENSE_MAX_N + 40),
+       theta=st.floats(min_value=0.0, max_value=1.0),
+       tau=st.floats(min_value=1e-6, max_value=1e-2),
+       lam=st.floats(min_value=0.0, max_value=3.0),
+       slope=st.floats(min_value=-2.0, max_value=2.0),
+       i0=st.floats(min_value=0.1, max_value=2.0),
+       steps=st.integers(min_value=0, max_value=60),
+       record_every=st.integers(min_value=1, max_value=25),
+       stepper=st.sampled_from(["theta", "exponential"]))
+@settings(max_examples=40, deadline=None)
+def test_closed_form_matches_stepping(n, theta, tau, lam, slope, i0, steps, record_every,
+                                      stepper):
+    # constant u0: the closed form against stepping the recursion with
+    # explicit circulant matrices built from the mode factors
+    if stepper == "theta" and theta < 0.5:
+        tau = min(tau, 0.95 / ((2.0 - 4.0 * theta) * n * n))  # inside the explicit bound
+    grid, scheme, model = make(n, tau, theta, lam, slope=slope, i0=i0, stepper=stepper)
+    mats = exact_second_moment_recursion(grid, scheme, model, steps, record_every=record_every)
+    r1, r2 = _mode_factors(n, tau, theta, stepper)
+    lag = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    g1, g2 = np.fft.ifft(r1 * r2).real[lag], np.fft.ifft(r1).real[lag]
+    gain = lam ** 2 * n * tau * slope ** 2
+    m = np.full((n, n), i0) * i0
+    want = {0: m}
+    for i in range(1, steps + 1):
+        m = g1 @ m @ g1 + (g2 * (gain * np.diag(m))) @ g2
+        want[i] = m
+    record = sorted({*range(0, steps + 1, record_every), steps})
+    assert [mm.time_index for mm in mats] == record
+    assert np.array_equal(mats[0].matrix, np.outer(model.u0.values(grid), model.u0.values(grid)))
+    for mm in mats:
+        ref = want[mm.time_index]
+        assert np.max(np.abs(mm.matrix - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def _renewal_gamma2(n, tau, theta, lam, slope=1.0):
+    """gamma_2 = log(rho)/tau from the discrete renewal equation
+    lam^2 tau c^2 sum_j r1_j^2 / (rho - b_j^2) = 1, b = r1 r2, solved for
+    x = rho - 1 on (max b^2 - 1, oo) where the left side falls from oo."""
+    r1, r2 = _mode_factors(n, tau, theta, "theta")
+    b = r1 * r2
+    gap = (1.0 - b) * (1.0 + b)  # 1 - b^2 without cancellation
+    k = lam ** 2 * tau * slope ** 2
+
+    def f(x):
+        return k * np.sum(r1 * r1 / (x + gap)) - 1.0
+
+    lo = -gap.min() + 1e-3 * k * r1[np.argmin(gap)] ** 2  # f(lo) >= 999
+    hi = -gap.min() + 2.0 * k * np.sum(r1 * r1)  # f(hi) < 0
+    x = brentq(f, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    return math.log1p(x) / tau
+
+
+@pytest.mark.parametrize("n,theta,lam", [(8, 1.0, 1.0), (13, 0.5, 2.0), (16, 1.0, 2.0)])
+def test_renewal_root_matches_exact_series_slope(n, theta, lam):
+    # the series' fitted growth on [3, 6] is the renewal root's rate
+    tau = 1e-3
+    grid, scheme, model = make(n, tau, theta, lam)
+    mats = exact_second_moment_recursion(grid, scheme, model, 6000, record_every=10)
+    fit = fit_growth(second_moment_series(mats, tau, probe=0), window=(3.0, 6.0))
+    root = _renewal_gamma2(n, tau, theta, lam)
+    assert fit.gamma == pytest.approx(root, rel=1e-11)
 
 
 class TestMcMoment:
@@ -344,6 +443,13 @@ class TestSweep:
     def test_fewer_than_two_points_rejected(self, lambdas, usable):
         with pytest.raises(ValueError, match=usable):
             lambda_scaling_sweep(zeta=1.0, lambdas=lambdas, theta=1.0)
+
+    @pytest.mark.parametrize("key,value", [("zeta", 0.0), ("zeta", -2.0), ("zeta", math.nan),
+                                           ("zeta", math.inf), ("sigma_slope", 0.0),
+                                           ("sigma_slope", math.nan)])
+    def test_bad_zeta_or_slope_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            lambda_scaling_sweep(lambdas=[1.0, 1.5], **{"zeta": 1.0, key: value})
 
     def test_all_points_flagged_rejected(self):
         # theta = 0 at n^2 tau ~ 2 violates the explicit stability bound
