@@ -189,9 +189,9 @@ def cmd_moments(args) -> int:
     if mode == "exact":
         steps = int(_require(cfg, "moments.steps"))
         every = int(sec.get("record_every", 1))
-        mats = exact_second_moment_recursion(grid, scheme, model, steps,
-                                             record_every=every)
-        series = second_moment_series(mats, scheme.tau, probe=sec.get("probe", "min"))
+        moments = exact_second_moment_recursion(grid, scheme, model, steps,
+                                                record_every=every)
+        series = second_moment_series(moments, scheme.tau, probe=sec.get("probe", "min"))
         rows = [(float(t), float(v), 0.0) for t, v in zip(series.times, series.values)]
     elif mode == "mc":
         times = [float(t) for t in _require(cfg, "moments.times")]

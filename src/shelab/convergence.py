@@ -39,7 +39,6 @@ __all__ = [
     "QuadratureSpec",
     "ErrorCurve",
     "green_error_semi",
-    "green_error_semi_pointwise",
     "green_error_full",
     "initial_data_error_full",
     "strong_error_study",
@@ -187,12 +186,6 @@ def green_error_semi(n: int, x: float = 0.0,
     return head + _tail_bound_semi(n, quad.t_split)
 
 
-def green_error_semi_pointwise(n: int, t: float, x: float = 0.0) -> float:
-    """int_0^1 |G(t,x,y) - G^n(t,x,y)|^2 dy at one time, the y-integral
-    evaluated through the aliasing series."""
-    return float(_semi_d(n, x)(np.array([t], dtype=float))[0])
-
-
 def green_error_full(n: int, tau: float, theta: float, x: float = 0.0,
                      quad: QuadratureSpec = QuadratureSpec()) -> float:
     """int_0^inf int_0^1 |G(t,x,y) - G2^{n,tau}(t,x,y)|^2 dy dt.
@@ -280,9 +273,7 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     ops, probes = [], []
     for (n_r, tau_r) in ladder:
         scheme = SchemeSpec(tau=tau_r, theta=theta)
-        report = validate_run_config(GridSpec(n_r), scheme)
-        if not report:
-            raise ValueError(f"invalid rung ({n_r}, {tau_r}): " + "; ".join(report.violations))
+        validate_run_config(GridSpec(n_r), scheme).require(f"invalid rung ({n_r}, {tau_r})")
         op = StepOperator(n_r, scheme, model)
         ops.append(op)
         idx = probe_x * n_r

@@ -10,8 +10,8 @@ matrix product, a (times x modes) decay table times the (modes x points)
 cosine table, and its image-branch times one row of points each, so no
 times x points x terms tensor is built.
 
-Time broadcasting: every kernel and square integral below except the
-`*_grid` vectors takes a scalar time or a 1-D array of times.  An array
+Time broadcasting: every kernel and square integral below except
+`semi_green_grid` takes a scalar time or a 1-D array of times.  An array
 adds a leading time axis to the output, shape (len(t),) + the broadcast
 shape of the space arguments; a scalar returns exactly what a single call
 returns (a float for scalar space arguments).  Discrete step counts
@@ -107,10 +107,11 @@ class SpectralBasis:
 
     def grid_values(self, coeff: np.ndarray) -> np.ndarray:
         """Kernel values at grid points as a function of q-l (translation
-        invariant there): g[d] = sum_j coeff[j] exp(2 pi i j d / n), real."""
+        invariant there): g[..., d] = sum_j coeff[..., j] exp(2 pi i j d / n),
+        real; one row per row of a 2-D coeff."""
         d = np.arange(self.n)
         ang = 2.0 * np.pi * np.outer(np.arange(self.n), d) / self.n
-        return np.cos(ang).T @ coeff
+        return (np.cos(ang).T @ coeff.T).T
 
 
 @lru_cache(maxsize=128)
@@ -282,6 +283,7 @@ def full_green_square_integral(t, x, factors: AmplificationFactors):
     return _result(out)
 
 
-def full_green_grid(t: float, which: str, factors: AmplificationFactors) -> np.ndarray:
-    """Grid-point values of G1/G2 as a vector over d = (q-l) mod n."""
+def full_green_grid(t, which: str, factors: AmplificationFactors) -> np.ndarray:
+    """Grid-point values of G1/G2 as a vector over d = (q-l) mod n, one row
+    per time for an array of times."""
     return factors.basis.grid_values(_full_coeff(t, which, factors))

@@ -254,6 +254,11 @@ class ValidationReport:
     def __bool__(self) -> bool:
         return self.passed
 
+    def require(self, context: str = "invalid run configuration") -> None:
+        """Raise ValueError("<context>: <violations>") unless passed."""
+        if not self.passed:
+            raise ValueError(f"{context}: " + "; ".join(self.violations))
+
 
 def validate_run_config(grid: GridSpec, scheme: SchemeSpec) -> ValidationReport:
     """Aggregate admissibility check for a run.

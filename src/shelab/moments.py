@@ -6,10 +6,13 @@ lambda^2 n tau per cell,
 
     M_{i+1} = B M_i B^T + lambda^2 n tau c^2 * R1 diag(M_i)_{jj} R1^T.
 
-For constant u0 every M_i is circulant, its Fourier eigenvalues evolve by
-mu_{i+1} = A mu_i with A = diag(b^2) + lambda^2 tau c^2 r1^2 1^T, and all
-recorded matrices come in closed form from one eigendecomposition of the
-symmetric conjugate diag(r1)^{-1} A diag(r1).  Other initial data are
+The matrices recorded at steps 0, k * record_every and the last step come
+back as one (records, n, n) array beside the int array of those steps
+(`MomentMatrices`).  For constant u0 every M_i is circulant, its Fourier
+eigenvalues evolve by mu_{i+1} = A mu_i with
+A = diag(b^2) + lambda^2 tau c^2 r1^2 1^T, and all recorded matrices come
+in closed form from one eigendecomposition of the symmetric conjugate
+diag(r1)^{-1} A diag(r1).  Other initial data are
 iterated with the operators of `solver.StepOperator`: for n <= DENSE_MAX_N
 as products with the dense symmetric Green matrices B and R1, above that
 crossover by real FFT along each matrix axis (B and R1 act diagonally on
@@ -38,7 +41,7 @@ from .stability import (check_sharp_regime, check_stability, positivity_time_ful
                         sharp_gate)
 
 __all__ = [
-    "MomentMatrix",
+    "MomentMatrices",
     "MomentSeries",
     "GrowthFit",
     "SweepPoint",
@@ -54,24 +57,13 @@ __all__ = [
 ]
 
 
-@dataclass
-class MomentMatrix:
-    """Symmetric PSD matrix M_{jk} = E[u_j u_k] at one time index."""
+@dataclass(frozen=True)
+class MomentMatrices:
+    """Second-moment matrices M_{jk} = E[u_j u_k]: matrices[r] (symmetric
+    PSD, one (records, n, n) array) at the step index steps[r]."""
 
-    matrix: np.ndarray
-    time_index: int
-
-    def check(self, tol: float = 1e-10):
-        m = self.matrix
-        assert np.allclose(m, m.T, atol=1e-12 * max(1.0, np.abs(m).max()))
-        floor = -tol * np.trace(m)
-        w = np.linalg.eigvalsh((m + m.T) / 2.0)
-        if w.min() < floor:
-            raise AssertionError(f"moment matrix lost PSD: min eig {w.min():.3g}")
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix)
+    steps: np.ndarray
+    matrices: np.ndarray
 
 
 @dataclass
@@ -105,8 +97,9 @@ def _circulant_apply(half_factors: np.ndarray, mat: np.ndarray, axis: int) -> np
 
 
 def _constant_data_moments(r1: np.ndarray, b: np.ndarray, gain: float, i0: float,
-                           indices: list[int]) -> np.ndarray:
-    """(records, n, n) moment matrices at the step indices for u0 = i0.
+                           steps: np.ndarray, out: np.ndarray) -> None:
+    """Fill out (records, n, n) with the moment matrices at the step
+    indices for u0 = i0.
 
     Every M_k is circulant; its eigenvalues mu_k = A^k mu_0 with
     A = diag(b^2) + (gain/n) r1^2 1^T.  diag(r1) (r1 > 0) conjugates A to
@@ -116,40 +109,38 @@ def _constant_data_moments(r1: np.ndarray, b: np.ndarray, gain: float, i0: float
     n = len(r1)
     w, v = np.linalg.eigh(np.diag(b * b) + (gain / n) * np.outer(r1, r1))
     z = v[0] * (n * i0 * i0 / r1[0])
-    mu = (np.power(w, np.array(indices)[:, None]) * z) @ v.T * r1
+    mu = (np.power(w, steps[:, None]) * z) @ v.T * r1
     rows = np.fft.irfft(mu[:, :n // 2 + 1], n=n, axis=1)
     d = np.arange(n)
     rows = (rows + rows[:, -d % n]) / 2.0  # irfft is even only to roundoff: symmetric M
-    return rows[:, (d[None, :] - d[:, None]) % n]
+    np.take(rows, d[None, :] - d[:, None], axis=1, out=out, mode="wrap")
 
 
 def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec,
-                                  steps: int, record_every: int = 1) -> list[MomentMatrix]:
-    """Exact (up to roundoff) second-moment matrices for linear sigma; for
-    constant u0 in closed form, as views into one array."""
+                                  steps: int, record_every: int = 1) -> MomentMatrices:
+    """Exact (up to roundoff) second-moment matrices for linear sigma at
+    steps 0, k * record_every and `steps`; for constant u0 in closed form."""
     if not model.sigma.is_linear:
         raise ValueError("exact recursion supports linear sigma only; use Monte Carlo")
-    report = validate_run_config(grid, scheme)
-    if not report:
-        raise ValueError("invalid run configuration: " + "; ".join(report.violations))
+    validate_run_config(grid, scheme).require()
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     gain = model.lam ** 2 * grid.n * scheme.tau * model.sigma.slope ** 2
     u0 = model.u0.values(grid)
+    record = np.unique(np.append(np.arange(0, steps + 1, record_every), steps))
+    out = np.empty((len(record), grid.n, grid.n))
     if np.all(u0 == u0[0]):
-        indices = list(range(0, steps + 1, record_every))
-        if indices[-1] != steps:
-            indices.append(steps)
         r1, r2 = mode_factors(spectral_basis(grid.n), scheme)
-        stack = _constant_data_moments(r1, r1 * r2, gain, float(u0[0]), indices)
-        stack[0] = np.outer(u0, u0)
-        return [MomentMatrix(matrix=m, time_index=i) for i, m in zip(indices, stack)]
+        _constant_data_moments(r1, r1 * r2, gain, float(u0[0]), record, out)
+        out[0] = np.outer(u0, u0)
+        return MomentMatrices(steps=record, matrices=out)
     op = StepOperator(grid.n, scheme, model)
     r2_is_one = not op.dense and bool(np.all(op.r2h == 1.0))
     m = np.outer(u0, u0)
-    out = [MomentMatrix(matrix=m.copy(), time_index=0)]
+    out[0] = m
+    r = 1
     for i in range(1, steps + 1):
         # noise feeds on the pre-step moments
         if op.dense:
@@ -158,12 +149,13 @@ def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: Mod
             d = gain * np.diag(m)
             if not r2_is_one:
                 m = _circulant_apply(op.r2h, _circulant_apply(op.r2h, m, 0), 1)
-            m.flat[::grid.n + 1] += d  # m is a fresh array: recorded matrices are copies
+            m.flat[::grid.n + 1] += d  # m is never a record: records are copied into out
             m = _circulant_apply(op.r1h, _circulant_apply(op.r1h, m, 0), 1)
         m = (m + m.T) / 2.0
-        if i % record_every == 0 or i == steps:
-            out.append(MomentMatrix(matrix=m.copy(), time_index=i))
-    return out
+        if i == record[r]:
+            out[r] = m
+            r += 1
+    return MomentMatrices(steps=record, matrices=out)
 
 
 def _probe_index(probe, n: int) -> int | None:
@@ -176,14 +168,14 @@ def _probe_index(probe, n: int) -> int | None:
     return int(probe)
 
 
-def second_moment_series(matrices, tau: float, probe="min") -> MomentSeries:
+def second_moment_series(moments: MomentMatrices, tau: float, probe="min") -> MomentSeries:
     """Diagonal of the recursion as a moment series at a probe point or the
     grid infimum (min over grid points, matching the lower-bound theorems)."""
-    index = _probe_index(probe, matrices[0].matrix.shape[0])
-    times = np.array([m.time_index for m in matrices]) * tau
-    diagonals = np.stack([m.matrix.diagonal() for m in matrices])
-    values = diagonals.min(axis=1) if index is None else diagonals[:, index]
-    return MomentSeries(times=times, values=values, p=2.0, source={"kind": "exact"})
+    index = _probe_index(probe, moments.matrices.shape[1])
+    diagonals = moments.matrices.diagonal(axis1=1, axis2=2)
+    values = diagonals.min(axis=1) if index is None else diagonals[:, index].copy()
+    return MomentSeries(times=moments.steps * tau, values=values, p=2.0,
+                        source={"kind": "exact"})
 
 
 def _snap_indices(times, tau: float) -> list[int]:
@@ -213,9 +205,7 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
         raise ValueError("moment order must be >= 1")
     if paths < 2:
         raise ValueError("need at least 2 paths")
-    report = validate_run_config(grid, scheme)
-    if not report:
-        raise ValueError("invalid run configuration: " + "; ".join(report.violations))
+    validate_run_config(grid, scheme).require()
     index = _probe_index(probe, grid.n)
     if len(times) == 0 or min(times) < 0:
         raise ValueError(f"times must be a non-empty list of times >= 0, got {list(times)}")
@@ -388,9 +378,9 @@ def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float,
     horizon = t_pos + 3.0 / gamma_guess  # three e-folds past the positivity time
     steps = int(math.ceil(horizon / tau))
     record_every = max(1, steps // 2000)
-    mats = exact_second_moment_recursion(grid, scheme, model, steps,
-                                         record_every=record_every)
-    series = second_moment_series(mats, tau, probe="min")
+    moments = exact_second_moment_recursion(grid, scheme, model, steps,
+                                            record_every=record_every)
+    series = second_moment_series(moments, tau, probe="min")
     window = (max(t_pos, 0.2 * horizon), horizon)
     fit = fit_growth(series, window)
     return SweepPoint(lam, n, tau, fit.gamma, fit.ci_halfwidth,

@@ -126,9 +126,7 @@ def simulate(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, seed: NoiseSe
     Deterministic given (seed, stream); raises BlowupError with the reached
     horizon when the state exceeds the growth monitor.
     """
-    report = validate_run_config(grid, scheme)
-    if not report:
-        raise ValueError("invalid run configuration: " + "; ".join(report.violations))
+    validate_run_config(grid, scheme).require()
     record = sorted(set(int(i) for i in record_indices)) or [0]
     if record[0] < 0:
         raise ValueError("record indices must be nonnegative")

@@ -26,6 +26,10 @@ REGIME_EXPLICIT = "explicit-like"       # theta < 1/2, coupled n^2 tau bound
 REGIME_CRANK_NICOLSON = "crank-nicolson"  # theta = 1/2
 REGIME_IMPLICIT = "implicit-like"       # theta > 1/2, unconditional
 
+# Entries of one block of kernel grid values (steps x n) in
+# positivity_time_full: 1 MiB of float64 at a time.
+GRID_BUDGET = 2 ** 17
+
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -115,7 +119,8 @@ def positivity_time_full(n: int, tau: float, theta: float) -> PositivityTime:
 
     Seeds with the geometric proof bound 2 [n/2] (1-eps')^m <= 1/2 where
     eps' = min{eps, 1 - r1_1 r2_1}, then shrinks m* over the certificate
-    suffix of direct grid minima.
+    suffix of direct grid minima, evaluated in blocks of steps of at most
+    GRID_BUDGET grid values.
     """
     report = check_stability(n, tau, theta)
     if not report.satisfied:
@@ -128,9 +133,11 @@ def positivity_time_full(n: int, tau: float, theta: float) -> PositivityTime:
     half = n // 2
     target = 0.5 / (2.0 * half)
     m_suff = max(1, int(math.ceil(math.log(target) / math.log(1.0 - eps_prime))))
-    mins = np.array([full_green_grid(m * tau, "G1", factors).min()
-                     for m in range(1, m_suff + 2)])
-    idx, count = _certify_suffix(mins, np.arange(1, m_suff + 2))
+    steps = np.arange(1, m_suff + 2)
+    block = max(1, GRID_BUDGET // n)
+    mins = np.concatenate([full_green_grid(steps[k:k + block] * tau, "G1", factors).min(axis=1)
+                           for k in range(0, len(steps), block)])
+    idx, count = _certify_suffix(mins, steps)
     if idx is None:
         return PositivityTime(t_star=m_suff * tau, certified_on=0,
                               sufficient_time=m_suff * tau)

@@ -6,10 +6,9 @@ import pytest
 from scipy.linalg import circulant
 
 import shelab.convergence
-from shelab.convergence import (QuadratureSpec, _gauss, _tail_bound_full, _tail_bound_semi,
-                                green_error_full, green_error_semi,
-                                green_error_semi_pointwise, initial_data_error_full,
-                                strong_error_study)
+from shelab.convergence import (QuadratureSpec, _gauss, _semi_d, _tail_bound_full,
+                                _tail_bound_semi, green_error_full, green_error_semi,
+                                initial_data_error_full, strong_error_study)
 from shelab.kernels import (AmplificationFactors, full_green, heat_kernel,
                             heat_kernel_square_integral, semi_green, spectral_basis)
 from shelab.model import InitialData, ModelSpec, SchemeSpec, SigmaSpec
@@ -17,6 +16,12 @@ from shelab.noise import NoiseSeed, coarsen_array, sample_block
 from shelab.solver import BlowupError, StepOperator
 
 from conftest import const_sigma
+
+
+def green_error_semi_pointwise(n: int, t: float, x: float = 0.0) -> float:
+    """int_0^1 |G(t,x,y) - G^n(t,x,y)|^2 dy at one time, the y-integral
+    evaluated through the aliasing series of green_error_semi's integrand."""
+    return float(_semi_d(n, x)(np.array([t], dtype=float))[0])
 
 
 def _sq_diff_y_cells(t: float, x: float, n: int, y_gauss: int = 10) -> float:

@@ -156,7 +156,9 @@ def test_time_array_equals_scalar_calls(n, theta, tau, k, frac, times):
                lambda s: semi_green_square_integral(s, x, basis),
                lambda s: full_green(s, x, y, "G1", factors),
                lambda s: full_green(s, x, y, "G2", factors),
-               lambda s: full_green_square_integral(s, x, factors)):
+               lambda s: full_green_square_integral(s, x, factors),
+               lambda s: full_green_grid(s, "G1", factors),
+               lambda s: full_green_grid(s, "G2", factors)):
         _assert_stacks_scalar_calls(fn, t)
     assert np.array_equal(factors.step_power(t), [factors.step_power(float(s)) for s in t])
 

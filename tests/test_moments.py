@@ -26,6 +26,20 @@ def _jackknife_se(samples: np.ndarray) -> float:
     return float(np.sqrt(np.sum((samples - mean) ** 2) / (n * (n - 1))))
 
 
+def assert_symmetric_psd(m, tol: float = 1e-10):
+    """M is symmetric and has no eigenvalue below -tol * trace(M)."""
+    assert np.allclose(m, m.T, atol=1e-12 * max(1.0, np.abs(m).max()))
+    floor = -tol * np.trace(m)
+    w = np.linalg.eigvalsh((m + m.T) / 2.0)
+    if w.min() < floor:
+        raise AssertionError(f"moment matrix lost PSD: min eig {w.min():.3g}")
+
+
+def diagonals(moments):
+    """(records, n) diagonals of the recorded moment matrices."""
+    return moments.matrices.diagonal(axis1=1, axis2=2)
+
+
 def make(n, tau, theta, lam, slope=1.0, i0=1.0, stepper="theta"):
     return (GridSpec(n), SchemeSpec(tau=tau, theta=theta, stepper=stepper),
             ModelSpec(lam=lam, sigma=SigmaSpec.linear(slope),
@@ -72,22 +86,22 @@ class TestExactRecursion:
     def test_zero_noise_is_constant(self):
         grid, scheme, model = make(5, 0.01, 1.0, 0.0, i0=2.0)
         mats = exact_second_moment_recursion(grid, scheme, model, 30)
-        for m in mats:
-            assert np.allclose(m.matrix, 4.0 * np.ones((5, 5)), atol=1e-10)
+        for m in mats.matrices:
+            assert np.allclose(m, 4.0 * np.ones((5, 5)), atol=1e-10)
 
     def test_one_step_hand_formula(self):
         # theta=0, u0 = I0, sigma = id: M1_jj = I0^2 (1 + lam^2 n tau)
         n, tau, lam, i0 = 8, 1e-3, 1.3, 0.7
         grid, scheme, model = make(n, tau, 0.0, lam, i0=i0)
         mats = exact_second_moment_recursion(grid, scheme, model, 1)
-        assert np.allclose(mats[1].diagonal,
+        assert np.allclose(diagonals(mats)[1],
                            i0 ** 2 * (1.0 + lam ** 2 * n * tau), rtol=1e-12)
 
     def test_matrices_stay_symmetric_psd(self):
         grid, scheme, model = make(6, 1e-3, 1.0, 1.5)
         mats = exact_second_moment_recursion(grid, scheme, model, 400, record_every=50)
-        for m in mats:
-            m.check()
+        for m in mats.matrices:
+            assert_symmetric_psd(m)
 
     @pytest.mark.parametrize("steps,record_every,field", [(-3, 1, "steps"),
                                                           (5, 0, "record_every")])
@@ -96,6 +110,35 @@ class TestExactRecursion:
         with pytest.raises(ValueError, match=field):
             exact_second_moment_recursion(grid, scheme, model, steps,
                                           record_every=record_every)
+
+    @pytest.mark.parametrize("steps,record_every", [(0, 1), (0, 4), (1, 1), (1, 3), (5, 9),
+                                                    (10, 3), (12, 4)])
+    @pytest.mark.parametrize("theta", [0.75, 1.0])
+    @pytest.mark.parametrize("n", [6, DENSE_MAX_N + 8], ids=["dense", "fft"])
+    @pytest.mark.parametrize("constant", [True, False], ids=["constant", "samples"])
+    def test_recorded_steps_and_no_aliasing(self, constant, n, theta, steps, record_every):
+        # the record rule (0, multiples of record_every, the last step) for
+        # both routes, and records that share no memory: the FFT route adds
+        # the noise diagonal into its working matrix in place, so a record
+        # aliasing it would change with the steps after it
+        u0 = np.full(n, 0.9) if constant else 0.9 + 0.3 * np.cos(2 * np.pi * np.arange(n) / n)
+        model = ModelSpec(lam=1.2, sigma=SigmaSpec.linear(1.0),
+                          u0=InitialData.grid_samples(u0))
+        grid, scheme = GridSpec(n), SchemeSpec(tau=2e-3, theta=theta)
+        mats = exact_second_moment_recursion(grid, scheme, model, steps,
+                                             record_every=record_every)
+        assert mats.steps.tolist() == sorted({*range(0, steps + 1, record_every), steps})
+        assert mats.matrices.shape == (len(mats.steps), n, n)
+        for i, m in zip(mats.steps.tolist(), mats.matrices):
+            last = exact_second_moment_recursion(grid, scheme, model, i,
+                                                 record_every=max(1, i)).matrices[-1]
+            assert np.max(np.abs(m - last)) <= 1e-12 * np.max(np.abs(last))
+        before = mats.matrices.copy()
+        for r in range(len(mats.steps)):
+            mats.matrices[r] = np.nan
+            others = np.arange(len(mats.steps)) != r
+            assert np.array_equal(mats.matrices[others], before[others])
+            mats.matrices[r] = before[r]
 
     @pytest.mark.parametrize("probe", [8, -1, 2.0, "max", True])
     def test_series_probe_validated(self, probe):
@@ -128,7 +171,7 @@ class TestExactRecursion:
         # y(t) >= a + b int_0^t y  ==>  y(t) >= e^{b(t-s)}(a + b int_0^s y)
         grid, scheme, model = make(4, 1e-3, 1.0, 1.0)
         mats = exact_second_moment_recursion(grid, scheme, model, 2000, record_every=1)
-        y = np.array([m.diagonal.min() for m in mats])
+        y = diagonals(mats).min(axis=1)
         t = np.arange(len(y)) * scheme.tau
         alpha, beta = model.u0.i0 ** 2, model.lam ** 2 * model.sigma.lower_ratio ** 2
         integral = np.concatenate([[0.0], np.cumsum((y[1:] + y[:-1]) / 2.0)]) * scheme.tau
@@ -142,7 +185,7 @@ class TestExactRecursion:
         # y_{N+l} >= (a + b sum_{k<N} y_k)(1+b)^l with b = lam^2 J0^2 tau
         grid, scheme, model = make(4, 1e-3, 1.0, 1.0)
         mats = exact_second_moment_recursion(grid, scheme, model, 3000, record_every=1)
-        y = np.array([m.diagonal.min() for m in mats])
+        y = diagonals(mats).min(axis=1)
         alpha = model.u0.i0 ** 2
         beta = model.lam ** 2 * model.sigma.lower_ratio ** 2 * scheme.tau
         n_start = len(y) // 3
@@ -182,7 +225,7 @@ class TestExactRecursion:
             m_dense = b @ m_dense @ b.T + gain * r1 @ np.diag(np.diag(m_dense)) @ r1.T
         mats = exact_second_moment_recursion(grid, scheme, model, steps,
                                              record_every=steps)
-        assert np.allclose(mats[-1].matrix, m_dense, rtol=1e-11, atol=1e-13)
+        assert np.allclose(mats.matrices[-1], m_dense, rtol=1e-11, atol=1e-13)
 
     @pytest.mark.parametrize("constant,fft_passes", [(True, False), (False, True)],
                              ids=["constant", "samples"])
@@ -215,7 +258,7 @@ class TestExactRecursion:
                               u0=InitialData.constant(1.0))
             mats = exact_second_moment_recursion(grid, scheme, model, steps,
                                                  record_every=steps)
-            diags[stepper] = mats[-1].diagonal[0]
+            diags[stepper] = mats.matrices[-1, 0, 0]
         assert diags["exponential"] == pytest.approx(diags["theta"], rel=2e-3)
 
     def test_theta_consistency_of_growth_rate(self):
@@ -269,11 +312,12 @@ def test_closed_form_matches_stepping(n, theta, tau, lam, slope, i0, steps, reco
         m = g1 @ m @ g1 + (g2 * (gain * np.diag(m))) @ g2
         want[i] = m
     record = sorted({*range(0, steps + 1, record_every), steps})
-    assert [mm.time_index for mm in mats] == record
-    assert np.array_equal(mats[0].matrix, np.outer(model.u0.values(grid), model.u0.values(grid)))
-    for mm in mats:
-        ref = want[mm.time_index]
-        assert np.max(np.abs(mm.matrix - ref)) <= 1e-11 * np.max(np.abs(ref))
+    assert mats.steps.tolist() == record
+    assert np.array_equal(mats.matrices[0],
+                          np.outer(model.u0.values(grid), model.u0.values(grid)))
+    for i, mm in zip(mats.steps, mats.matrices):
+        ref = want[i]
+        assert np.max(np.abs(mm - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 def _renewal_gamma2(n, tau, theta, lam, slope=1.0):
@@ -317,7 +361,7 @@ class TestMcMoment:
         times = [i * 1e-3 for i in range(10, 101, 10)]
         series = mc_moment(grid, scheme, model, 2, 0, times, 4000, seed=42)
         mats = exact_second_moment_recursion(grid, scheme, model, 100, record_every=10)
-        exact = {m.time_index: m.diagonal[0] for m in mats}
+        exact = dict(zip(mats.steps.tolist(), mats.matrices[:, 0, 0]))
         for t, v, e in zip(series.times, series.values, series.stderr):
             assert abs(v - exact[round(t / 1e-3)]) <= 3.0 * e
 

@@ -3,10 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from shelab.kernels import AmplificationFactors, full_green, semi_green, spectral_basis
+import shelab.stability
+from shelab.kernels import (AmplificationFactors, full_green, full_green_grid, semi_green,
+                            spectral_basis)
 from shelab.model import InitialData, ModelSpec, SigmaSpec
 from shelab.stability import (check_sharp_regime, check_stability,
-                              positivity_time_full, positivity_time_semi)
+                              positivity_time_full, positivity_time_semi, sharp_gate)
+
+
+def positivity_per_step(n, tau, theta, m_suff):
+    """(t*, certified samples) from one grid-minimum evaluation per step
+    m = 1..m_suff+1 and the last step below 1/2."""
+    factors = AmplificationFactors(spectral_basis(n), tau, theta)
+    mins = np.array([full_green_grid(m * tau, "G1", factors).min()
+                     for m in range(1, m_suff + 2)])
+    bad = np.flatnonzero(mins < 0.5)
+    first = int(bad[-1]) + 1 if len(bad) else 0
+    if first == len(mins):
+        return m_suff * tau, 0
+    return (first + 1) * tau, len(mins) - first
+
+
+def _sweep_scheme(zeta, lam):
+    """(n, tau) of a lambda_scaling_sweep point with unit sigma slope."""
+    n = max(3, math.ceil(zeta * lam ** 2))
+    return n, 0.5 / sharp_gate(n, 1.0, 1.0, lam, zeta)[0]
 
 
 class TestCheckStability:
@@ -81,6 +102,24 @@ class TestPositivityTimes:
             vals = np.asarray(full_green(pt.t_star * mult, g[:, None], g[None, :],
                                          "G1", factors))
             assert vals.min() >= 0.5
+
+    @pytest.mark.parametrize("n,tau,theta", [
+        (4, 0.01, 1.0), (8, 0.004, 0.0), (16, 0.003, 0.5), (4, 0.5, 1.0), (4, 0.02, 0.0),
+        (8, 0.005, 0.25), (10, 0.009, 0.5), (16, 0.2, 0.75), (64, 0.001, 1.0),
+        *[(*_sweep_scheme(2.0, lam), theta) for lam in (1.0, 1.5, 2.0, 2.5)
+          for theta in (1.0, 0.5)],
+        (*_sweep_scheme(2.0, 4.0), 1.0)])
+    def test_full_matches_per_step_minima(self, monkeypatch, n, tau, theta):
+        # the blocked grid minima certify the same time as one kernel
+        # evaluation per step, with the default blocks and with blocks of
+        # 7 steps, so that most certified steps lie past a block boundary
+        pt = positivity_time_full(n, tau, theta)
+        m_suff = round(pt.sufficient_time / tau)
+        want = positivity_per_step(n, tau, theta, m_suff)
+        assert (pt.t_star, pt.certified_on) == want
+        monkeypatch.setattr(shelab.stability, "GRID_BUDGET", 7 * n)
+        pt = positivity_time_full(n, tau, theta)
+        assert (pt.t_star, pt.certified_on) == want
 
     def test_full_strong_damping_short_time(self):
         # theta=1 with a large step contracts hard: t* within a few steps
