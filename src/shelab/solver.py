@@ -8,12 +8,13 @@ where G1 = R1 R2 and G2 = R1 are the one-step discrete Green functions at
 grid points: symmetric circulants with eigenvalues r1 r2 and r1, where
 R1 = (1 - theta tau D_n)^{-1} and R2 = 1 + (1-theta) tau D_n.  The
 exponential-integrator variant replaces R1 by exp(tau lam_j) and R2 by the
-identity.  For n <= DENSE_MAX_N both operators are precomputed as dense
-n x n matrices and applied by matrix products; above that size they act
-mode-wise on the real-FFT coefficients, which is then the faster route.
-States are monitored for the intentional exponential growth of the
-intermittent regimes and abort with a blow-up diagnostic rather than
-overflowing silently.
+identity.  Where R2 = I (theta = 1 and the exponential stepper) a step is
+one application of R1 to u_i plus the forcing.  For n <= DENSE_MAX_N the
+operators are precomputed as dense n x n matrices and applied by matrix
+products; above that size they act mode-wise on the real-FFT coefficients,
+which is then the faster route.  States are monitored for the intentional
+exponential growth of the intermittent regimes and abort with a blow-up
+diagnostic rather than overflowing silently.
 
 The time-continuous semi-discretization (finite differences in space only)
 is realized numerically as the exponential integrator with a reference
@@ -38,10 +39,11 @@ __all__ = [
 
 BLOWUP_LIMIT = 1e150
 # Largest n stepped with dense Green matrices.  In single-threaded timings
-# of one apply (batches of 100 and 1000) and one exact-recursion step the
-# dense products beat the rfft round trips in every case up to n = 96; the
-# batch-100 apply turns in favour of the FFT between n = 128 and 160, and
-# at n = 1024 the FFT is 1.6-6x faster (table in CHANGES.md).
+# of one apply (theta = 1 and 0.75, batches of 100 and 1000) and one
+# theta = 1 exact-recursion step the dense products beat the rfft round
+# trips in every case up to n = 96 (1.3-3.7x); at n = 128 the theta = 0.75
+# batch-100 apply ties, and from n = 160 the batch-100 apply favours the
+# FFT (tables in CHANGES.md).
 DENSE_MAX_N = 96
 
 
@@ -80,9 +82,12 @@ def mode_factors(basis, scheme: SchemeSpec) -> tuple[np.ndarray, np.ndarray]:
 class StepOperator:
     """Precomputed one-step operators for repeated stepping on one (n, tau, theta).
 
-    For n <= DENSE_MAX_N (`dense`), `b` and `r1` are the symmetric n x n
-    Green matrices with eigenvalues r1 r2 and r1; otherwise `r1h` and `r2h`
-    are the rfft half-spectrum mode factors.
+    For n <= DENSE_MAX_N (`dense`), `r1` is the symmetric n x n Green
+    matrix with eigenvalues r1 and `b` the one with eigenvalues r1 r2;
+    otherwise `r1h` and `r2h` are the rfft half-spectrum mode factors.
+    `r2_is_one` is set when every r2 is exactly 1 (theta = 1 and the
+    exponential stepper); `b` and `r2h` are then None and a step applies
+    R1 once, to u plus the forcing.
     """
 
     def __init__(self, n: int, scheme: SchemeSpec, model: ModelSpec):
@@ -91,29 +96,41 @@ class StepOperator:
         self.model = model
         basis = spectral_basis(self.n)
         r1, r2 = mode_factors(basis, scheme)
+        self.r2_is_one = bool(np.all(r2 == 1.0))
         self.dense = self.n <= DENSE_MAX_N
         if self.dense:
             q = np.arange(self.n)
             shift = (q[:, None] - q[None, :]) % self.n
-            self.b = basis.grid_values(r1 * r2)[shift] / self.n
             self.r1 = basis.grid_values(r1)[shift] / self.n
+            self.b = None if self.r2_is_one else basis.grid_values(r1 * r2)[shift] / self.n
         else:
             half = self.n // 2 + 1  # rfft half-spectrum
-            self.r1h, self.r2h = r1[:half], r2[:half]
+            self.r1h = r1[:half]
+            self.r2h = None if self.r2_is_one else r2[:half]
         self.noise_amp = model.lam * np.sqrt(self.n * scheme.tau)
 
     def apply(self, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """One step for a single state (n,) or a batch (..., n)."""
-        forcing = self.noise_amp * self.model.sigma(u) * xi
-        if self.dense:  # both matrices are symmetric: rows times matrix
+        """One step for a single state (n,) or a batch (..., n); u and xi
+        are left unchanged."""
+        forcing = self.model.sigma(u)  # a new array, so built up in place
+        forcing *= self.noise_amp
+        forcing *= xi
+        # the Green matrices are symmetric: rows times matrix
+        if self.r2_is_one:
+            forcing += u
+            if self.dense:
+                out = forcing @ self.r1
+            else:
+                out = np.fft.irfft(self.r1h * np.fft.rfft(forcing, axis=-1), n=self.n, axis=-1)
+        elif self.dense:
             out = u @ self.b + forcing @ self.r1
         else:
             u_hat = np.fft.rfft(u, axis=-1)
             out = np.fft.irfft(self.r1h * (self.r2h * u_hat + np.fft.rfft(forcing, axis=-1)),
                                n=self.n, axis=-1)
-        peak = np.max(np.abs(out))
-        if not np.isfinite(peak) or peak > BLOWUP_LIMIT:
-            raise BlowupError(-1, float(peak))
+        hi, lo = out.max(), out.min()
+        if not (hi <= BLOWUP_LIMIT and lo >= -BLOWUP_LIMIT):  # false on nan
+            raise BlowupError(-1, float(max(hi, -lo)))  # largest |u|, or nan
         return out
 
 

@@ -193,19 +193,21 @@ class TestExactRecursion:
         ls = np.arange(len(y) - n_start)
         assert np.all(y[n_start:] >= base * (1.0 + beta) ** ls * (1.0 - 1e-9))
 
-    @pytest.mark.parametrize("stepper,n,constant", [
-        (stepper, n, constant) for constant in (True, False)
-        for n in (6, DENSE_MAX_N + 8) for stepper in ("theta", "exponential")],
-        ids=[stepper + fft + samples for samples in ("", "-samples")
-             for fft in ("", "-fft") for stepper in ("theta", "exponential")])
-    def test_against_dense_matrix_recursion(self, stepper, n, constant):
+    @pytest.mark.parametrize("stepper,theta,n,constant", [
+        (stepper, theta, n, constant) for constant in (True, False)
+        for n in (6, DENSE_MAX_N + 8)
+        for stepper, theta in (("theta", 0.75), ("exponential", 0.75), ("theta", 1.0))],
+        ids=[name + fft + samples for samples in ("", "-samples")
+             for fft in ("", "-fft") for name in ("theta", "exponential", "theta1")])
+    def test_against_dense_matrix_recursion(self, stepper, theta, n, constant):
         # clarity-route oracle: iterate the same recursion with explicit
         # circulant matrices, on both sides of the dense/FFT crossover;
-        # constant u0 takes the closed form, samples the stepping loop
+        # constant u0 takes the closed form, samples the stepping loop.
+        # R2 = I at theta = 1 and for the exponential stepper at any theta.
         from scipy.linalg import circulant
 
         from shelab.kernels import spectral_basis
-        tau, theta, lam, steps = 2e-3, 0.75, 1.2, 50
+        tau, lam, steps = 2e-3, 1.2, 50
         grid, scheme, model = make(n, tau, theta, lam, i0=0.9, stepper=stepper)
         u0 = model.u0.values(grid)
         if not constant:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import circulant
 
 from shelab.kernels import AmplificationFactors, StabilityViolation, spectral_basis
@@ -95,6 +95,10 @@ class TestDenseAndFftRoutes:
            batch=st.sampled_from([None, 1, 5]),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=80, deadline=None)
+    @example(n=DENSE_MAX_N, theta=1.0, tau=1e-3, stepper="theta", batch=5, seed=1)
+    @example(n=DENSE_MAX_N + 8, theta=1.0, tau=1e-3, stepper="theta", batch=5, seed=2)
+    @example(n=DENSE_MAX_N, theta=0.5, tau=1e-3, stepper="exponential", batch=None, seed=3)
+    @example(n=DENSE_MAX_N + 8, theta=0.5, tau=1e-3, stepper="exponential", batch=1, seed=4)
     def test_apply_matches_rfft_oracle(self, n, theta, tau, stepper, batch, seed):
         lam = 1.3
         model = ModelSpec(lam=lam, sigma=SigmaSpec.linear(1.0),
@@ -107,6 +111,43 @@ class TestDenseAndFftRoutes:
         want = _rfft_step(n, tau, theta, stepper, lam, u, xi)
         assert got.shape == shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [6, DENSE_MAX_N + 8], ids=["dense", "fft"])
+    @pytest.mark.parametrize("theta", [0.75, 1.0])
+    @pytest.mark.parametrize("sigma", [SigmaSpec.linear(1.3), const_sigma(0.7)],
+                             ids=["linear", "table"])
+    def test_apply_leaves_inputs_unchanged(self, n, theta, sigma):
+        model = ModelSpec(lam=1.3, sigma=sigma, u0=InitialData.constant(1.0))
+        op = StepOperator(n, SchemeSpec(tau=1e-3, theta=theta), model)
+        rng = np.random.default_rng(5)
+        u = 1.0 + rng.standard_normal((4, n))
+        noise = rng.standard_normal((4, 3, n))
+        xi = noise[:, 1, :]  # a strided slice, as the Monte Carlo loops pass
+        u_before, noise_before = u.copy(), noise.copy()
+        out = op.apply(u, xi)
+        assert np.array_equal(u, u_before)
+        assert np.array_equal(noise, noise_before)
+        assert np.array_equal(out, op.apply(u, np.ascontiguousarray(xi)))
+
+    @pytest.mark.parametrize("n", [6, DENSE_MAX_N + 8], ids=["dense", "fft"])
+    @pytest.mark.parametrize("theta", [0.75, 1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e151],
+                             ids=["nan", "inf", "-inf", "below-limit"])
+    def test_blowup_magnitude(self, pam_model, n, theta, bad):
+        # one row constant at `bad`: R1 keeps constants, so with sigma(u) = u
+        # and unit noise the step scales it by 1 + noise_amp; the real FFT
+        # turns a row of infs into nans
+        op = StepOperator(n, SchemeSpec(tau=1e-3, theta=theta), pam_model)
+        u = np.ones((3, n))
+        u[1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(BlowupError) as err:
+            op.apply(u, np.ones((3, n)))
+        want = math.nan if math.isinf(bad) and not op.dense else abs(bad) * (1.0 + op.noise_amp)
+        if math.isnan(want):
+            assert math.isnan(err.value.magnitude)
+        else:
+            assert err.value.magnitude == pytest.approx(want, rel=1e-12)
+        assert err.value.step_index == -1
 
 
 class TestExponentialIntegrator:
