@@ -174,6 +174,8 @@ class SigmaSpec:
         return min(candidates)
 
     def __call__(self, x):
+        """sigma(x) as a new float array, never a view of x: callers such as
+        `solver.StepOperator.apply` build on the result in place."""
         if self.kind == "linear":
             return self.slope * np.asarray(x, dtype=float)
         xs = np.array([p[0] for p in self.points])

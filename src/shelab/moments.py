@@ -13,16 +13,16 @@ eigenvalues evolve by mu_{i+1} = A mu_i with
 A = diag(b^2) + lambda^2 tau c^2 r1^2 1^T, and all recorded matrices come
 in closed form from one eigendecomposition of the symmetric conjugate
 diag(r1)^{-1} A diag(r1).  Other initial data are
-iterated with the operators of `solver.StepOperator`.  Where R2 = I
-(theta = 1, exponential stepper) a step is M_{i+1} = R1 (M_i + D_i) R1 with
-D_i the noise diagonal: two products with the dense symmetric Green matrix
-R1 for n <= DENSE_MAX_N, above that crossover a real FFT pass along each
-matrix axis (R1 acts diagonally on the Fourier modes).  Otherwise the dense
-route steps B M_i B + R1 D_i R1 and the FFT route the two-pass form
-M_{i+1} = R1 (R2 M_i R2 + D_i) R1, the circulants commuting.  Nonlinear
-sigma falls back to Monte Carlo.  Growth rates are reported as tail-window
-regression slopes with confidence intervals -- a limsup is not computable,
-a documented estimator is.
+iterated with the operators of `solver.StepOperator`: for n <= DENSE_MAX_N
+as M_{i+1} = B M_i B + R1 D_i R1, D_i the noise diagonal, with the dense
+symmetric Green matrices B = R1 R2 (R1 itself where R2 = I) and R1; above
+that crossover by real FFT along each matrix axis (B and R1 act diagonally
+on the Fourier modes) in the two-pass form M_{i+1} = R1 (R2 M_i R2 + D_i) R1,
+the circulants commuting; the R2 passes are skipped where R2 = I
+(theta = 1, exponential stepper).  Nonlinear sigma falls back to Monte
+Carlo.  Growth rates are reported as tail-window regression slopes with
+confidence intervals -- a limsup is not computable, a documented estimator
+is.
 """
 from __future__ import annotations
 
@@ -138,22 +138,20 @@ def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: Mod
         out[0] = np.outer(u0, u0)
         return MomentMatrices(steps=record, matrices=out)
     op = StepOperator(grid.n, scheme, model)
+    if op.dense:
+        b = op.r1 if op.r2_is_one else op.b  # R1 R2
     m = np.outer(u0, u0)
     out[0] = m
     r = 1
     for i in range(1, steps + 1):
-        # noise feeds on the pre-step moments; m is never a record (records
-        # are copied into out), so its diagonal may grow in place
-        d = gain * np.diag(m)
-        if op.dense and not op.r2_is_one:
-            m = op.b @ m @ op.b + (op.r1 * d) @ op.r1
-        elif op.dense:
-            m.flat[::grid.n + 1] += d
-            m = op.r1 @ m @ op.r1
+        # noise feeds on the pre-step moments
+        if op.dense:
+            m = b @ m @ b + (op.r1 * (gain * np.diag(m))) @ op.r1
         else:
+            d = gain * np.diag(m)
             if not op.r2_is_one:
                 m = _circulant_apply(op.r2h, _circulant_apply(op.r2h, m, 0), 1)
-            m.flat[::grid.n + 1] += d
+            m.flat[::grid.n + 1] += d  # m is never a record: records are copied into out
             m = _circulant_apply(op.r1h, _circulant_apply(op.r1h, m, 0), 1)
         m = (m + m.T) / 2.0
         if i == record[r]:

@@ -112,7 +112,7 @@ class StepOperator:
     def apply(self, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """One step for a single state (n,) or a batch (..., n); u and xi
         are left unchanged."""
-        forcing = self.model.sigma(u)  # a new array, so built up in place
+        forcing = self.model.sigma(u)  # a new array (SigmaSpec.__call__), built up in place
         forcing *= self.noise_amp
         forcing *= xi
         # the Green matrices are symmetric: rows times matrix
