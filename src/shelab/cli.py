@@ -226,7 +226,6 @@ def cmd_sweep(args) -> int:
         result = lambda_scaling_sweep(zeta=float(sec.get("zeta", 1.0)), lambdas=lambdas,
                                       theta=float(sec.get("theta", 1.0)),
                                       sigma_slope=float(sec.get("sigma_slope", 1.0)),
-                                      i0=float(sec.get("i0", 1.0)),
                                       gate_safety=float(sec.get("gate_safety", 0.5)),
                                       threads=_threads(args))
     except ValueError as err:  # a bad zeta or slope names its key first

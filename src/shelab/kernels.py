@@ -10,12 +10,12 @@ matrix product, a (times x modes) decay table times the (modes x points)
 cosine table, and its image-branch times one row of points each, so no
 times x points x terms tensor is built.
 
-Time broadcasting: every kernel and square integral below except
-`semi_green_grid` takes a scalar time or a 1-D array of times.  An array
-adds a leading time axis to the output, shape (len(t),) + the broadcast
-shape of the space arguments; a scalar returns exactly what a single call
-returns (a float for scalar space arguments).  Discrete step counts
-[t/tau] are floored elementwise by `AmplificationFactors.step_power`.
+Time broadcasting: every kernel and square integral below takes a scalar
+time or a 1-D array of times.  An array adds a leading time axis to the
+output, shape (len(t),) + the broadcast shape of the space arguments; a
+scalar returns exactly what a single call returns (a float for scalar
+space arguments).  Discrete step counts [t/tau] are floored elementwise
+by `AmplificationFactors.step_power`.
 """
 from __future__ import annotations
 
@@ -112,6 +112,12 @@ class SpectralBasis:
         d = np.arange(self.n)
         ang = 2.0 * np.pi * np.outer(np.arange(self.n), d) / self.n
         return (np.cos(ang).T @ coeff.T).T
+
+    def circulant(self, coeff: np.ndarray) -> np.ndarray:
+        """The symmetric n x n Green matrix with Fourier eigenvalues coeff
+        (even in j): entry (q, l) = grid_values(coeff)[(q - l) mod n] / n."""
+        q = np.arange(self.n)
+        return self.grid_values(coeff)[(q[:, None] - q[None, :]) % self.n] / self.n
 
 
 @lru_cache(maxsize=128)
@@ -245,9 +251,11 @@ def semi_green_square_integral(t, x, basis: SpectralBasis):
     return _result(np.tensordot(coeff, basis.mode_abs2_interp(x), axes=(-1, 0)))
 
 
-def semi_green_grid(t: float, basis: SpectralBasis) -> np.ndarray:
-    """Grid-point values as a vector over d = (q-l) mod n."""
-    return basis.grid_values(np.exp(basis.eigenvalues * t))
+def semi_green_grid(t, basis: SpectralBasis) -> np.ndarray:
+    """Grid-point values as a vector over d = (q-l) mod n, one row per time
+    for an array of times."""
+    _require_nonnegative(t)
+    return basis.grid_values(np.exp(np.multiply.outer(t, basis.eigenvalues)))
 
 
 # ---------------------------------------------------------------------------

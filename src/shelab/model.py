@@ -58,9 +58,6 @@ class GridSpec:
     def points(self) -> np.ndarray:
         return np.arange(self.n) / self.n
 
-    def x(self, j: int) -> float:
-        return (j % self.n) / self.n
-
     def kappa(self, y: float) -> float:
         """Grid-flooring map: largest grid point <= y."""
         return float(_floor_quantize(y, self.n)) / self.n

@@ -12,17 +12,13 @@ back as one (records, n, n) array beside the int array of those steps
 eigenvalues evolve by mu_{i+1} = A mu_i with
 A = diag(b^2) + lambda^2 tau c^2 r1^2 1^T, and all recorded matrices come
 in closed form from one eigendecomposition of the symmetric conjugate
-diag(r1)^{-1} A diag(r1).  Other initial data are
-iterated with the operators of `solver.StepOperator`: for n <= DENSE_MAX_N
-as M_{i+1} = B M_i B + R1 D_i R1, D_i the noise diagonal, with the dense
-symmetric Green matrices B = R1 R2 (R1 itself where R2 = I) and R1; above
-that crossover by real FFT along each matrix axis (B and R1 act diagonally
-on the Fourier modes) in the two-pass form M_{i+1} = R1 (R2 M_i R2 + D_i) R1,
-the circulants commuting; the R2 passes are skipped where R2 = I
-(theta = 1, exponential stepper).  Nonlinear sigma falls back to Monte
-Carlo.  Growth rates are reported as tail-window regression slopes with
-confidence intervals -- a limsup is not computable, a documented estimator
-is.
+diag(r1)^{-1} A diag(r1).  Other initial data step the recursion as
+M_{i+1} = B M_i B + R1 D_i R1, D_i the noise diagonal, with the dense
+symmetric Green matrices B and R1 built from the same mode factors
+(`SpectralBasis.circulant`) for every n, theta and stepper.  Nonlinear
+sigma falls back to Monte Carlo.  Growth rates are reported as
+tail-window regression slopes with confidence intervals -- a limsup is
+not computable, a documented estimator is.
 """
 from __future__ import annotations
 
@@ -89,14 +85,6 @@ class GrowthFit:
     npoints: int
 
 
-def _circulant_apply(half_factors: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Multiply a symmetric circulant (given by rfft factors) along one axis."""
-    spec = np.fft.rfft(mat, axis=axis)
-    shape = [1, 1]
-    shape[axis] = len(half_factors)
-    return np.fft.irfft(spec * half_factors.reshape(shape), n=mat.shape[axis], axis=axis)
-
-
 def _constant_data_moments(r1: np.ndarray, b: np.ndarray, gain: float, i0: float,
                            steps: np.ndarray, out: np.ndarray) -> None:
     """Fill out (records, n, n) with the moment matrices at the step
@@ -132,27 +120,19 @@ def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: Mod
     u0 = model.u0.values(grid)
     record = np.unique(np.append(np.arange(0, steps + 1, record_every), steps))
     out = np.empty((len(record), grid.n, grid.n))
+    basis = spectral_basis(grid.n)
+    r1, r2 = mode_factors(basis, scheme)
     if np.all(u0 == u0[0]):
-        r1, r2 = mode_factors(spectral_basis(grid.n), scheme)
         _constant_data_moments(r1, r1 * r2, gain, float(u0[0]), record, out)
         out[0] = np.outer(u0, u0)
         return MomentMatrices(steps=record, matrices=out)
-    op = StepOperator(grid.n, scheme, model)
-    if op.dense:
-        b = op.r1 if op.r2_is_one else op.b  # R1 R2
+    b, g = basis.circulant(r1 * r2), basis.circulant(r1)  # R1 R2 and R1
     m = np.outer(u0, u0)
     out[0] = m
     r = 1
     for i in range(1, steps + 1):
         # noise feeds on the pre-step moments
-        if op.dense:
-            m = b @ m @ b + (op.r1 * (gain * np.diag(m))) @ op.r1
-        else:
-            d = gain * np.diag(m)
-            if not op.r2_is_one:
-                m = _circulant_apply(op.r2h, _circulant_apply(op.r2h, m, 0), 1)
-            m.flat[::grid.n + 1] += d  # m is never a record: records are copied into out
-            m = _circulant_apply(op.r1h, _circulant_apply(op.r1h, m, 0), 1)
+        m = b @ m @ b + (g * (gain * np.diag(m))) @ g
         m = (m + m.T) / 2.0
         if i == record[r]:
             out[r] = m
@@ -359,13 +339,13 @@ class SweepResult:
 
 
 def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float,
-                 i0: float, gate_safety: float) -> SweepPoint:
+                 gate_safety: float) -> SweepPoint:
     j0 = abs(sigma_slope)
     n = max(3, int(math.ceil(zeta * lam ** 2)))
     tau = gate_safety / sharp_gate(n, 1.0, j0, lam, zeta)[0]  # the sum is linear in tau
     scheme = SchemeSpec(tau=tau, theta=theta)
     model = ModelSpec(lam=lam, sigma=SigmaSpec.linear(sigma_slope),
-                      u0=InitialData.constant(i0))
+                      u0=InitialData.constant(1.0))
     grid = GridSpec(n)
     flags = []
     gate_ok = check_sharp_regime(n, tau, model, zeta)
@@ -390,20 +370,21 @@ def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float,
 
 
 def lambda_scaling_sweep(zeta: float, lambdas, theta: float = 1.0,
-                         sigma_slope: float = 1.0, i0: float = 1.0,
-                         gate_safety: float = 0.5, threads: int = 1) -> SweepResult:
+                         sigma_slope: float = 1.0, gate_safety: float = 0.5,
+                         threads: int = 1) -> SweepResult:
     """Fitted gamma_2 against lambda with n = max(3, ceil(zeta lambda^2)) and
     tau chosen to pass the sharp-regime gate; regime violations are flagged
     per point, and fewer than two finite gamma_2 raise ValueError.  Points
     run on a worker pool when threads > 1; results aggregate in input order.
-    zeta must be finite and positive, sigma_slope finite and nonzero."""
+    zeta must be finite and positive, sigma_slope finite and nonzero.  u0 = 1:
+    a constant u0 scales every moment matrix by u0^2 and leaves gamma_2."""
     if not (math.isfinite(zeta) and zeta > 0.0):
         raise ValueError(f"zeta must be finite and > 0, got {zeta!r}")
     if not (math.isfinite(sigma_slope) and sigma_slope != 0.0):
         raise ValueError(f"sigma_slope must be finite and nonzero, got {sigma_slope!r}")
 
     def point(lam):
-        return _sweep_point(zeta, lam, theta, sigma_slope, i0, gate_safety)
+        return _sweep_point(zeta, lam, theta, sigma_slope, gate_safety)
 
     points = pmap(point, lambdas, threads)
     good = [p for p in points if np.isfinite(p.gamma2)]

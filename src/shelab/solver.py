@@ -39,11 +39,10 @@ __all__ = [
 
 BLOWUP_LIMIT = 1e150
 # Largest n stepped with dense Green matrices.  In single-threaded timings
-# of one apply (theta = 1 and 0.75, batches of 100 and 1000) and one
-# theta = 1 exact-recursion step the dense products beat the rfft round
-# trips in every case up to n = 96 (1.3-3.7x); at n = 128 the theta = 0.75
-# batch-100 apply ties, and from n = 160 the batch-100 apply favours the
-# FFT (tables in CHANGES.md).
+# of one apply (theta = 1 and 0.75, batches of 100 and 1000) the dense
+# products beat the rfft round trips in every case up to n = 96; at
+# n = 128 the theta = 0.75 batch-100 apply ties, and from n = 160 the
+# batch-100 apply favours the FFT (tables in CHANGES.md).
 DENSE_MAX_N = 96
 
 
@@ -99,10 +98,8 @@ class StepOperator:
         self.r2_is_one = bool(np.all(r2 == 1.0))
         self.dense = self.n <= DENSE_MAX_N
         if self.dense:
-            q = np.arange(self.n)
-            shift = (q[:, None] - q[None, :]) % self.n
-            self.r1 = basis.grid_values(r1)[shift] / self.n
-            self.b = None if self.r2_is_one else basis.grid_values(r1 * r2)[shift] / self.n
+            self.r1 = basis.circulant(r1)
+            self.b = None if self.r2_is_one else basis.circulant(r1 * r2)
         else:
             half = self.n // 2 + 1  # rfft half-spectrum
             self.r1h = r1[:half]

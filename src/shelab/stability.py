@@ -106,7 +106,7 @@ def positivity_time_semi(n: int) -> PositivityTime:
     lam1 = basis.eigenvalues[1]
     t_suff = math.log(2.0 * (n - 1)) / (-lam1)
     times = np.linspace(t_suff / 400, t_suff * 1.001, 400)
-    mins = np.array([semi_green_grid(t, basis).min() for t in times])
+    mins = semi_green_grid(times, basis).min(axis=1)
     idx, count = _certify_suffix(mins, times)
     if idx is None:
         return PositivityTime(t_star=t_suff, certified_on=0, sufficient_time=t_suff)

@@ -49,6 +49,17 @@ class TestSpectralBasis:
         for k in range(n):
             assert np.allclose(basis.mode_abs2_interp(k / n), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4, 7, 8])
+    def test_circulant_has_the_mode_eigenvalues(self, n):
+        # symmetric to roundoff, and each grid mode e_j is an eigenvector
+        # with eigenvalue coeff_j
+        basis = spectral_basis(n)
+        coeff = 1.0 / (1.0 - 0.01 * basis.eigenvalues)  # even in j, like every mode factor
+        mat = basis.circulant(coeff)
+        assert np.allclose(mat, mat.T, rtol=0.0, atol=1e-15)
+        modes = basis._grid_modes(np.arange(n))  # modes[j, q] = e_j(q/n)
+        assert np.allclose(modes @ mat, coeff[:, None] * modes, rtol=0.0, atol=1e-13)
+
 
 class TestHeatKernel:
     def test_domain_error(self):
@@ -154,6 +165,7 @@ def test_time_array_equals_scalar_calls(n, theta, tau, k, frac, times):
                heat_kernel_square_integral,
                lambda s: semi_green(s, x, y, basis),
                lambda s: semi_green_square_integral(s, x, basis),
+               lambda s: semi_green_grid(s, basis),
                lambda s: full_green(s, x, y, "G1", factors),
                lambda s: full_green(s, x, y, "G2", factors),
                lambda s: full_green_square_integral(s, x, factors),

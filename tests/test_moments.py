@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-import shelab.moments
+from shelab.kernels import SpectralBasis
 from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
 from shelab.moments import (MomentSeries, exact_second_moment_recursion,
                             fit_growth, intermittency_report,
@@ -118,9 +118,8 @@ class TestExactRecursion:
     @pytest.mark.parametrize("constant", [True, False], ids=["constant", "samples"])
     def test_recorded_steps_and_no_aliasing(self, constant, n, theta, steps, record_every):
         # the record rule (0, multiples of record_every, the last step) for
-        # both routes, and records that share no memory: the FFT route adds
-        # the noise diagonal into its working matrix in place, so a record
-        # aliasing it would change with the steps after it
+        # both routes, and records that share no memory: a record aliasing
+        # another, or the working matrix, would change with later writes
         u0 = np.full(n, 0.9) if constant else 0.9 + 0.3 * np.cos(2 * np.pi * np.arange(n) / n)
         model = ModelSpec(lam=1.2, sigma=SigmaSpec.linear(1.0),
                           u0=InitialData.grid_samples(u0))
@@ -194,16 +193,21 @@ class TestExactRecursion:
         assert np.all(y[n_start:] >= base * (1.0 + beta) ** ls * (1.0 - 1e-9))
 
     @pytest.mark.parametrize("stepper,theta,n,constant", [
-        (stepper, theta, n, constant) for constant in (True, False)
-        for n in (6, DENSE_MAX_N + 8)
-        for stepper, theta in (("theta", 0.75), ("exponential", 0.75), ("theta", 1.0))],
-        ids=[name + fft + samples for samples in ("", "-samples")
-             for fft in ("", "-fft") for name in ("theta", "exponential", "theta1")])
+        pytest.param(stepper, theta, n, constant, id=name + size + samples)
+        for constant, samples, sizes in (
+            (True, "", ((6, ""), (DENSE_MAX_N + 8, "-fft"))),
+            (False, "-samples", ((6, ""), (DENSE_MAX_N + 8, "-fft"),
+                                 (7, "-odd"), (DENSE_MAX_N + 9, "-fft-odd"))))
+        for n, size in sizes
+        for name, stepper, theta in (("theta", "theta", 0.75),
+                                     ("exponential", "exponential", 0.75),
+                                     ("theta1", "theta", 1.0))])
     def test_against_dense_matrix_recursion(self, stepper, theta, n, constant):
         # clarity-route oracle: iterate the same recursion with explicit
-        # circulant matrices, on both sides of the dense/FFT crossover;
-        # constant u0 takes the closed form, samples the stepping loop.
-        # R2 = I at theta = 1 and for the exponential stepper at any theta.
+        # circulant matrices, even and odd n on both sides of the solver's
+        # dense/FFT crossover; constant u0 takes the closed form, samples
+        # the stepping loop.  R2 = I at theta = 1 and for the exponential
+        # stepper at any theta.
         from scipy.linalg import circulant
 
         from shelab.kernels import spectral_basis
@@ -229,24 +233,25 @@ class TestExactRecursion:
                                              record_every=steps)
         assert np.allclose(mats.matrices[-1], m_dense, rtol=1e-11, atol=1e-13)
 
-    @pytest.mark.parametrize("constant,fft_passes", [(True, False), (False, True)],
+    @pytest.mark.parametrize("constant,stepped", [(True, False), (False, True)],
                              ids=["constant", "samples"])
-    def test_constant_data_skips_the_stepping_loop(self, monkeypatch, constant, fft_passes):
+    def test_constant_data_skips_the_stepping_loop(self, monkeypatch, constant, stepped):
+        # the stepping loop, and only it, builds Green matrices
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return circulant_apply(*args, **kwargs)
+            return circulant(*args, **kwargs)
 
-        circulant_apply = shelab.moments._circulant_apply
-        monkeypatch.setattr(shelab.moments, "_circulant_apply", counting)
+        circulant = SpectralBasis.circulant
+        monkeypatch.setattr(SpectralBasis, "circulant", counting)
         n = DENSE_MAX_N + 8
         u0 = np.full(n, 0.9) if constant else 0.9 + 0.3 * np.cos(2 * np.pi * np.arange(n) / n)
         model = ModelSpec(lam=1.2, sigma=SigmaSpec.linear(1.0),
                           u0=InitialData.grid_samples(u0))
         exact_second_moment_recursion(GridSpec(n), SchemeSpec(tau=2e-3, theta=0.75),
                                       model, 5)
-        assert bool(calls) == fft_passes
+        assert bool(calls) == stepped
 
     def test_exponential_stepper_recursion_agrees_at_small_tau(self):
         # the exponential integrator and the implicit scheme share moment
