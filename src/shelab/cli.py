@@ -70,9 +70,7 @@ def parse_sigma(cfg: dict) -> SigmaSpec:
     s = cfg["model"].get("sigma", {})
     if s.get("kind", "linear") == "linear":
         return SigmaSpec.linear(float(s.get("slope", 1.0)))
-    return SigmaSpec.table(points=[tuple(p) for p in _require(cfg, "model.sigma.points")],
-                           lipschitz=float(_require(cfg, "model.sigma.lipschitz")),
-                           lower_ratio=float(_require(cfg, "model.sigma.lower_ratio")))
+    return SigmaSpec.table([tuple(p) for p in _require(cfg, "model.sigma.points")])
 
 
 def parse_model(cfg: dict) -> ModelSpec:
@@ -94,9 +92,7 @@ def config_to_dict(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec,
     if model.sigma.kind == "linear":
         sigma = {"kind": "linear", "slope": model.sigma.slope}
     else:
-        sigma = {"kind": "table", "points": [list(p) for p in model.sigma.points],
-                 "lipschitz": model.sigma.lipschitz,
-                 "lower_ratio": model.sigma.lower_ratio}
+        sigma = {"kind": "table", "points": [list(p) for p in model.sigma.points]}
     if model.u0.kind == "constant":
         u0 = {"kind": "constant", "value": model.u0.value}
     else:

@@ -132,8 +132,8 @@ def spectral_basis(n: int) -> SpectralBasis:
 class AmplificationFactors:
     """Per-mode one-step factors of the theta scheme.
 
-    r1_j = (1 - theta tau lam_j)^-1, r2_j = 1 + (1-theta) tau lam_j,
-    r3_j = (r1 r2)^-1 - 1 = -lam_j tau / (1 + (1-theta) tau lam_j).
+    r1_j = (1 - theta tau lam_j)^-1, r2_j = 1 + (1-theta) tau lam_j and
+    their product r12_j.
     """
 
     def __init__(self, basis: SpectralBasis, tau: float, theta: float):
@@ -146,8 +146,6 @@ class AmplificationFactors:
         self.r1 = 1.0 / (1.0 - theta * tau * lam)
         self.r2 = 1.0 + (1.0 - theta) * tau * lam
         self.r12 = self.r1 * self.r2
-        with np.errstate(divide="ignore"):
-            self.r3 = np.where(self.r12 != 0.0, 1.0 / self.r12 - 1.0, np.inf)
 
     @property
     def n(self) -> int:

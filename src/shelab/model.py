@@ -54,18 +54,6 @@ class GridSpec:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"grid size must be a positive integer, got {self.n!r}")
 
-    @property
-    def points(self) -> np.ndarray:
-        return np.arange(self.n) / self.n
-
-    def kappa(self, y: float) -> float:
-        """Grid-flooring map: largest grid point <= y."""
-        return float(_floor_quantize(y, self.n)) / self.n
-
-    def cell_index(self, y: float) -> int:
-        """Index of the cell containing y, wrapped periodically."""
-        return int(_floor_quantize(y, self.n)) % self.n
-
 
 @dataclass(frozen=True)
 class SchemeSpec:
@@ -86,89 +74,37 @@ class SchemeSpec:
     def t(self, i: int) -> float:
         return i * self.tau
 
-    def kappa(self, s: float) -> float:
-        """Time-flooring map: largest step boundary <= s."""
-        return _floor_steps(s, self.tau) * self.tau
-
-    def step_index(self, s: float) -> int:
-        return _floor_steps(s, self.tau)
-
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    """Diffusion coefficient restricted to shapes whose Lipschitz constant
-    and lower ratio inf_{x!=0} |sigma(x)/x| are verifiable.
+    """Diffusion coefficient: linear, or a table of samples.
 
-    kind "linear": sigma(x) = slope*x, with lipschitz == lower_ratio == |slope|.
-    kind "table": piecewise-linear interpolation of sorted (x, y) samples,
-    extrapolated with the terminal slopes; the declared constants must bound
-    the table (checked at construction).
+    kind "linear": sigma(x) = slope*x.
+    kind "table": piecewise-linear interpolation of (x, y) samples with
+    strictly increasing x, extrapolated with the terminal slopes.
     """
 
     kind: str
     slope: float = 0.0
     points: tuple = ()
-    lipschitz: float = 0.0
-    lower_ratio: float = 0.0
 
     @staticmethod
     def linear(slope: float) -> "SigmaSpec":
-        c = abs(float(slope))
-        return SigmaSpec(kind="linear", slope=float(slope), lipschitz=c, lower_ratio=c)
+        return SigmaSpec(kind="linear", slope=float(slope))
 
     @staticmethod
-    def table(points: Sequence[tuple], lipschitz: float, lower_ratio: float) -> "SigmaSpec":
-        pts = tuple((float(x), float(y)) for x, y in points)
-        return SigmaSpec(kind="table", points=pts, lipschitz=float(lipschitz),
-                         lower_ratio=float(lower_ratio))
+    def table(points: Sequence[tuple]) -> "SigmaSpec":
+        return SigmaSpec(kind="table", points=tuple((float(x), float(y)) for x, y in points))
 
     def __post_init__(self):
         if self.kind == "linear":
-            c = abs(self.slope)
-            if not math.isclose(self.lipschitz, c) or not math.isclose(self.lower_ratio, c):
-                raise ValueError("linear sigma must declare lipschitz == lower_ratio == |slope|")
             return
         if self.kind != "table":
             raise ValueError(f"unknown sigma kind {self.kind!r}")
         if len(self.points) < 2:
             raise ValueError("table sigma needs at least two samples")
-        xs = np.array([p[0] for p in self.points])
-        ys = np.array([p[1] for p in self.points])
-        if np.any(np.diff(xs) <= 0):
+        if np.any(np.diff([p[0] for p in self.points]) <= 0):
             raise ValueError("table sample abscissae must be strictly increasing")
-        slopes = np.diff(ys) / np.diff(xs)
-        max_slope = float(np.max(np.abs(slopes)))
-        if self.lipschitz < max_slope * (1 - 1e-12):
-            raise ValueError(
-                f"declared lipschitz {self.lipschitz} below table slope {max_slope}")
-        j0 = self._table_inf_ratio(xs, ys, slopes)
-        if self.lower_ratio > j0 + 1e-12 * max(1.0, j0):
-            raise ValueError(
-                f"declared lower_ratio {self.lower_ratio} above table infimum {j0}")
-
-    @staticmethod
-    def _table_inf_ratio(xs, ys, slopes) -> float:
-        # |sigma(x)/x| on a segment is monotone, so the infimum over the
-        # whole line is attained at a sample point, a terminal slope
-        # (x -> +-inf), the slope at 0 when sigma(0)=0, or a zero crossing.
-        candidates = [abs(y / x) for x, y in zip(xs, ys) if x != 0.0]
-        candidates += [abs(slopes[0]), abs(slopes[-1])]
-        s0 = float(np.interp(0.0, xs, ys)) if xs[0] <= 0.0 <= xs[-1] else None
-        for i in range(len(slopes)):
-            y0, y1 = ys[i], ys[i + 1]
-            if y0 == 0.0 and xs[i] != 0.0:
-                candidates.append(0.0)
-            if y0 * y1 < 0.0:
-                x_cross = xs[i] - y0 / slopes[i]
-                if x_cross != 0.0:
-                    candidates.append(0.0)
-        if s0 is not None and s0 == 0.0:
-            k = int(np.searchsorted(xs, 0.0, side="right")) - 1
-            k = min(max(k, 0), len(slopes) - 1)
-            candidates.append(abs(slopes[k]))
-        if ys[-1] == 0.0 and xs[-1] != 0.0:
-            candidates.append(0.0)
-        return min(candidates)
 
     def __call__(self, x):
         """sigma(x) as a new float array, never a view of x: callers such as
@@ -216,12 +152,6 @@ class InitialData:
             raise ValueError(f"unknown initial data kind {self.kind!r}")
         if not all(math.isfinite(v) for v in (self.value, *self.samples)):
             raise ValueError("initial data u0 must be finite")
-
-    @property
-    def i0(self) -> float:
-        if self.kind == "constant":
-            return self.value
-        return min(self.samples) if self.samples else 0.0
 
     def values(self, grid: GridSpec) -> np.ndarray:
         if self.kind == "constant":

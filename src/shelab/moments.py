@@ -34,8 +34,7 @@ from .model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec,
 from .noise import NoiseSeed, normal_rows
 from .kernels import spectral_basis
 from .solver import BlowupError, StepOperator, mode_factors
-from .stability import (check_sharp_regime, check_stability, positivity_time_full,
-                        sharp_gate)
+from .stability import check_stability, positivity_time_full, sharp_gate
 
 __all__ = [
     "MomentMatrices",
@@ -70,7 +69,6 @@ class MomentSeries:
     times: np.ndarray
     values: np.ndarray
     p: float
-    source: dict
     stderr: np.ndarray | None = None
     horizon_reached: bool = False
 
@@ -156,8 +154,7 @@ def second_moment_series(moments: MomentMatrices, tau: float, probe="min") -> Mo
     index = _probe_index(probe, moments.matrices.shape[1])
     diagonals = moments.matrices.diagonal(axis1=1, axis2=2)
     values = diagonals.min(axis=1) if index is None else diagonals[:, index].copy()
-    return MomentSeries(times=moments.steps * tau, values=values, p=2.0,
-                        source={"kind": "exact"})
+    return MomentSeries(times=moments.steps * tau, values=values, p=2.0)
 
 
 def _snap_indices(times, tau: float) -> list[int]:
@@ -266,8 +263,7 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
             times_kept = np.array(kept) * scheme.tau
         results.append(MomentSeries(
             times=times_kept, values=vals, p=q, stderr=errs,
-            horizon_reached=truncated,
-            source={"kind": "mc", "paths": paths, "seed": seed, "purpose": "mc"}))
+            horizon_reached=truncated))
     return results if isinstance(p, (list, tuple)) else results[0]
 
 
@@ -321,7 +317,6 @@ class SweepPoint:
     tau: float
     gamma2: float
     ci_halfwidth: float
-    r_squared: float
     gate_ok: bool
     flags: tuple = ()
 
@@ -348,13 +343,12 @@ def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float,
                       u0=InitialData.constant(1.0))
     grid = GridSpec(n)
     flags = []
-    gate_ok = check_sharp_regime(n, tau, model, zeta)
+    gate_ok = not sharp_gate(n, tau, j0, lam, zeta)[1]
     if not gate_ok:
         flags.append("sharp-regime gate violated")
     if not check_stability(n, tau, theta).satisfied:
         flags.append("stability violated")
-        return SweepPoint(lam, n, tau, float("nan"), float("nan"),
-                          float("nan"), gate_ok, tuple(flags))
+        return SweepPoint(lam, n, tau, float("nan"), float("nan"), gate_ok, tuple(flags))
     t_pos = positivity_time_full(n, tau, theta).t_star
     gamma_guess = math.log1p(lam ** 2 * j0 ** 2 * tau) / tau
     horizon = t_pos + 3.0 / gamma_guess  # three e-folds past the positivity time
@@ -365,8 +359,7 @@ def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float,
     series = second_moment_series(moments, tau, probe="min")
     window = (max(t_pos, 0.2 * horizon), horizon)
     fit = fit_growth(series, window)
-    return SweepPoint(lam, n, tau, fit.gamma, fit.ci_halfwidth,
-                      fit.r_squared, gate_ok, tuple(flags))
+    return SweepPoint(lam, n, tau, fit.gamma, fit.ci_halfwidth, gate_ok, tuple(flags))
 
 
 def lambda_scaling_sweep(zeta: float, lambdas, theta: float = 1.0,

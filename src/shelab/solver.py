@@ -91,7 +91,6 @@ class StepOperator:
 
     def __init__(self, n: int, scheme: SchemeSpec, model: ModelSpec):
         self.n = int(n)
-        self.scheme = scheme
         self.model = model
         basis = spectral_basis(self.n)
         r1, r2 = mode_factors(basis, scheme)

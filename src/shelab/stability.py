@@ -10,7 +10,6 @@ import numpy as np
 
 from .kernels import (AmplificationFactors, full_green_grid, semi_green_grid,
                       spectral_basis)
-from .model import ModelSpec
 
 __all__ = [
     "StabilityReport",
@@ -18,7 +17,6 @@ __all__ = [
     "check_stability",
     "positivity_time_semi",
     "positivity_time_full",
-    "check_sharp_regime",
     "sharp_gate",
 ]
 
@@ -37,7 +35,6 @@ class StabilityReport:
     satisfied: bool
     epsilon: float        # two-sided margin: max_j |r1 r2| = 1 - epsilon
     regime_epsilon: float  # regime-formula margin for the -1 side
-    binding_mode: int
 
     def __bool__(self) -> bool:
         return self.satisfied
@@ -76,11 +73,11 @@ def check_stability(n: int, tau: float, theta: float) -> StabilityReport:
         satisfied = coupling < 1.0 / (2.0 - 4.0 * theta)
         regime_eps = 2.0 - 4.0 * coupling / (1.0 + 4.0 * theta * coupling) if satisfied else 0.0
     factors = AmplificationFactors(spectral_basis(n), tau, theta)
-    eps_tight, binding = factors.contraction_margin()
+    eps_tight, _ = factors.contraction_margin()
     if not satisfied:
         eps_tight = min(eps_tight, 0.0)
     return StabilityReport(regime=regime, satisfied=satisfied, epsilon=eps_tight,
-                           regime_epsilon=regime_eps, binding_mode=binding)
+                           regime_epsilon=regime_eps)
 
 
 def _certify_suffix(grid_min, times, threshold=0.5):
@@ -158,8 +155,3 @@ def sharp_gate(n: int, tau: float, j0: float, lam: float, zeta: float) -> tuple[
     if n < zeta * lam ** 2:
         violations.append(f"n = {n} below zeta*lambda^2 = {zeta * lam ** 2:.4g}")
     return gate, violations
-
-
-def check_sharp_regime(n: int, tau: float, model: ModelSpec, zeta: float) -> bool:
-    """Whether (n, tau) passes :func:`sharp_gate` for this model."""
-    return not sharp_gate(n, tau, model.sigma.lower_ratio, model.lam, zeta)[1]

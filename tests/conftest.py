@@ -17,4 +17,4 @@ def quiet_model():
 
 def const_sigma(c: float) -> SigmaSpec:
     """sigma == c everywhere (additive-noise degenerate case, J0 = 0)."""
-    return SigmaSpec.table([(-1.0, c), (1.0, c)], lipschitz=0.0, lower_ratio=0.0)
+    return SigmaSpec.table([(-1.0, c), (1.0, c)])

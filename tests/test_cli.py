@@ -73,6 +73,21 @@ class TestSimulate:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_table_sigma_ignores_old_constant_keys(self, tmp_path):
+        # configs written when a table sigma declared its Lipschitz and
+        # lower-ratio constants still load; the keys change nothing
+        table = {"kind": "table", "points": [[-1.0, -0.5], [0.0, 0.1], [2.0, 1.3]]}
+        old = dict(table, lipschitz=0.6, lower_ratio=0.0)
+        rows = []
+        for name, sigma in (("new", table), ("old", old)):
+            model = dict(BASE_CONFIG["model"], sigma=sigma)
+            cfg = write_config(tmp_path, {"model": model,
+                                          "simulate": {"steps": 20, "record_every": 5}},
+                               name=f"{name}.json")
+            assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / name)]) == 0
+            rows.append(read_csv(tmp_path / name / "trajectory.csv")[1:])
+        assert rows[0] == rows[1] and len(rows[0]) == 6
+
     def test_manifest_header_fields(self, tmp_path):
         cfg = write_config(tmp_path, {"simulate": {"steps": 5}})
         main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)])
@@ -198,9 +213,8 @@ class TestRenewal:
     ("simulate", {"simulate": {"record_every": 2}}, "simulate.steps"),
     ("simulate", {"model": {"u0": {"kind": "samples"}}, "simulate": {"steps": 1}},
      "model.u0.values"),
-    ("simulate", {"model": {"sigma": {"kind": "table", "lipschitz": 1.0,
-                                      "lower_ratio": 1.0}},
-                  "simulate": {"steps": 1}}, "model.sigma.points"),
+    ("simulate", {"model": {"sigma": {"kind": "table"}}, "simulate": {"steps": 1}},
+     "model.sigma.points"),
     ("moments", {"moments": {"mode": "exact"}}, "moments.steps"),
     ("moments", {"moments": {"mode": "mc", "paths": 4}}, "moments.times"),
     ("moments", {"moments": {"mode": "mc", "times": [0.001]}}, "moments.paths"),

@@ -320,9 +320,6 @@ class TestAmplificationFactors:
         eps, j = factors.contraction_margin()
         half = n // 2
         assert np.max(np.abs(factors.r12[1:half + 1])) <= 1.0 - eps + 1e-12
-        # r3 identity where r1 r2 does not vanish
-        mask = factors.r12 != 0.0
-        assert np.allclose(factors.r3[mask], 1.0 / factors.r12[mask] - 1.0)
 
     def test_mode_ordering(self):
         # e^{2 lam_j t} decreasing in j up to n/2; signed r1 r2 decreasing

@@ -148,8 +148,7 @@ class TestExactRecursion:
         assert second_moment_series(mats, scheme.tau, probe=np.int64(7)).values[0] == 1.0
 
     def test_nonlinear_sigma_unsupported(self):
-        sigma = SigmaSpec.table([(-1, -1), (0, 0), (2, 1)], lipschitz=1.0,
-                                lower_ratio=0.0)
+        sigma = SigmaSpec.table([(-1, -1), (0, 0), (2, 1)])
         model = ModelSpec(lam=1.0, sigma=sigma, u0=InitialData.constant(1.0))
         with pytest.raises(ValueError, match="linear sigma"):
             exact_second_moment_recursion(GridSpec(4), SchemeSpec(tau=0.01, theta=1.0),
@@ -172,7 +171,7 @@ class TestExactRecursion:
         mats = exact_second_moment_recursion(grid, scheme, model, 2000, record_every=1)
         y = diagonals(mats).min(axis=1)
         t = np.arange(len(y)) * scheme.tau
-        alpha, beta = model.u0.i0 ** 2, model.lam ** 2 * model.sigma.lower_ratio ** 2
+        alpha, beta = 1.0, model.lam ** 2  # I0 = J0 = 1: u0 = 1, sigma(x) = x
         integral = np.concatenate([[0.0], np.cumsum((y[1:] + y[:-1]) / 2.0)]) * scheme.tau
         premise = y >= alpha + beta * integral - 1e-9
         assert premise.all()
@@ -185,8 +184,8 @@ class TestExactRecursion:
         grid, scheme, model = make(4, 1e-3, 1.0, 1.0)
         mats = exact_second_moment_recursion(grid, scheme, model, 3000, record_every=1)
         y = diagonals(mats).min(axis=1)
-        alpha = model.u0.i0 ** 2
-        beta = model.lam ** 2 * model.sigma.lower_ratio ** 2 * scheme.tau
+        alpha = 1.0  # I0 = J0 = 1: u0 = 1, sigma(x) = x
+        beta = model.lam ** 2 * scheme.tau
         n_start = len(y) // 3
         base = alpha + beta * np.sum(y[:n_start])
         ls = np.arange(len(y) - n_start)
@@ -450,7 +449,7 @@ class TestMcMoment:
 class TestFitGrowth:
     def test_pure_exponential(self):
         t = np.linspace(0, 5, 40)
-        series = MomentSeries(times=t, values=np.exp(3.0 * t), p=2, source={})
+        series = MomentSeries(times=t, values=np.exp(3.0 * t), p=2)
         fit = fit_growth(series, window=(0.0, 5.0))
         assert fit.gamma == pytest.approx(3.0, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -458,17 +457,17 @@ class TestFitGrowth:
     def test_perturbed_exponential(self):
         t = np.linspace(0, 5, 200)
         series = MomentSeries(times=t, values=np.exp(3.0 * t) * (1 + 0.01 * np.sin(t)),
-                              p=2, source={})
+                              p=2)
         fit = fit_growth(series, window=(0.0, 5.0))
         assert 2.9 <= fit.gamma <= 3.1
 
     def test_window_requirements(self):
         t = np.linspace(0, 1, 10)
-        series = MomentSeries(times=t, values=np.exp(t), p=2, source={})
+        series = MomentSeries(times=t, values=np.exp(t), p=2)
         with pytest.raises(ValueError, match="5 points"):
             fit_growth(series, window=(0.9, 1.0))
         bad = MomentSeries(times=t, values=np.concatenate([[-1.0], np.exp(t[1:])]),
-                           p=2, source={})
+                           p=2)
         with pytest.raises(ValueError, match="nonpositive"):
             fit_growth(bad, window=(0.0, 1.0))
 

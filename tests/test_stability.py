@@ -6,9 +6,8 @@ import pytest
 import shelab.stability
 from shelab.kernels import (AmplificationFactors, full_green, full_green_grid, semi_green,
                             spectral_basis)
-from shelab.model import InitialData, ModelSpec, SigmaSpec
-from shelab.stability import (check_sharp_regime, check_stability,
-                              positivity_time_full, positivity_time_semi, sharp_gate)
+from shelab.stability import (check_stability, positivity_time_full,
+                              positivity_time_semi, sharp_gate)
 
 
 def positivity_per_step(n, tau, theta, m_suff):
@@ -132,20 +131,16 @@ class TestPositivityTimes:
 
 
 class TestSharpRegime:
-    def setup_method(self):
-        self.model = ModelSpec(lam=2.0, sigma=SigmaSpec.linear(1.0),
-                               u0=InitialData.constant(1.0))
+    # sharp_gate(n, tau, J0, lambda, zeta); J0 = 1 is sigma(x) = x
 
     def test_example_passes(self):
         # J0=1, zeta=1, n=4, tau=1e-4: gate ~ 0.08 < 1 and n = 4 >= lambda^2
-        assert check_sharp_regime(4, 1e-4, self.model, 1.0)
+        assert not sharp_gate(4, 1e-4, 1.0, 2.0, 1.0)[1]
 
     def test_small_grid_fails(self):
-        model = ModelSpec(lam=3.0, sigma=SigmaSpec.linear(1.0),
-                          u0=InitialData.constant(1.0))
-        assert not check_sharp_regime(4, 1e-6, model, 1.0)  # n < zeta lambda^2 = 9
+        assert sharp_gate(4, 1e-6, 1.0, 3.0, 1.0)[1]  # n < zeta lambda^2 = 9
 
     def test_coarse_time_step_fails_regardless(self):
         # n^2 tau >= 1/(16 pi): second summand alone reaches 1
         tau = 1.0 / (16.0 * math.pi * 16)
-        assert not check_sharp_regime(4, tau, self.model, 1.0)
+        assert sharp_gate(4, tau, 1.0, 2.0, 1.0)[1]
