@@ -108,9 +108,10 @@ class SpectralBasis:
     def grid_values(self, coeff: np.ndarray) -> np.ndarray:
         """Kernel values at grid points as a function of q-l (translation
         invariant there): g[..., d] = sum_j coeff[..., j] exp(2 pi i j d / n),
-        real; one row per row of a 2-D coeff."""
+        real; one row per row of a 2-D coeff.  j d is reduced mod n before
+        the angle is formed, so every cosine is exact to roundoff."""
         d = np.arange(self.n)
-        ang = 2.0 * np.pi * np.outer(np.arange(self.n), d) / self.n
+        ang = 2.0 * np.pi * (np.outer(d, d) % self.n) / self.n
         return (np.cos(ang).T @ coeff.T).T
 
     def circulant(self, coeff: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ from shelab.kernels import (CROSSOVER_TIME, IMAGE_TERMS, SPECTRAL_TERMS,
                             heat_kernel_square_integral, semi_green,
                             semi_green_grid, semi_green_square_integral,
                             spectral_basis)
+from shelab.model import SchemeSpec
+from shelab.solver import mode_factors
 
 
 def quad_unit_interval(fn, panels=512, order=8):
@@ -59,6 +61,17 @@ class TestSpectralBasis:
         assert np.allclose(mat, mat.T, rtol=0.0, atol=1e-15)
         modes = basis._grid_modes(np.arange(n))  # modes[j, q] = e_j(q/n)
         assert np.allclose(modes @ mat, coeff[:, None] * modes, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("stepper", ["theta", "exponential"])
+    def test_circulant_row_sums_conserve_mass(self, n, stepper):
+        # every row of a Green matrix sums to its mode-0 factor r1_0 r2_0 = 1;
+        # an angle 2 pi j d / n formed before reducing j d mod n is off by
+        # up to 2 pi n eps and moves the row sums by about 2e-14 at n = 256
+        basis = spectral_basis(n)
+        r1, r2 = mode_factors(basis, SchemeSpec(tau=1e-3, theta=1.0, stepper=stepper))
+        rows = basis.circulant(r1 * r2).sum(axis=1)
+        assert np.max(np.abs(rows - 1.0)) <= 2e-15
 
 
 class TestHeatKernel:
