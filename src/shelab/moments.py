@@ -261,9 +261,8 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
             truncated = True
         else:
             times_kept = np.array(kept) * scheme.tau
-        results.append(MomentSeries(
-            times=times_kept, values=vals, p=q, stderr=errs,
-            horizon_reached=truncated))
+        results.append(MomentSeries(times=times_kept, values=vals, p=q, stderr=errs,
+                                    horizon_reached=truncated))
     return results if isinstance(p, (list, tuple)) else results[0]
 
 
