@@ -207,12 +207,11 @@ def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS,
             tau = 0.4 / (n * n)
             factors = AmplificationFactors(basis, tau, theta)
             half = n // 2
-            mags = np.abs(factors.r12[1:half + 1])
             results["factor-ordering"].merge(
                 1e-12 - float(np.max(np.diff(factors.r12[1:half + 1])))
                 if half > 1 else 1.0, f"n={n} theta={theta:g}")
-            if np.max(mags) >= 1.0:
-                continue  # inadmissible point: stability module's business
+            if factors.contraction_margin()[0] <= 0.0:
+                continue  # no contraction: an inadmissible step size
             evaluated += 1
             # mode-0 coefficients of the kernels are exactly one
             results["mode-zero-conservation"].merge(

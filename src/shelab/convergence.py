@@ -33,7 +33,6 @@ from .moments import ols
 # and restores it in this module's namespace.
 from .noise import NoiseSeed, coarsen_ladder, normal_rows, normals_from_raw  # noqa: F401
 from .solver import BlowupError, StepOperator
-from .stability import check_stability
 
 __all__ = [
     "QuadratureSpec",
@@ -194,9 +193,8 @@ def green_error_full(n: int, tau: float, theta: float, x: float = 0.0,
     quadrature places panels on every step interval; otherwise the smooth
     substitution is used and validated by the self-consistency check.
     """
-    report = check_stability(n, tau, theta)
-    if not report.satisfied:
-        raise ValueError("step-size regime inadmissible: " + report.regime)
+    validate_run_config(GridSpec(n), SchemeSpec(tau=tau, theta=theta),
+                        "step-size regime inadmissible")
     basis = spectral_basis(n)
     factors = AmplificationFactors(basis, tau, theta)
     prof = basis.modes(x)
@@ -242,17 +240,18 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
 
     ladder: list of (n, tau) pairs ordered coarse -> fine; the last entry is
     the reference.  Every rung's (n, tau) must nest into the reference by
-    integer (power-of-two) factors so the coarsened noise is bit-exactly
-    consistent.  All rung errors are reported; only rungs separated from
-    the reference by at least `fit_separation` in the refined coordinate
-    enter the order fit (a too-close reference deflates the coupled error:
-    with slow orders the errors of rung and reference stay comparable and
-    positively correlated).  Every rung must pass validate_run_config, and
+    integer factors, not only powers of two: each chunk of fine noise is
+    coarsened to every rung by noise.coarsen_ladder, which chains the
+    power-of-two rungs through one halving tree and coarsens other factors
+    straight from the fine block, so each rung's noise is bit-exactly
+    coarsen_array of the fine noise.  All rung errors are reported; only
+    rungs separated from the reference by at least `fit_separation` in the
+    refined coordinate enter the order fit (a too-close reference deflates
+    the coupled error: with slow orders the errors of rung and reference
+    stay comparable and positively correlated).  Every rung must pass validate_run_config, and
     the ladder must refine one axis with at least two rungs to fit; both are
     checked before any noise is drawn (ValueError).  A blow-up is re-raised
-    naming the rung's (n, tau) and its own step index.  Each chunk of fine
-    noise is coarsened to every rung through one shared halving tree
-    (noise.coarsen_ladder).
+    naming the rung's (n, tau) and its own step index.
     """
     if len(ladder) < 3:
         raise ValueError("ladder needs at least two rungs plus the reference")
@@ -273,7 +272,7 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     ops, probes = [], []
     for (n_r, tau_r) in ladder:
         scheme = SchemeSpec(tau=tau_r, theta=theta)
-        validate_run_config(GridSpec(n_r), scheme).require(f"invalid rung ({n_r}, {tau_r})")
+        validate_run_config(GridSpec(n_r), scheme, f"invalid rung ({n_r}, {tau_r})")
         op = StepOperator(n_r, scheme, model)
         ops.append(op)
         idx = probe_x * n_r

@@ -2,8 +2,7 @@
 
 All types are immutable after construction and validate their own basic
 sanity; the combination rules (grid size, step-size coupling) live in
-:func:`validate_run_config` so that out-of-range combinations can be
-*reported* rather than rejected at construction time.
+:func:`validate_run_config`, which raises naming every violated rule.
 """
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ __all__ = [
     "SigmaSpec",
     "InitialData",
     "ModelSpec",
-    "ValidationReport",
     "validate_run_config",
 ]
 
@@ -175,28 +173,15 @@ class ModelSpec:
             raise ValueError(f"noise level must be nonnegative, got {self.lam!r}")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    violations: tuple = ()
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def require(self, context: str = "invalid run configuration") -> None:
-        """Raise ValueError("<context>: <violations>") unless passed."""
-        if not self.passed:
-            raise ValueError(f"{context}: " + "; ".join(self.violations))
-
-
-def validate_run_config(grid: GridSpec, scheme: SchemeSpec) -> ValidationReport:
-    """Aggregate admissibility check for a run.
-
-    Collects every violated assumption instead of stopping at the first:
-    grid size, time-step range and the per-theta stability regime.
+def validate_run_config(grid: GridSpec, scheme: SchemeSpec,
+                        context: str = "invalid run configuration") -> None:
+    """The one admissibility check of a run: raise
+    ValueError("<context>: <violations>") naming every violated assumption,
+    not only the first: grid size, time-step range and theta range, then the
+    paper's step-size rule.  The theta scheme with theta < 1/2 needs
+    n^2 tau < 1/(2 - 4 theta); theta >= 1/2 and the exponential stepper are
+    unconditional.
     """
-    from .stability import check_stability
-
     violations = []
     if grid.n < 3:
         violations.append(f"n < 3: grid size {grid.n} below the minimum partition count")
@@ -204,10 +189,11 @@ def validate_run_config(grid: GridSpec, scheme: SchemeSpec) -> ValidationReport:
         violations.append(f"tau out of range (0,1): {scheme.tau}")
     if not (0.0 <= scheme.theta <= 1.0):
         violations.append(f"theta out of range [0,1]: {scheme.theta}")
-    if not violations and scheme.stepper == "theta":
-        report = check_stability(grid.n, scheme.tau, scheme.theta)
-        if not report.satisfied:
-            violations.append(
-                f"stability regime violated: n^2*tau={grid.n ** 2 * scheme.tau:g} "
-                f"inadmissible for theta={scheme.theta:g} ({report.regime})")
-    return ValidationReport(passed=not violations, violations=tuple(violations))
+    coupling = grid.n * grid.n * scheme.tau
+    if (not violations and scheme.stepper == "theta" and scheme.theta < 0.5
+            and not coupling < 1.0 / (2.0 - 4.0 * scheme.theta)):
+        violations.append(
+            f"stability regime violated: n^2*tau={coupling:g} inadmissible for "
+            f"theta={scheme.theta:g} (theta < 1/2 needs n^2*tau < 1/(2 - 4 theta))")
+    if violations:
+        raise ValueError(f"{context}: " + "; ".join(violations))

@@ -34,7 +34,7 @@ from .model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec,
 from .noise import NoiseSeed, normal_rows
 from .kernels import spectral_basis
 from .solver import BlowupError, StepOperator, mode_factors
-from .stability import check_stability, positivity_time_full, sharp_gate
+from .stability import positivity_time_full, sharp_gate
 
 __all__ = [
     "MomentMatrices",
@@ -109,7 +109,7 @@ def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: Mod
     steps 0, k * record_every and `steps`; for constant u0 in closed form."""
     if not model.sigma.is_linear:
         raise ValueError("exact recursion supports linear sigma only; use Monte Carlo")
-    validate_run_config(grid, scheme).require()
+    validate_run_config(grid, scheme)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if record_every < 1:
@@ -184,7 +184,7 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
         raise ValueError("moment order must be >= 1")
     if paths < 2:
         raise ValueError("need at least 2 paths")
-    validate_run_config(grid, scheme).require()
+    validate_run_config(grid, scheme)
     index = _probe_index(probe, grid.n)
     if len(times) == 0 or min(times) < 0:
         raise ValueError(f"times must be a non-empty list of times >= 0, got {list(times)}")
@@ -345,7 +345,11 @@ def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float,
     gate_ok = not sharp_gate(n, tau, j0, lam, zeta)[1]
     if not gate_ok:
         flags.append("sharp-regime gate violated")
-    if not check_stability(n, tau, theta).satisfied:
+    try:
+        validate_run_config(grid, scheme)
+    except ValueError as err:
+        if "stability regime violated" not in str(err):
+            raise  # a theta or tau out of range is an error, not a flagged point
         flags.append("stability violated")
         return SweepPoint(lam, n, tau, float("nan"), float("nan"), gate_ok, tuple(flags))
     t_pos = positivity_time_full(n, tau, theta).t_star

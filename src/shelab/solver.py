@@ -126,7 +126,10 @@ class StepOperator:
                                n=self.n, axis=-1)
         hi, lo = out.max(), out.min()
         if not (hi <= BLOWUP_LIMIT and lo >= -BLOWUP_LIMIT):  # false on nan
-            raise BlowupError(-1, float(max(hi, -lo)))  # largest |u|, or nan
+            magnitude = float(max(hi, -lo))  # largest |u|, or nan
+            if np.isnan(magnitude) and np.isinf(u).any() and not np.isnan(u).any():
+                magnitude = np.inf  # the real FFT turns a state's infs into nans
+            raise BlowupError(-1, magnitude)
         return out
 
 
@@ -139,7 +142,7 @@ def simulate(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, seed: NoiseSe
     Deterministic given (seed, stream); raises BlowupError with the reached
     horizon when the state exceeds the growth monitor.
     """
-    validate_run_config(grid, scheme).require()
+    validate_run_config(grid, scheme)
     record = sorted(set(int(i) for i in record_indices)) or [0]
     if record[0] < 0:
         raise ValueError("record indices must be nonnegative")

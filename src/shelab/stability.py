@@ -1,5 +1,5 @@
-"""Step-size admissibility regimes, contraction margins, and the times
-after which the discrete Green functions are uniformly >= 1/2.
+"""The times after which the discrete Green functions are uniformly >= 1/2,
+and the step-size gate of the sharp lambda^4 growth order.
 """
 from __future__ import annotations
 
@@ -10,19 +10,14 @@ import numpy as np
 
 from .kernels import (AmplificationFactors, full_green_grid, semi_green_grid,
                       spectral_basis)
+from .model import GridSpec, SchemeSpec, validate_run_config
 
 __all__ = [
-    "StabilityReport",
     "PositivityTime",
-    "check_stability",
     "positivity_time_semi",
     "positivity_time_full",
     "sharp_gate",
 ]
-
-REGIME_EXPLICIT = "explicit-like"       # theta < 1/2, coupled n^2 tau bound
-REGIME_CRANK_NICOLSON = "crank-nicolson"  # theta = 1/2
-REGIME_IMPLICIT = "implicit-like"       # theta > 1/2, unconditional
 
 # Entries of one block of kernel grid values (steps x n) in
 # positivity_time_full: 1 MiB of float64 at a time.
@@ -30,54 +25,10 @@ GRID_BUDGET = 2 ** 17
 
 
 @dataclass(frozen=True)
-class StabilityReport:
-    regime: str
-    satisfied: bool
-    epsilon: float        # two-sided margin: max_j |r1 r2| = 1 - epsilon
-    regime_epsilon: float  # regime-formula margin for the -1 side
-
-    def __bool__(self) -> bool:
-        return self.satisfied
-
-
-@dataclass(frozen=True)
 class PositivityTime:
     t_star: float
     certified_on: int   # number of certificate samples past t_star
     sufficient_time: float
-
-
-def check_stability(n: int, tau: float, theta: float) -> StabilityReport:
-    """Classify (n, tau, theta) into the three step-size regimes.
-
-    theta > 1/2 is unconditional with the explicit margin
-    min{(2 theta - 1)/(2 theta), 1/2}; theta = 1/2 is admissible for every
-    n^2 tau; theta < 1/2 needs r = n^2 tau < 1/(2 - 4 theta).  The reported
-    `epsilon` is always tightened to the exact two-sided contraction margin
-    of the mode factors.
-    """
-    if n < 3 or not (0.0 < tau < 1.0) or not (0.0 <= theta <= 1.0):
-        raise ValueError(f"check_stability needs n>=3, 0<tau<1, theta in [0,1]; "
-                         f"got n={n}, tau={tau}, theta={theta}")
-    coupling = n * n * tau
-    if theta > 0.5:
-        regime = REGIME_IMPLICIT
-        satisfied = True
-        regime_eps = min((2.0 * theta - 1.0) / (2.0 * theta), 0.5)
-    elif theta == 0.5:
-        regime = REGIME_CRANK_NICOLSON
-        satisfied = True
-        regime_eps = min(1.0 / (coupling + 0.5), 0.5)
-    else:
-        regime = REGIME_EXPLICIT
-        satisfied = coupling < 1.0 / (2.0 - 4.0 * theta)
-        regime_eps = 2.0 - 4.0 * coupling / (1.0 + 4.0 * theta * coupling) if satisfied else 0.0
-    factors = AmplificationFactors(spectral_basis(n), tau, theta)
-    eps_tight, _ = factors.contraction_margin()
-    if not satisfied:
-        eps_tight = min(eps_tight, 0.0)
-    return StabilityReport(regime=regime, satisfied=satisfied, epsilon=eps_tight,
-                           regime_epsilon=regime_eps)
 
 
 def _certify_suffix(grid_min, times, threshold=0.5):
@@ -114,22 +65,21 @@ def positivity_time_semi(n: int) -> PositivityTime:
 def positivity_time_full(n: int, tau: float, theta: float) -> PositivityTime:
     """Certified time t(n,tau) = m* tau with G1 >= 1/2 at grid points.
 
-    Seeds with the geometric proof bound 2 [n/2] (1-eps')^m <= 1/2 where
-    eps' = min{eps, 1 - r1_1 r2_1}, then shrinks m* over the certificate
-    suffix of direct grid minima, evaluated in blocks of steps of at most
-    GRID_BUDGET grid values.
+    Seeds with the geometric proof bound 2 [n/2] (1-eps)^m <= 1/2, where
+    1 - eps = max_j |r1_j r2_j| is the exact two-sided contraction margin,
+    then shrinks m* over the certificate suffix of direct grid minima,
+    evaluated in blocks of steps of at most GRID_BUDGET grid values.
     """
-    report = check_stability(n, tau, theta)
-    if not report.satisfied:
-        raise ValueError("positivity time undefined: stability regime violated")
-    basis = spectral_basis(n)
-    factors = AmplificationFactors(basis, tau, theta)
-    eps_prime = min(report.regime_epsilon, 1.0 - factors.r12[1])
-    if eps_prime <= 0.0:
+    validate_run_config(GridSpec(n), SchemeSpec(tau=tau, theta=theta),
+                        "positivity time undefined")
+    factors = AmplificationFactors(spectral_basis(n), tau, theta)
+    eps = factors.contraction_margin()[0]
+    if eps <= 0.0:
         raise ValueError("degenerate contraction margin; tau too small to resolve")
     half = n // 2
     target = 0.5 / (2.0 * half)
-    m_suff = max(1, int(math.ceil(math.log(target) / math.log(1.0 - eps_prime))))
+    rate = 1.0 - eps  # 0 when every nonconstant mode dies in one step (n = 3)
+    m_suff = max(1, math.ceil(math.log(target) / math.log(rate))) if rate > 0.0 else 1
     steps = np.arange(1, m_suff + 2)
     block = max(1, GRID_BUDGET // n)
     mins = np.concatenate([full_green_grid(steps[k:k + block] * tau, "G1", factors).min(axis=1)

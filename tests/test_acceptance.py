@@ -13,12 +13,12 @@ from shelab.checks import lemma_suite
 from shelab.cli import main
 from shelab.convergence import green_error_full, green_error_semi, strong_error_study
 from shelab.kernels import AmplificationFactors, full_green, semi_green, spectral_basis
-from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
+from shelab.model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec,
+                          validate_run_config)
 from shelab.moments import (exact_second_moment_recursion, fit_growth,
                             lambda_scaling_sweep, mc_moment, second_moment_series)
 from shelab.renewal import continuous_mu, discrete_mu, discrete_mu_tau_limit
-from shelab.stability import (check_stability, positivity_time_full,
-                              positivity_time_semi)
+from shelab.stability import positivity_time_full, positivity_time_semi
 
 LATTICE_NS = (3, 4, 8, 16, 64)
 LATTICE_THETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -56,7 +56,9 @@ def test_criterion_2_positivity_certificates():
     for n in LATTICE_NS:
         for theta in LATTICE_THETAS:
             tau = 0.4 / (n * n)
-            if not check_stability(n, tau, theta).satisfied:
+            try:
+                validate_run_config(GridSpec(n), SchemeSpec(tau=tau, theta=theta))
+            except ValueError:
                 continue
             pt = positivity_time_full(n, tau, theta)
             factors = AmplificationFactors(spectral_basis(n), tau, theta)
@@ -66,6 +68,7 @@ def test_criterion_2_positivity_certificates():
                                              g[None, :], "G1", factors))
                 assert vals.shape == (n, n) and vals.min() >= 0.5
             certified += 1
+    assert certified == len(LATTICE_NS) * (1 + len(LATTICE_THETAS))  # n^2 tau = 0.4: all admissible
     report("criterion 2 (positivity certificates)",
            f"{certified} lattice points brute-force verified at t* and 2 t*")
 

@@ -353,6 +353,28 @@ class TestStrongErrorStudy:
             means.append(u.mean())
         assert np.max(np.abs(np.diff(means))) < 1e-12
 
+    def test_non_power_of_two_ladder_matches_hand_stepped_oracle(self, pam_model):
+        # time factors 6 and 3 are coarsened straight from the fine block;
+        # the oracle reads each path's whole "strong" stream at once
+        ladder = [(8, 6 * 2 ** -10), (8, 3 * 2 ** -10), (8, 2 ** -10)]
+        paths, seed, m_f = 5, 3, 12
+        curve = strong_error_study(ladder, pam_model, 0.75, m_f * 2 ** -10, paths, seed,
+                                   fit_separation=2)
+        fine = np.stack([sample_block(NoiseSeed(seed, path=k, purpose="strong"), m_f, 8)
+                         for k in range(paths)])
+        finals = []
+        for n, tau in ladder:
+            op = StepOperator(n, SchemeSpec(tau=tau, theta=0.75), pam_model)
+            u = np.ones((paths, n))
+            coarse = coarsen_array(fine, 1, round(tau * 2 ** 10))
+            for s in range(coarse.shape[1]):
+                u = op.apply(u, coarse[:, s, :])
+            finals.append(u[:, 0])
+        want = [math.sqrt(float(np.dot(u - finals[-1], u - finals[-1])) / paths)
+                for u in finals[:-1]]
+        assert list(curve.errors) == want
+        assert list(curve.fit_mask) == [True, True]
+
     def test_fit_mask_separation(self, pam_model):
         ladder = [(8, 2 ** -10), (16, 2 ** -10), (32, 2 ** -10), (64, 2 ** -10)]
         curve = strong_error_study(ladder, pam_model, theta=1.0, T=2 ** -4,

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,22 +94,70 @@ class TestInitialData:
             InitialData.grid_samples([1.0, 2.0]).values(GridSpec(3))
 
 
+def paper_rule_admits(n: int, tau: float, theta: float) -> bool:
+    """The paper's step-size rule in exact rational arithmetic: theta < 1/2
+    needs n^2 tau < 1/(2 - 4 theta); theta >= 1/2 is unconditional."""
+    theta = Fraction(theta)
+    return theta >= Fraction(1, 2) or n * n * Fraction(tau) * (2 - 4 * theta) < 1
+
+
 class TestValidateRunConfig:
     def test_minimal_pass(self):
         # theta=1 has no coupled requirement for n, tau
-        report = validate_run_config(GridSpec(3), SchemeSpec(tau=0.5, theta=1.0))
-        assert report.passed and not report.violations
+        assert validate_run_config(GridSpec(3), SchemeSpec(tau=0.5, theta=1.0)) is None
 
     def test_small_grid_fails(self):
-        report = validate_run_config(GridSpec(2), SchemeSpec(tau=0.1, theta=1.0))
-        assert not report.passed
-        assert any("n < 3" in v for v in report.violations)
+        with pytest.raises(ValueError, match="n < 3"):
+            validate_run_config(GridSpec(2), SchemeSpec(tau=0.1, theta=1.0))
 
     def test_explicit_coupling_fails(self):
         # n^2 tau = 1 >= 1/(2 - 4*0) = 1/2
-        report = validate_run_config(GridSpec(10), SchemeSpec(tau=0.01, theta=0.0))
-        assert not report.passed
-        assert any("stability" in v for v in report.violations)
+        with pytest.raises(ValueError, match="stability"):
+            validate_run_config(GridSpec(10), SchemeSpec(tau=0.01, theta=0.0))
+
+    def test_context_prefixes_the_message(self):
+        with pytest.raises(ValueError, match=r"^rung \(10, 0.01\): stability regime violated"):
+            validate_run_config(GridSpec(10), SchemeSpec(tau=0.01, theta=0.0),
+                                "rung (10, 0.01)")
+
+    @pytest.mark.parametrize("theta", [0.0, 0.25, 0.49, 0.5, 0.75, 1.0])
+    def test_raises_exactly_when_the_paper_rule_fails(self, theta):
+        # n^2 tau just below and just above 1/(2 - 4 theta) (for theta >= 1/2,
+        # around theta = 0's bound 1/2), and tau close to 1
+        exact = 1 / (2 - 4 * Fraction(theta)) if theta < 0.5 else Fraction(1, 2)
+        for n in range(3, 41):
+            for coupling in (exact * (1 - Fraction(1, 10 ** 12)),
+                             exact * (1 + Fraction(1, 10 ** 12)), Fraction(99, 100) * n * n):
+                tau = float(coupling / (n * n))
+                if tau >= 1.0:
+                    continue  # theta = 0.49: the bound 25 needs n >= 6
+                admitted = paper_rule_admits(n, tau, theta)
+                if admitted:
+                    validate_run_config(GridSpec(n), SchemeSpec(tau=tau, theta=theta))
+                else:
+                    with pytest.raises(ValueError, match="stability regime violated"):
+                        validate_run_config(GridSpec(n), SchemeSpec(tau=tau, theta=theta))
+                assert admitted == (theta >= 0.5 or coupling < exact)
+
+    @given(n=st.integers(min_value=3, max_value=200),
+           tau=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+           theta=st.floats(min_value=0.0, max_value=1.0))
+    def test_exponential_stepper_never_raises(self, n, tau, theta):
+        validate_run_config(GridSpec(n), SchemeSpec(tau=tau, theta=theta, stepper="exponential"))
+
+    @pytest.mark.parametrize("n,tau,theta,named", [
+        (2, 1.5, 0.0, ["n < 3", "tau out of range"]),
+        (2, 0.1, 1.5, ["n < 3", "theta out of range"]),
+        (5, 1.5, -0.5, ["tau out of range", "theta out of range"]),
+        (2, 1.5, 2.0, ["n < 3", "tau out of range", "theta out of range"]),
+    ])
+    def test_every_violation_is_named(self, n, tau, theta, named):
+        with pytest.raises(ValueError) as err:
+            validate_run_config(GridSpec(n), SchemeSpec(tau=tau, theta=theta))
+        message = str(err.value)
+        assert message.startswith("invalid run configuration: ")
+        assert message.count("; ") == len(named) - 1
+        assert all(v in message for v in named)
 
 
 class TestConfigRoundTrip:

@@ -6,8 +6,8 @@ import pytest
 import shelab.stability
 from shelab.kernels import (AmplificationFactors, full_green, full_green_grid, semi_green,
                             spectral_basis)
-from shelab.stability import (check_stability, positivity_time_full,
-                              positivity_time_semi, sharp_gate)
+from shelab.model import GridSpec, SchemeSpec, validate_run_config
+from shelab.stability import positivity_time_full, positivity_time_semi, sharp_gate
 
 
 def positivity_per_step(n, tau, theta, m_suff):
@@ -29,46 +29,63 @@ def _sweep_scheme(zeta, lam):
     return n, 0.5 / sharp_gate(n, 1.0, 1.0, lam, zeta)[0]
 
 
+def admitted(n, tau, theta):
+    try:
+        validate_run_config(GridSpec(n), SchemeSpec(tau=tau, theta=theta))
+    except ValueError:
+        return False
+    return True
+
+
+def old_proof_bound_steps(n, tau, theta):
+    """The proof bound m of 2 [n/2] (1 - eps')^m <= 1/2 that seeded
+    positivity_time_full before it used the exact two-sided margin, with
+    eps' = min(regime-formula eps, 1 - r12_1)."""
+    coupling = n * n * tau
+    if theta > 0.5:
+        regime_eps = min((2.0 * theta - 1.0) / (2.0 * theta), 0.5)
+    elif theta == 0.5:
+        regime_eps = min(1.0 / (coupling + 0.5), 0.5)
+    else:
+        regime_eps = 2.0 - 4.0 * coupling / (1.0 + 4.0 * theta * coupling)
+    factors = AmplificationFactors(spectral_basis(n), tau, theta)
+    eps_prime = min(regime_eps, 1.0 - factors.r12[1])
+    return max(1, math.ceil(math.log(0.5 / (2 * (n // 2))) / math.log(1.0 - eps_prime)))
+
+
 class TestCheckStability:
+    # admissibility is validate_run_config's; the margin is the factors'
+
     def test_explicit_regime_example(self):
-        report = check_stability(4, 0.02, 0.0)   # n^2 tau = 0.32 < 1/2
-        assert report.satisfied
-        assert report.regime_epsilon == pytest.approx(2.0 - 4.0 * 0.32, rel=1e-12)
+        assert admitted(4, 0.02, 0.0)   # n^2 tau = 0.32 < 1/2
 
     def test_implicit_regime_example(self):
-        report = check_stability(5, 0.37, 0.75)
-        assert report.satisfied
-        assert report.regime_epsilon == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert admitted(5, 0.37, 0.75)
 
     def test_crank_nicolson_example(self):
-        report = check_stability(10, 0.009, 0.5)  # n^2 tau = 0.9 admissible
-        assert report.satisfied and report.regime_epsilon > 0.0
+        assert admitted(10, 0.009, 0.5)  # n^2 tau = 0.9 admissible
+        factors = AmplificationFactors(spectral_basis(10), 0.009, 0.5)
+        assert factors.contraction_margin()[0] > 0.0
 
     def test_explicit_regime_violation(self):
-        assert not check_stability(10, 0.01, 0.0).satisfied
+        assert not admitted(10, 0.01, 0.0)
 
     def test_implicit_always_satisfied(self):
         for n in (3, 8, 64):
             for tau in (1e-4, 0.1, 0.9):
                 for theta in (0.6, 0.75, 1.0):
-                    assert check_stability(n, tau, theta).satisfied
+                    assert admitted(n, tau, theta)
 
     @pytest.mark.parametrize("n,tau,theta", [(4, 0.02, 0.0), (8, 0.005, 0.25),
                                              (10, 0.009, 0.5), (16, 0.2, 0.75),
                                              (64, 0.001, 1.0)])
     def test_two_sided_margin_invariant(self, n, tau, theta):
-        report = check_stability(n, tau, theta)
+        assert admitted(n, tau, theta)
         factors = AmplificationFactors(spectral_basis(n), tau, theta)
+        eps = factors.contraction_margin()[0]
         half = n // 2
-        assert np.max(np.abs(factors.r12[1:half + 1])) <= 1.0 - report.epsilon + 1e-12
-
-    def test_epsilon_prime_is_valid_margin(self):
-        # the regime-formula eps' = min(eps, 1 - r12_1) never exceeds the exact margin
-        for (n, tau, theta) in [(4, 0.02, 0.0), (8, 0.001, 1.0), (16, 0.003, 0.5)]:
-            report = check_stability(n, tau, theta)
-            factors = AmplificationFactors(spectral_basis(n), tau, theta)
-            eps_prime = min(report.regime_epsilon, 1.0 - factors.r12[1])
-            assert eps_prime <= report.epsilon + 1e-12
+        assert eps > 0.0
+        assert np.max(np.abs(factors.r12[1:half + 1])) <= 1.0 - eps + 1e-12
 
 
 class TestPositivityTimes:
@@ -120,13 +137,35 @@ class TestPositivityTimes:
         pt = positivity_time_full(n, tau, theta)
         assert (pt.t_star, pt.certified_on) == want
 
+    @pytest.mark.parametrize("n,coupling,theta,old_steps,new_steps", [
+        (5, 0.9, 0.25, 19, 10), (7, 0.9, 0.25, 23, 15), (4, 3.0, 0.75, 6, 2),
+        (10, 3.0, 0.75, 8, 4)])
+    def test_exact_margin_keeps_t_star(self, n, coupling, theta, old_steps, new_steps):
+        # the exact margin is never below the old regime-formula eps', so the
+        # proof bound shrinks; the certified time is the one a per-step scan
+        # to the old bound finds
+        tau = coupling / (n * n)
+        assert old_proof_bound_steps(n, tau, theta) == old_steps
+        pt = positivity_time_full(n, tau, theta)
+        assert round(pt.sufficient_time / tau) == new_steps
+        assert pt.t_star == positivity_per_step(n, tau, theta, old_steps)[0]
+
+    def test_full_every_mode_dies_in_one_step(self):
+        # n = 3, theta = 0, tau = -1/lam_1: r1 r2 = 0 on the one nonconstant
+        # mode pair, so the exact margin is 1 and G1 = 1 from the first step
+        tau = -1.0 / spectral_basis(3).eigenvalues[1]
+        assert AmplificationFactors(spectral_basis(3), tau, 0.0).r12[1] == 0.0
+        pt = positivity_time_full(3, tau, 0.0)
+        assert (pt.t_star, pt.sufficient_time) == (tau, tau)
+        assert pt.t_star == positivity_per_step(3, tau, 0.0, old_proof_bound_steps(3, tau, 0.0))[0]
+
     def test_full_strong_damping_short_time(self):
         # theta=1 with a large step contracts hard: t* within a few steps
         pt = positivity_time_full(4, 0.5, 1.0)
         assert pt.t_star <= 4 * 0.5
 
     def test_full_requires_stability(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^positivity time undefined: stability regime"):
             positivity_time_full(10, 0.01, 0.0)
 
 
