@@ -17,8 +17,9 @@ M_{i+1} = B M_i B + R1 D_i R1, D_i the noise diagonal, with the dense
 symmetric Green matrices B and R1 built from the same mode factors
 (`SpectralBasis.circulant`) for every n, theta and stepper.  Nonlinear
 sigma falls back to Monte Carlo.  Growth rates are reported as
-tail-window regression slopes with confidence intervals -- a limsup is
-not computable, a documented estimator is.
+tail-window regression slopes with Student-t confidence intervals (the
+quantile from scipy.special.stdtrit) -- a limsup is not computable, a
+documented estimator is.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec,
                     validate_run_config)
@@ -277,7 +278,7 @@ def ols(x, y) -> tuple[float, float, float, float]:
     sst = float(np.dot(y - y.mean(), y - y.mean()))
     dof = len(x) - 2
     se = math.sqrt(ssr / dof / sxx) if dof > 0 else float("nan")
-    ci = float(stats.t.ppf(0.975, dof) * se) if dof > 0 else float("nan")
+    ci = float(special.stdtrit(dof, 0.975) * se) if dof > 0 else float("nan")
     r2 = 1.0 - ssr / sst if sst > 0 else 1.0
     return slope, ci, se, r2
 

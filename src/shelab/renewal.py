@@ -2,8 +2,9 @@
 growth constants.
 
 Continuous case: g(t) = b e^{-pi mu^2 b^2 t} (1 - e^{-2 n^2 pi^2 t}) / sqrt(t)
-with b = lambda^2 J0^2 / sqrt(32 pi) integrates to one iff
-h(mu) = b / sqrt(mu^2 b^2 + c) - (1/mu - 1) vanishes, c = 2 n^2 pi.
+with b = lambda^2 J0^2 / sqrt(32 pi) has mass 1/mu - b / sqrt(mu^2 b^2 + c)
+= 1 - h(mu), c = 2 n^2 pi, in closed form by int_0^inf e^{-a t} t^{-1/2} dt
+= sqrt(pi / a); h(mu) = b / sqrt(mu^2 b^2 + c) - (1/mu - 1).
 
 Discrete case: g~(r) = b~ e^{-pi mu^2 b~^2 r tau} (1 - e^{-4 n^2 pi^2 r tau})
 tau / sqrt(r tau) with b~ = lambda^2 J0^2 / (8 sqrt(pi)) has mass one iff
@@ -23,11 +24,12 @@ The tests pin both branches against mpmath's polylogarithm and against a
 truncated summation with a certified geometric tail bound.
 
 Both mass functions are strictly monotone in mu, so the sign change at the
-bracket ends that Brent's method checks means exactly one root.  For any
-b, c > 0, h'(mu) = 1/mu^2 - b^3 mu / (mu^2 b^2 + c)^{3/2} > 0 because
-(mu^2 b^2 + c)^{3/2} > mu^3 b^3.  S''(a) = sum_r r^{3/2} e^{-a r} > 0, so S'
-increases and S(a1) - S(a1 + 4 n^2 pi^2 tau) falls strictly as a1 grows;
-a1 grows strictly with mu, so h~ falls strictly.  The tests scan both.
+bracket ends that Brent's method (`_brentq`, scipy's brentq.c ported line
+for line: the same floats) checks means exactly one root.  For any b, c > 0,
+h'(mu) = 1/mu^2 - b^3 mu / (mu^2 b^2 + c)^{3/2} > 0 because (mu^2 b^2 +
+c)^{3/2} > mu^3 b^3.  S''(a) = sum_r r^{3/2} e^{-a r} > 0, so S' increases
+and S(a1) - S(a1 + 4 n^2 pi^2 tau) falls strictly as a1 grows; a1 grows
+strictly with mu, so h~ falls strictly.  The tests scan both.
 """
 from __future__ import annotations
 
@@ -35,8 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
-from scipy.optimize import brentq
+from scipy import special
 
 from .stability import sharp_gate
 
@@ -57,20 +58,52 @@ class RenewalRoot:
     kind: str             # "continuous" | "discrete"
 
 
-def _limit_root(b: float, c: float):
-    """Root on (0, 1) of the strictly increasing h(mu) = b / sqrt(mu^2 b^2 + c)
-    - (1/mu - 1); returns (mu, h)."""
-    def h(mu: float) -> float:
-        return b / math.sqrt(mu * mu * b * b + c) - (1.0 / mu - 1.0)
-
-    lo = 1e-12
-    while h(lo) >= 0.0:
-        lo /= 2.0
-    return brentq(h, lo, 1.0 - 1e-12, xtol=1e-13), h
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f on [xa, xb] by Brent's method with rtol = 4 eps: scipy's
+    brentq.c step for step.  Raises ValueError when f(xa) and f(xb) share a
+    sign and RuntimeError after scipy's default 100 iterations, as it does."""
+    rtol = 4.0 * math.ulp(1.0)
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+            except ZeroDivisionError:  # C's step is then inf or nan: not short
+                pass
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
 
 
 def continuous_mu(lam: float, j0: float, n: int, zeta: float | None = None) -> RenewalRoot:
-    """Root of the continuous mass equation on (0, 1).
+    """Root of the continuous mass equation on (0, 1), mass error |h(mu)|.
 
     The lower bound mu >= 8 pi zeta / (J0^2 + 8 pi zeta) is checked with the
     supplied zeta, defaulting to the largest admissible one, n / lambda^2.
@@ -78,23 +111,20 @@ def continuous_mu(lam: float, j0: float, n: int, zeta: float | None = None) -> R
     if not (lam > 0.0 and j0 > 0.0 and n > 0):
         raise ValueError("continuous_mu needs lambda, J0, n > 0")
     b = lam ** 2 * j0 ** 2 / math.sqrt(32.0 * math.pi)
-    two_n2_pi = 2.0 * n * n * math.pi
-    mu, _ = _limit_root(b, two_n2_pi)
-    rate = math.pi * mu * mu * b * b
+    c = 2.0 * n * n * math.pi
 
-    def g(s: float) -> float:  # t = s^2 kills the 1/sqrt(t) endpoint
-        t = s * s
-        return 2.0 * s * b * math.exp(-rate * t) * (-math.expm1(-two_n2_pi * math.pi * t)) / math.sqrt(t)
+    def h(mu: float) -> float:  # strictly increasing on (0, 1)
+        return b / math.sqrt(mu * mu * b * b + c) - (1.0 / mu - 1.0)
 
-    upper = math.sqrt(60.0 / rate)
-    mass, quad_err = integrate.quad(g, 0.0, upper, limit=400)
-    tail = b / rate * math.exp(-rate * upper ** 2) / upper  # int_T^inf b e^{-rate t}/sqrt(t) dt bound
-    mass_error = abs(mass - 1.0) + abs(quad_err) + tail
+    lo = 1e-12
+    while h(lo) >= 0.0:
+        lo /= 2.0
+    mu = _brentq(h, lo, 1.0 - 1e-12, xtol=1e-13)
     zeta_used = n / lam ** 2 if zeta is None else zeta
     bound = 8.0 * math.pi * zeta_used / (j0 ** 2 + 8.0 * math.pi * zeta_used)
-    return RenewalRoot(mu=mu, b_or_btilde=b, mass_error=mass_error,
-                       lower_bound_ok=mu >= bound - 1e-12, implied_rate=rate,
-                       kind="continuous")
+    return RenewalRoot(mu=mu, b_or_btilde=b, mass_error=abs(h(mu)),
+                       lower_bound_ok=mu >= bound - 1e-12,
+                       implied_rate=math.pi * mu * mu * b * b, kind="continuous")
 
 
 def _small_a_coefficients(terms: int) -> np.ndarray:
@@ -118,27 +148,6 @@ def sqrt_exp_series(a: float) -> float:
     return float(np.sum(np.exp(-a * r) / np.sqrt(r)))
 
 
-def discrete_mu_tau_limit(lam: float, j0: float, n: int, zeta: float) -> RenewalRoot:
-    """tau -> 0 limit of the discrete mass equation: the root of
-    b~ / sqrt(mu^2 b~^2 + 4 n^2 pi) - (1/mu - 1).
-
-    This is the "continuous" target the discrete roots converge to as the
-    time step is refined; it differs from the continuous-case root because
-    the discrete density is built from a coarser kernel lower bound
-    (b~ = lambda^2 J0^2 / (8 sqrt(pi)) and 4 n^2 pi instead of
-    b = lambda^2 J0^2 / sqrt(32 pi) and 2 n^2 pi).
-    """
-    if not (lam > 0.0 and j0 > 0.0 and n > 0):
-        raise ValueError("needs lambda, J0, n > 0")
-    btilde = lam ** 2 * j0 ** 2 / (8.0 * math.sqrt(math.pi))
-    mu, h0 = _limit_root(btilde, 4.0 * n * n * math.pi)
-    eps = 16.0 * math.pi * zeta / (j0 ** 2 + 32.0 * math.pi * zeta)
-    rate = math.pi * mu * mu * btilde * btilde
-    return RenewalRoot(mu=mu, b_or_btilde=btilde, mass_error=abs(h0(mu)) * btilde,
-                       lower_bound_ok=mu >= eps - 1e-12, implied_rate=rate,
-                       kind="discrete-limit")
-
-
 def discrete_mu(lam: float, j0: float, n: int, tau: float, zeta: float) -> RenewalRoot:
     """Root of the discrete mass equation on (eps, 1) with
     eps = 16 pi zeta / (J0^2 + 32 pi zeta); requires the sharp-regime gate.
@@ -157,7 +166,7 @@ def discrete_mu(lam: float, j0: float, n: int, tau: float, zeta: float) -> Renew
         return math.sqrt(tau) * (sqrt_exp_series(a1) - sqrt_exp_series(a2)) - 1.0 / btilde
 
     eps = 16.0 * math.pi * zeta / (j0 ** 2 + 32.0 * math.pi * zeta)
-    mu = brentq(h, eps, 1.0, xtol=1e-13)
+    mu = _brentq(h, eps, 1.0, xtol=1e-13)
     rate = math.pi * mu * mu * btilde * btilde
     return RenewalRoot(mu=mu, b_or_btilde=btilde, mass_error=abs(h(mu)) * btilde,
                        lower_bound_ok=mu >= eps - 1e-12, implied_rate=rate,

@@ -17,8 +17,10 @@ from shelab.model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpe
                           validate_run_config)
 from shelab.moments import (exact_second_moment_recursion, fit_growth,
                             lambda_scaling_sweep, mc_moment, second_moment_series)
-from shelab.renewal import continuous_mu, discrete_mu, discrete_mu_tau_limit
+from shelab.renewal import continuous_mu, discrete_mu
 from shelab.stability import positivity_time_full, positivity_time_semi
+
+from conftest import discrete_mu_tau_limit
 
 LATTICE_NS = (3, 4, 8, 16, 64)
 LATTICE_THETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -143,20 +145,20 @@ def test_criterion_6_renewal_roots():
     cont = continuous_mu(lam, j0, n, zeta=zeta)
     assert cont.mass_error < 1e-8
     assert cont.mu >= 8 * math.pi * zeta / (j0 ** 2 + 8 * math.pi * zeta)
-    limit = discrete_mu_tau_limit(lam, j0, n, zeta)
+    limit = discrete_mu_tau_limit(lam, j0, n)
     mus, gaps = [], []
     for k in range(5):
         root = discrete_mu(lam, j0, n, 1e-3 / 2 ** k, zeta)
         assert root.mass_error < 1e-8
         assert root.mu >= 16 * math.pi * zeta / (j0 ** 2 + 32 * math.pi * zeta)
         mus.append(root.mu)
-        gaps.append(abs(root.mu - limit.mu))
+        gaps.append(abs(root.mu - limit))
     assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
     diffs = [abs(a - b) for a, b in zip(mus, mus[1:])]
     assert all(b < a for a, b in zip(diffs, diffs[1:])), diffs
     report("criterion 6 (renewal roots)",
-           f"continuous mu={cont.mu:.6f}, discrete mu -> {limit.mu:.6f} "
-           f"monotonically (offset {abs(limit.mu - cont.mu):.2e}); mass errors < 1e-8")
+           f"continuous mu={cont.mu:.6f}, discrete mu -> {limit:.6f} "
+           f"monotonically (offset {abs(limit - cont.mu):.2e}); mass errors < 1e-8")
 
 
 def test_criterion_7_green_error_rates():

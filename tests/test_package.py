@@ -29,28 +29,40 @@ def test_version_matches_manifest_stamp():
     assert shelab.__version__ in manifest.header_line()
 
 
-def test_import_leaves_mpmath_precision_alone():
-    # a fresh interpreter: importing every shelab module keeps mp.dps as found
-    code = ("import importlib, mpmath; before = mpmath.mp.dps; "
+def fresh_import_all(after: str, before: str = "") -> list[str]:
+    """Run `before`, import every shelab module and print `after`, all in a
+    fresh interpreter; returns the printed words."""
+    code = (f"import importlib, sys; {before}"
             f"[importlib.import_module('shelab.' + m) for m in {MODULES!r}]; "
-            "print(before, mpmath.mp.dps)")
+            f"print({after})")
     import shelab
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shelab.__file__))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout.split()
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout.split()
+
+
+def test_import_leaves_mpmath_precision_alone():
+    # a fresh interpreter: importing every shelab module keeps mp.dps as found
+    out = fresh_import_all("dps, mpmath.mp.dps", before="import mpmath; dps = mpmath.mp.dps; ")
     assert out[0] == out[1]
 
 
 def test_import_does_not_load_mpmath():
     # mpmath is a test-only oracle: no shelab module may pull it in
-    code = ("import importlib, sys; "
-            f"[importlib.import_module('shelab.' + m) for m in {MODULES!r}]; "
-            "print('mpmath' in sys.modules)")
-    import shelab
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shelab.__file__))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout.split()
-    assert out == ["False"]
+    assert fresh_import_all("'mpmath' in sys.modules") == ["False"]
+
+
+def test_import_loads_scipy_special_only():
+    # shelab needs scipy.special alone; stats, optimize and integrate cost
+    # most of a cold start and must stay out of the import graph
+    subpackages = ("scipy.special", "scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.linalg")
+    out = fresh_import_all("sys.modules['scipy'].__version__, "
+                           f"*[m in sys.modules for m in {subpackages!r}]")
+    loaded = dict(zip(subpackages, out[1:]))
+    assert loaded["scipy.special"] == "True"
+    assert [loaded[m] for m in subpackages[1:4]] == ["False"] * 3
+    if out[0] == "1.17.1":  # scipy.special's own imports vary between releases
+        assert loaded["scipy.linalg"] == "False"
 
 
 def _top_level_imports(path: str) -> set[str]:

@@ -4,11 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import integrate, optimize
 
 from shelab import renewal
-from shelab.renewal import (GateViolation, continuous_mu, discrete_mu,
-                            discrete_mu_tau_limit, sqrt_exp_series)
+from shelab.renewal import GateViolation, continuous_mu, discrete_mu, sqrt_exp_series
 from shelab.stability import sharp_gate
+
+from conftest import discrete_mu_tau_limit
 
 
 def sqrt_exp_series_truncated(a: float, tol: float = 1e-12,
@@ -33,6 +35,25 @@ def sqrt_exp_series_polylog(a: float) -> float:
     the oracle for both float branches."""
     with mpmath.workdps(30):
         return float(mpmath.polylog(mpmath.mpf("0.5"), mpmath.exp(-mpmath.mpf(a))))
+
+
+def continuous_mass_by_quadrature(root, n: int) -> tuple[float, float]:
+    """Mass of the continuous density g at the root by adaptive quadrature:
+    (mass, quadrature error estimate + tail bound).  The integral runs over
+    t in [0, T], T = 60 / rate, with t = s^2 to remove the 1/sqrt(t)
+    endpoint; the tail beyond T is below b e^{-rate T} / (rate sqrt(T)).
+    The independent route the closed-form mass 1 - h(mu) is checked against."""
+    b, rate = root.b_or_btilde, root.implied_rate
+    two_n2_pi = 2.0 * n * n * math.pi
+
+    def g(s: float) -> float:
+        t = s * s
+        return 2.0 * s * b * math.exp(-rate * t) * (-math.expm1(-two_n2_pi * math.pi * t)) / math.sqrt(t)
+
+    upper = math.sqrt(60.0 / rate)
+    mass, quad_err = integrate.quad(g, 0.0, upper, limit=400)
+    tail = b / rate * math.exp(-rate * upper ** 2) / upper
+    return mass, abs(quad_err) + tail
 
 
 def scan_diffs(fn, lo: float, hi: float) -> np.ndarray:
@@ -89,6 +110,17 @@ class TestContinuousRoot:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             continuous_mu(0.0, 1.0, 4)
+
+    @pytest.mark.parametrize("lam,n,zeta", [(1.0, 4, None)] + [
+        (lam, max(1, math.ceil(zeta * lam ** 2)), zeta)
+        for zeta in (0.5, 1.0, 2.0) for lam in (1.0, 2.0, 3.0)])
+    def test_closed_form_mass_matches_quadrature(self, lam, n, zeta):
+        root = continuous_mu(lam, 1.0, n, zeta=zeta)
+        mass, err = continuous_mass_by_quadrature(root, n)
+        assert abs(mass - 1.0) + err < 1e-8
+        # Brent stops with the root within xtol + 4 eps mu of mu, and
+        # 0 < h' < 1 / mu^2, so |h(mu)| is bounded by their product
+        assert root.mass_error <= (1e-13 + 4.0 * math.ulp(1.0) * root.mu) / root.mu ** 2
 
 
 class TestSeries:
@@ -163,9 +195,9 @@ class TestDiscreteRoot:
 
     def test_tau_refinement_converges_to_limit(self):
         lam, j0, n, zeta = 1.0, 1.0, 4, 1.0
-        limit = discrete_mu_tau_limit(lam, j0, n, zeta)
+        limit = discrete_mu_tau_limit(lam, j0, n)
         mus = [discrete_mu(lam, j0, n, 1e-3 / 2 ** k, zeta).mu for k in range(5)]
-        gaps = [abs(m - limit.mu) for m in mus]
+        gaps = [abs(m - limit) for m in mus]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         diffs = [abs(a - b) for a, b in zip(mus, mus[1:])]
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
@@ -179,3 +211,100 @@ class TestDiscreteRoot:
             rates.append(discrete_mu(lam, 1.0, n, tau, zeta).implied_rate)
         # rate = pi mu^2 btilde^2 with btilde ~ lam^2: ratio ~ 2^4 within mu drift
         assert rates[1] / rates[0] == pytest.approx(16.0, rel=0.1)
+
+
+def same_root_as_scipy(f, a: float, b: float, xtol: float):
+    """renewal._brentq and scipy.optimize.brentq on one bracket give the
+    same float bit for bit, or both raise the same exception type."""
+    try:
+        want = optimize.brentq(f, a, b, xtol=xtol)
+    except (ValueError, RuntimeError) as exc:
+        with pytest.raises(type(exc)):
+            renewal._brentq(f, a, b, xtol=xtol)
+        return None
+    got = renewal._brentq(f, a, b, xtol=xtol)
+    assert got.hex() == float(want).hex(), (got, want)
+    return got
+
+
+class TestBrentPort:
+    GATED = [(lam, j0, zeta, math.ceil(zeta * lam ** 2) + extra_n, fraction)
+             for lam in (0.5, 1.0, 2.0, 3.0) for j0 in (0.5, 1.0, 2.0)
+             for zeta in (0.5, 1.0, 2.0) for extra_n in (0, 3)
+             for fraction in (1e-3, 0.1, 0.5)]
+
+    def test_renewal_roots_match_scipy_on_gated_lattice(self):
+        """Both mass functions over a (lambda, J0, zeta, n, tau) lattice that
+        passes the sharp gate: the roots discrete_mu and continuous_mu
+        return, and the tau -> 0 limit root, are scipy's floats."""
+        for lam, j0, zeta, n, fraction in self.GATED:
+            tau = fraction / sharp_gate(n, 1.0, j0, lam, zeta)[0]  # the gate sum is linear in tau
+            assert not sharp_gate(n, tau, j0, lam, zeta)[1]
+            btilde = lam ** 2 * j0 ** 2 / (8.0 * math.sqrt(math.pi))
+
+            def h_tilde(mu):
+                a1 = math.pi * mu * mu * btilde * btilde * tau
+                a2 = a1 + 4.0 * n * n * math.pi ** 2 * tau
+                return math.sqrt(tau) * (sqrt_exp_series(a1) - sqrt_exp_series(a2)) - 1.0 / btilde
+
+            eps = 16.0 * math.pi * zeta / (j0 ** 2 + 32.0 * math.pi * zeta)
+            want = same_root_as_scipy(h_tilde, eps, 1.0, 1e-13)
+            assert discrete_mu(lam, j0, n, tau, zeta).mu.hex() == want.hex()
+            b = lam ** 2 * j0 ** 2 / math.sqrt(32.0 * math.pi)
+            limit_roots = []
+            for bb, c in ((b, 2.0 * n * n * math.pi), (btilde, 4.0 * n * n * math.pi)):
+                def h(mu, bb=bb, c=c):
+                    return bb / math.sqrt(mu * mu * bb * bb + c) - (1.0 / mu - 1.0)
+                lo = 1e-12
+                while h(lo) >= 0.0:
+                    lo /= 2.0
+                limit_roots.append(same_root_as_scipy(h, lo, 1.0 - 1e-12, 1e-13))
+            assert continuous_mu(lam, j0, n, zeta=zeta).mu.hex() == limit_roots[0].hex()
+            assert discrete_mu_tau_limit(lam, j0, n) == limit_roots[1]
+
+    @given(root=st.floats(-10.0, 10.0), a=st.floats(-20.0, 20.0), b=st.floats(-20.0, 20.0),
+           power=st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15]), slope=st.floats(0.0, 10.0),
+           scale=st.sampled_from([1.0, -1.0, 1e-160, -1e-160]),
+           shape=st.sampled_from(["power", "root"]),
+           xtol=st.sampled_from([1e-300, 1e-13, 2e-12, 1e-6]))
+    @example(root=1e-200, a=0.0, b=1.0, power=15, slope=0.0, scale=1.0, shape="power",
+             xtol=1e-300)
+    @settings(max_examples=300, deadline=None)
+    def test_monotone_functions_match_scipy(self, root, a, b, power, slope, scale, shape, xtol):
+        """Strictly monotone functions c ((x - r)^k + s (x - r)) and
+        c (x - r)^{1/k}, k odd, s >= 0, on brackets that may or may not hold
+        the root: the same float, ValueError or RuntimeError as scipy.  The
+        odd roots keep rejecting the interpolation step; at |c| = 1e-160 the
+        extrapolation's denominator underflows to zero."""
+        if shape == "power":
+            def f(x):
+                return scale * ((x - root) ** power + slope * (x - root))
+        else:
+            def f(x):
+                return scale * math.copysign(abs(x - root) ** (1.0 / power), x - root)
+        same_root_as_scipy(f, a, b, xtol)
+
+    @pytest.mark.parametrize("root", [0.3, -2.7, 1e-200])
+    @pytest.mark.parametrize("xtol", [1e-300, 1e-13, 1e-6])
+    def test_step_functions_match_scipy(self, root, xtol):
+        """|f| ties at every step of a sign function, so these pin which end
+        of the bracket the port keeps."""
+        for a, b in ((-5.0, 5.0), (5.0, -5.0), (-1.0, 7.0)):
+            same_root_as_scipy(lambda x: 1.0 if x > root else -1.0, a, b, xtol)
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            optimize.brentq(lambda x: x + 1.0, 0.0, 1.0, xtol=1e-13)
+        with pytest.raises(ValueError, match="different signs"):
+            renewal._brentq(lambda x: x + 1.0, 0.0, 1.0, xtol=1e-13)
+
+    def test_exhausted_maxiter_raises(self):
+        """A step at 1e-200 defeats every secant step, and bisection from
+        [0, 1] needs about 660 halvings to reach xtol = 1e-300."""
+        def step(x):
+            return 1.0 if x > 1e-200 else -1.0
+
+        with pytest.raises(RuntimeError, match="converge"):
+            optimize.brentq(step, 0.0, 1.0, xtol=1e-300)
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            renewal._brentq(step, 0.0, 1.0, xtol=1e-300)
