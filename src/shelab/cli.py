@@ -85,26 +85,6 @@ def parse_model(cfg: dict) -> ModelSpec:
                      u0=init)
 
 
-def config_to_dict(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec,
-                   seed: int = 0) -> dict:
-    """Serialize a run configuration to the JSON schema; floats survive the
-    round trip bit-exactly (json preserves doubles via repr)."""
-    if model.sigma.kind == "linear":
-        sigma = {"kind": "linear", "slope": model.sigma.slope}
-    else:
-        sigma = {"kind": "table", "points": [list(p) for p in model.sigma.points]}
-    if model.u0.kind == "constant":
-        u0 = {"kind": "constant", "value": model.u0.value}
-    else:
-        u0 = {"kind": "samples", "values": list(model.u0.samples)}
-    return {
-        "seed": seed,
-        "grid": {"n": grid.n},
-        "scheme": {"tau": scheme.tau, "theta": scheme.theta, "stepper": scheme.stepper},
-        "model": {"lambda": model.lam, "sigma": sigma, "u0": u0},
-    }
-
-
 def _manifest(cfg: dict) -> RunManifest:
     return RunManifest(config=cfg, seed=int(cfg.get("seed", 0)))
 

@@ -27,11 +27,11 @@ import numpy as np
 
 from .kernels import (AmplificationFactors, SpectralBasis,
                       heat_kernel_square_integral, spectral_basis)
-from .model import GridSpec, InitialData, ModelSpec, SchemeSpec, validate_run_config
+from .model import GridSpec, ModelSpec, SchemeSpec, validate_run_config
 from .moments import ols
 # normals_from_raw is also bound here because perfbench's tracer test patches
 # and restores it in this module's namespace.
-from .noise import NoiseSeed, coarsen_ladder, normal_rows, normals_from_raw  # noqa: F401
+from .noise import coarsen_ladder, normal_rows, normals_from_raw, path_streams  # noqa: F401
 from .solver import BlowupError, StepOperator
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "ErrorCurve",
     "green_error_semi",
     "green_error_full",
-    "initial_data_error_full",
     "strong_error_study",
 ]
 
@@ -219,18 +218,6 @@ def green_error_full(n: int, tau: float, theta: float, x: float = 0.0,
     return _integrate(d_of_t, nodes, weights, n) + _tail_bound_full(factors, quad.t_split)
 
 
-def initial_data_error_full(n: int, tau: float, theta: float, u0: InitialData,
-                            t: float, x: float = 0.0) -> float:
-    """|int_0^1 (G^n - G1^{n,tau})(t,x,y) u0(kappa_n(y)) dy|^2, closed form:
-    the y-integral collapses to the grid DFT of the initial samples."""
-    basis = spectral_basis(n)
-    factors = AmplificationFactors(basis, tau, theta)
-    factors.require_stable()
-    c = np.fft.fft(u0.values(GridSpec(n))) / n
-    delta = np.exp(basis.eigenvalues * t) - factors.r12 ** factors.step_power(t)
-    return float(np.sum(delta * basis.modes(x) * c).real) ** 2
-
-
 def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
                        paths: int, seed: int, probe_x: float = 0.0,
                        fit_separation: float = 4.0) -> ErrorCurve:
@@ -299,8 +286,7 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     done = 0
     while done < paths:
         count = min(100, paths - done)
-        gens = [NoiseSeed(seed, path=done + k, purpose="strong").bit_generator()
-                for k in range(count)]
+        gens = path_streams(seed, "strong", range(done, done + count))
         states = [np.tile(model.u0.values(GridSpec(nr)), (count, 1))
                   for (nr, _) in ladder]
         for start in range(0, m_f, chunk):

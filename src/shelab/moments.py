@@ -32,7 +32,7 @@ from scipy import special
 
 from .model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec,
                     validate_run_config)
-from .noise import NoiseSeed, normal_rows
+from .noise import normal_rows, path_streams
 from .kernels import spectral_basis
 from .solver import BlowupError, StepOperator, mode_factors
 from .stability import positivity_time_full, sharp_gate
@@ -52,6 +52,9 @@ __all__ = [
     "lambda_scaling_sweep",
     "intermittency_report",
 ]
+
+# Noise cells (float64) that one mc_moment batch holds at a time: 8 MiB.
+NOISE_CHUNK_CELLS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -173,12 +176,15 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     """Monte Carlo estimate of E|u(t, probe)|^p with jackknife standard errors.
 
     `p` may be a single order or a list (shared paths); `probe` is a grid
-    index or "min".  Path k reads the "mc" stream of (seed, k); paths run in
-    batches of about 4e6 noise cells.  The standard errors come from each
-    batch's sum of squared deviations, merged across batches by the pairwise
-    update of Chan, Golub and LeVeque, so weak noise does not cancel them
-    away.  On blow-up the series is truncated at the last record before the
-    horizon and flagged.
+    index or "min".  Path k reads the "mc" stream of (seed, k), keyed with
+    its batch by one `path_streams` call.  Paths run in batches of about 4e6
+    noise cells, a rule that fixes only the order in which batches merge: a
+    batch holds at most NOISE_CHUNK_CELLS noise cells, read in the fewest
+    even chunks of whole steps.  The standard errors come from each batch's
+    sum of squared deviations, merged across batches by the pairwise update
+    of Chan, Golub and LeVeque, so weak noise does not cancel them away.  On
+    blow-up the series is truncated at the last record before the horizon
+    and flagged.
     """
     p_list = [float(q) for q in (p if isinstance(p, (list, tuple)) else [p])]
     if any(q < 1 for q in p_list):
@@ -230,14 +236,20 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     start = 0
     while start < paths:
         count = min(batch_paths, paths - start)
-        xi = normal_rows([NoiseSeed(seed, path=start + k, purpose="mc").bit_generator()
-                          for k in range(count)], steps, grid.n)
+        gens = path_streams(seed, "mc", range(start, start + count))
         states = np.tile(model.u0.values(grid), (count, 1))
         recorded = [0] if 0 in pos else []
         bases = [probe(states)] if recorded else []
-        for i in range(min(steps, horizon - 1)):
+        limit = min(steps, horizon - 1)
+        cap = max(1, NOISE_CHUNK_CELLS // (count * grid.n))
+        rows = -(-limit // max(1, -(-limit // cap)))  # fewest even chunks of <= cap rows
+        xi = None
+        for i in range(limit):
+            if i % rows == 0:
+                del xi  # hold one chunk at a time
+                xi = normal_rows(gens, min(rows, limit - i), grid.n)
             try:
-                states = op.apply(states, xi[:, i, :])
+                states = op.apply(states, xi[:, i % rows, :])
             except BlowupError:
                 horizon = min(horizon, i + 1)
                 break

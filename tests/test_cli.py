@@ -63,6 +63,16 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "u0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,message", [
+        ({"seed": -1, "simulate": {"steps": 5}}, "seed must be a non-negative integer, got -1"),
+        ({"simulate": {"steps": 5, "path": -3}}, "path must be a non-negative integer, got -3"),
+    ])
+    def test_negative_seed_or_path_named_exit_2(self, tmp_path, capsys, extra, message):
+        cfg = write_config(tmp_path, extra)
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("section,field", [
         ({"steps": -1}, "simulate.steps"),
         ({"steps": 5, "record_every": 0}, "simulate.record_every"),

@@ -8,14 +8,26 @@ from scipy.linalg import circulant
 import shelab.convergence
 from shelab.convergence import (QuadratureSpec, _gauss, _semi_d, _tail_bound_full,
                                 _tail_bound_semi, green_error_full, green_error_semi,
-                                initial_data_error_full, strong_error_study)
+                                strong_error_study)
 from shelab.kernels import (AmplificationFactors, full_green, heat_kernel,
                             heat_kernel_square_integral, semi_green, spectral_basis)
-from shelab.model import InitialData, ModelSpec, SchemeSpec, SigmaSpec
+from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
 from shelab.noise import NoiseSeed, coarsen_array, sample_block
 from shelab.solver import BlowupError, StepOperator
 
 from conftest import const_sigma
+
+
+def initial_data_error_full(n: int, tau: float, theta: float, u0: InitialData,
+                            t: float, x: float = 0.0) -> float:
+    """|int_0^1 (G^n - G1^{n,tau})(t,x,y) u0(kappa_n(y)) dy|^2, closed form:
+    the y-integral collapses to the grid DFT of the initial samples."""
+    basis = spectral_basis(n)
+    factors = AmplificationFactors(basis, tau, theta)
+    factors.require_stable()
+    c = np.fft.fft(u0.values(GridSpec(n))) / n
+    delta = np.exp(basis.eigenvalues * t) - factors.r12 ** factors.step_power(t)
+    return float(np.sum(delta * basis.modes(x) * c).real) ** 2
 
 
 def green_error_semi_pointwise(n: int, t: float, x: float = 0.0) -> float:

@@ -6,9 +6,29 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shelab.cli import config_to_dict, parse_grid, parse_model, parse_scheme
+from shelab.cli import parse_grid, parse_model, parse_scheme
 from shelab.model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec,
                           _floor_quantize, _floor_steps, validate_run_config)
+
+
+def config_to_dict(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec,
+                   seed: int = 0) -> dict:
+    """Serialize a run configuration to the JSON schema; floats survive the
+    round trip bit-exactly (json preserves doubles via repr)."""
+    if model.sigma.kind == "linear":
+        sigma = {"kind": "linear", "slope": model.sigma.slope}
+    else:
+        sigma = {"kind": "table", "points": [list(p) for p in model.sigma.points]}
+    if model.u0.kind == "constant":
+        u0 = {"kind": "constant", "value": model.u0.value}
+    else:
+        u0 = {"kind": "samples", "values": list(model.u0.samples)}
+    return {
+        "seed": seed,
+        "grid": {"n": grid.n},
+        "scheme": {"tau": scheme.tau, "theta": scheme.theta, "stepper": scheme.stepper},
+        "model": {"lambda": model.lam, "sigma": sigma, "u0": u0},
+    }
 
 
 def kappa_n(y: float, n: int) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from scipy.optimize import brentq
 
 from shelab.kernels import SpectralBasis
 from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
-from shelab.moments import (MomentSeries, exact_second_moment_recursion,
-                            fit_growth, intermittency_report,
-                            lambda_scaling_sweep, mc_moment,
-                            second_moment_series)
+from shelab.moments import (NOISE_CHUNK_CELLS, MomentSeries,
+                            exact_second_moment_recursion, fit_growth,
+                            intermittency_report, lambda_scaling_sweep,
+                            mc_moment, second_moment_series)
 from shelab.noise import NoiseSeed, sample_block
-from shelab.solver import DENSE_MAX_N, StepOperator
+from shelab.solver import DENSE_MAX_N, BlowupError, StepOperator
 from shelab.stability import positivity_time_full
 
 
@@ -52,6 +53,8 @@ def assert_matches_reference_loop(grid, scheme, model, steps, paths, record, ord
     path with sample_block, takes |u| per path and merges the batches'
     squared deviations pairwise (Chan et al.)."""
     batch = int(4e6 / (steps * grid.n))
+    # the first batch reads its noise in several chunks
+    assert batch * steps * grid.n > NOISE_CHUNK_CELLS
     got = mc_moment(grid, scheme, model, list(orders), "min",
                     [i * scheme.tau for i in record], paths, seed=seed)
     op = StepOperator(grid.n, scheme, model)
@@ -435,6 +438,50 @@ class TestMcMoment:
         steps, paths = 400, 2600
         assert grid.n < int(4e6 / (steps * grid.n)) < paths
         assert_matches_reference_loop(grid, scheme, model, steps, paths, [0, 1, 250, 400])
+
+    def test_blowup_in_later_chunk_matches_whole_block(self):
+        # a path blows up at step 366 of 400, in the last of four 100-step
+        # chunks: the series stops at the same record as stepping one
+        # whole (paths, steps, n) block until the first blow-up
+        grid, scheme, model = make(8, 1e-3, 1.0, 40.0)
+        steps, paths, seed = 400, 1000, 5
+        record = list(range(0, steps + 1, 10))
+        rows = NOISE_CHUNK_CELLS // (paths * grid.n)
+        got = mc_moment(grid, scheme, model, [1.0], "min",
+                        [i * scheme.tau for i in record], paths, seed=seed)
+        op = StepOperator(grid.n, scheme, model)
+        xi = np.stack([sample_block(NoiseSeed(seed, path=k, purpose="mc"), steps, grid.n)
+                       for k in range(paths)])
+        states = np.tile(model.u0.values(grid), (paths, 1))
+        bases, horizon = [], None
+        for i in range(steps + 1):
+            if i:
+                try:
+                    states = op.apply(states, xi[:, i - 1, :])
+                except BlowupError:
+                    horizon = i
+                    break
+            if i in record:
+                bases.append(np.abs(states).min(axis=1))
+        assert horizon is not None and rows < horizon - 1
+        kept = np.array([i for i in record if i < horizon])
+        for series in got:
+            assert series.horizon_reached
+            assert np.array_equal(series.times, kept * scheme.tau)
+            assert np.array_equal(series.values,
+                                  [np.sum(b ** series.p) / paths for b in bases])
+
+    def test_noise_held_in_one_chunk(self):
+        # pam-hierarchy's sizes: 4 chunks of 125 steps (7.6 MiB each) instead
+        # of the whole (1000, 500, 8) block (30.5 MiB)
+        grid, scheme, model = make(8, 1e-3, 1.0, 1.0)
+        tracemalloc.start()
+        try:
+            mc_moment(grid, scheme, model, [2, 4], "min", [0.1, 0.5], 1000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
     def test_blowup_truncates_with_flag(self):
         grid = GridSpec(4)

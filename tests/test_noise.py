@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.special import ndtri
 
 import shelab.noise
 from shelab.noise import (GENERATOR_ID, NoiseSeed, coarsen_array, coarsen_ladder,
-                          normal_rows, normals_from_raw, sample_block)
+                          normal_rows, normals_from_raw, path_streams, sample_block)
 
 
 def stacked_normal_rows(gens, rows, n):
@@ -49,6 +50,60 @@ class TestSampleBlock:
 
     def test_generator_id_documented(self):
         assert "philox" in GENERATOR_ID and "ndtri" in GENERATOR_ID
+
+
+def seedseq_stream(master_seed, purpose, path):
+    """The documented stream of (seed, path, purpose), built by numpy."""
+    key = (path, zlib.crc32(purpose.encode()))
+    return np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=key))
+
+
+def assert_same_stream(got, want):
+    assert np.array_equal(got.state["state"]["key"], want.state["state"]["key"])
+    assert np.array_equal(got.random_raw(64), want.random_raw(64))
+
+
+class TestPathStreams:
+    @given(seed=st.integers(min_value=0, max_value=2 ** 200),
+           purpose=st.sampled_from(["", "mc", "strong", "sim", "bruit blanc \u03be"]),
+           paths=st.lists(st.integers(min_value=0, max_value=2 ** 70), min_size=1, max_size=6))
+    @example(seed=0, purpose="mc", paths=[0, 2 ** 32 - 1, 2 ** 32])
+    @example(seed=2 ** 32 - 1, purpose="strong", paths=[2 ** 32, 1])
+    @example(seed=2 ** 32, purpose="sim", paths=[2 ** 32 - 1])
+    @example(seed=2 ** 128 + 1, purpose="", paths=[2 ** 32 - 1, 2 ** 32, 5])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_seedseq_oracle(self, seed, purpose, paths):
+        got = path_streams(seed, purpose, paths)
+        assert len(got) == len(paths)
+        for g, p in zip(got, paths):
+            assert_same_stream(g, seedseq_stream(seed, purpose, p))
+
+    def test_mixed_word_counts_keep_input_order(self):
+        paths = [2 ** 40 + 3, 7, 2 ** 32, 0, 2 ** 70, 2 ** 32 - 1, 7]
+        got = path_streams(19, "mc", paths)
+        for g, p in zip(got, paths):
+            assert_same_stream(g, seedseq_stream(19, "mc", p))
+
+    def test_noise_seed_bit_generator_is_one_path(self):
+        seed = NoiseSeed(2 ** 33 + 5, path=2 ** 32 + 1, purpose="strong")
+        assert_same_stream(seed.bit_generator(), path_streams(2 ** 33 + 5, "strong",
+                                                              [2 ** 32 + 1])[0])
+
+    def test_numpy_ints_and_bools_are_accepted(self):
+        assert_same_stream(path_streams(np.uint64(1), "mc", [np.int32(1)])[0],
+                           seedseq_stream(1, "mc", 1))
+        assert_same_stream(path_streams(True, "mc", [True])[0], seedseq_stream(True, "mc", True))
+
+    @pytest.mark.parametrize("seed,paths,message", [
+        (-1, [0], "seed must be a non-negative integer, got -1"),
+        (1.5, [0], "seed must be a non-negative integer, got 1.5"),
+        ("7", [0], "seed must be a non-negative integer, got '7'"),
+        (3, [0, -2], "path must be a non-negative integer, got -2"),
+        (3, [np.float64(2.0)], "path must be a non-negative integer"),
+    ])
+    def test_bad_seed_or_path_named(self, seed, paths, message):
+        with pytest.raises(ValueError, match=message):
+            path_streams(seed, "mc", paths)
 
 
 class TestNormalRows:
