@@ -2,13 +2,14 @@
 discrete, plus their closed-form square integrals.
 
 The discrete kernels are mode sums over one complex interpolated mode,
-sum_j c_j e^n_j(x) conj(e_j(kappa_n(y))).  The continuous kernel is
-evaluated through two dual series (a Gaussian image sum for small times,
-a spectral sum for large times) that overlap far below machine precision
-at the crossover.  A call evaluates all of its spectral-branch times as one
-matrix product, a (times x modes) decay table times the (modes x points)
-cosine table, and its image-branch times one row of points each, so no
-times x points x terms tensor is built.
+sum_j c_j e^n_j(x) conj(e_j(kappa_n(y))); at grid points, Green matrices
+included, one inverse real FFT of the even mode coefficients.  The
+continuous kernel is evaluated through two dual series (a Gaussian image
+sum for small times, a spectral sum for large times) that overlap far
+below machine precision at the crossover.  A call evaluates all of its
+spectral-branch times as one matrix product, a (times x modes) decay
+table times the (modes x points) cosine table, and its image-branch times
+one row of points each, so no times x points x terms tensor is built.
 
 Time broadcasting: every kernel and square integral below takes a scalar
 time or a 1-D array of times.  An array adds a leading time axis to the
@@ -105,20 +106,23 @@ class SpectralBasis:
         ey = self._grid_modes(_floor_quantize(yb, self.n))
         return np.tensordot(coeff, self.modes(xb) * ey.conj(), axes=(-1, 0)).real
 
+    def _even_rows(self, coeff: np.ndarray) -> np.ndarray:
+        """irfft rows of coefficients even in j, made exactly even in d."""
+        rows = np.fft.irfft(coeff[..., :self.n // 2 + 1], self.n)
+        return (rows + rows[..., -np.arange(self.n) % self.n]) / 2.0
+
     def grid_values(self, coeff: np.ndarray) -> np.ndarray:
         """Kernel values at grid points as a function of q-l (translation
-        invariant there): g[..., d] = sum_j coeff[..., j] exp(2 pi i j d / n),
-        real; one row per row of a 2-D coeff.  j d is reduced mod n before
-        the angle is formed, so every cosine is exact to roundoff."""
-        d = np.arange(self.n)
-        ang = 2.0 * np.pi * (np.outer(d, d) % self.n) / self.n
-        return (np.cos(ang).T @ coeff.T).T
+        invariant there): g[..., d] = sum_j coeff[..., j] exp(2 pi i j d / n)
+        for coeff even in j, one inverse real FFT per row."""
+        return self.n * self._even_rows(coeff)
 
     def circulant(self, coeff: np.ndarray) -> np.ndarray:
         """The symmetric n x n Green matrix with Fourier eigenvalues coeff
-        (even in j): entry (q, l) = grid_values(coeff)[(q - l) mod n] / n."""
-        q = np.arange(self.n)
-        return self.grid_values(coeff)[(q[:, None] - q[None, :]) % self.n] / self.n
+        (even in j): entry (q, l) = grid_values(coeff)[(q - l) mod n] / n;
+        a leading batch axis of coeff gives a stack of matrices."""
+        d = np.arange(self.n)
+        return np.take(self._even_rows(coeff), d[None, :] - d[:, None], axis=-1, mode="wrap")
 
 
 @lru_cache(maxsize=128)

@@ -88,9 +88,8 @@ class GrowthFit:
 
 
 def _constant_data_moments(r1: np.ndarray, b: np.ndarray, gain: float, i0: float,
-                           steps: np.ndarray, out: np.ndarray) -> None:
-    """Fill out (records, n, n) with the moment matrices at the step
-    indices for u0 = i0.
+                           steps: np.ndarray) -> np.ndarray:
+    """The (records, n, n) moment matrices at the step indices for u0 = i0.
 
     Every M_k is circulant; its eigenvalues mu_k = A^k mu_0 with
     A = diag(b^2) + (gain/n) r1^2 1^T.  diag(r1) (r1 > 0) conjugates A to
@@ -100,11 +99,7 @@ def _constant_data_moments(r1: np.ndarray, b: np.ndarray, gain: float, i0: float
     n = len(r1)
     w, v = np.linalg.eigh(np.diag(b * b) + (gain / n) * np.outer(r1, r1))
     z = v[0] * (n * i0 * i0 / r1[0])
-    mu = (np.power(w, steps[:, None]) * z) @ v.T * r1
-    rows = np.fft.irfft(mu[:, :n // 2 + 1], n=n, axis=1)
-    d = np.arange(n)
-    rows = (rows + rows[:, -d % n]) / 2.0  # irfft is even only to roundoff: symmetric M
-    np.take(rows, d[None, :] - d[:, None], axis=1, out=out, mode="wrap")
+    return spectral_basis(n).circulant((np.power(w, steps[:, None]) * z) @ v.T * r1)
 
 
 def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec,
@@ -121,13 +116,13 @@ def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: Mod
     gain = model.lam ** 2 * grid.n * scheme.tau * model.sigma.slope ** 2
     u0 = model.u0.values(grid)
     record = np.unique(np.append(np.arange(0, steps + 1, record_every), steps))
-    out = np.empty((len(record), grid.n, grid.n))
     basis = spectral_basis(grid.n)
     r1, r2 = mode_factors(basis, scheme)
     if np.all(u0 == u0[0]):
-        _constant_data_moments(r1, r1 * r2, gain, float(u0[0]), record, out)
+        out = _constant_data_moments(r1, r1 * r2, gain, float(u0[0]), record)
         out[0] = np.outer(u0, u0)
         return MomentMatrices(steps=record, matrices=out)
+    out = np.empty((len(record), grid.n, grid.n))
     b, g = basis.circulant(r1 * r2), basis.circulant(r1)  # R1 R2 and R1
     m = np.outer(u0, u0)
     out[0] = m
@@ -365,7 +360,7 @@ def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float,
             raise  # a theta or tau out of range is an error, not a flagged point
         flags.append("stability violated")
         return SweepPoint(lam, n, tau, float("nan"), float("nan"), gate_ok, tuple(flags))
-    t_pos = positivity_time_full(n, tau, theta).t_star
+    t_pos = positivity_time_full(n, tau, theta)
     gamma_guess = math.log1p(lam ** 2 * j0 ** 2 * tau) / tau
     horizon = t_pos + 3.0 / gamma_guess  # three e-folds past the positivity time
     steps = int(math.ceil(horizon / tau))
@@ -429,7 +424,7 @@ def intermittency_report(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec,
     horizon_flag = any(s.horizon_reached for s in series)
     t_end = min(s.times[-1] for s in series)
     try:
-        t_pos = positivity_time_full(grid.n, scheme.tau, scheme.theta).t_star
+        t_pos = positivity_time_full(grid.n, scheme.tau, scheme.theta)
     except ValueError:
         t_pos = 0.0
     window = (max(t_pos, 0.2 * t_end), t_end)

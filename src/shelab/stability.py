@@ -4,7 +4,6 @@ and the step-size gate of the sharp lambda^4 growth order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,83 +12,69 @@ from .kernels import (AmplificationFactors, full_green_grid, semi_green_grid,
 from .model import GridSpec, SchemeSpec, validate_run_config
 
 __all__ = [
-    "PositivityTime",
     "positivity_time_semi",
     "positivity_time_full",
     "sharp_gate",
 ]
 
-# Entries of one block of kernel grid values (steps x n) in
-# positivity_time_full: 1 MiB of float64 at a time.
+# Entries of one window of kernel grid values (steps x n) in
+# positivity_time_full: at most 1 MiB of float64 at a time.
 GRID_BUDGET = 2 ** 17
 
 
-@dataclass(frozen=True)
-class PositivityTime:
-    t_star: float
-    certified_on: int   # number of certificate samples past t_star
-    sufficient_time: float
+def _after_last_failure(times, grid_min):
+    """The sample after the last one whose grid minimum is below 1/2, or
+    the first sample when none is; times may hold one sample more."""
+    bad = np.flatnonzero(grid_min < 0.5)
+    return float(times[bad[-1] + 1]) if bad.size else float(times[0])
 
 
-def _certify_suffix(grid_min, times, threshold=0.5):
-    """Smallest sampled time from which all later samples stay >= threshold.
-    Returns (index, count of certifying samples) or (None, 0)."""
-    ok = np.asarray(grid_min) >= threshold
-    suffix_ok = np.flip(np.logical_and.accumulate(np.flip(ok)))
-    idx = np.argmax(suffix_ok) if suffix_ok.any() else None
-    if idx is None or not suffix_ok[idx]:
-        return None, 0
-    return int(idx), int(len(times) - idx)
-
-
-def positivity_time_semi(n: int) -> PositivityTime:
-    """Certified time t(n) with min over grid pairs of G^n(t, q/n, l/n) >= 1/2.
-
-    The sufficient proof bound (n-1) e^{lam_1 t} <= 1/2 seeds the search;
-    the reported time is the smaller one certified by a suffix of direct
-    grid minima on a dense sample grid up to the sufficient time (beyond
-    which the analytic envelope takes over).
-    """
+def positivity_time_semi(n: int) -> float:
+    """Certified time t(n) with min over grid pairs of G^n(t, q/n, l/n) >= 1/2:
+    of 400 samples up to just past the proof bound (n-1) e^{lam_1 t} <= 1/2,
+    past which the analytic envelope holds, the first after which every
+    sampled grid minimum stays >= 1/2."""
     basis = spectral_basis(n)
-    lam1 = basis.eigenvalues[1]
-    t_suff = math.log(2.0 * (n - 1)) / (-lam1)
+    t_suff = math.log(2.0 * (n - 1)) / (-basis.eigenvalues[1])
     times = np.linspace(t_suff / 400, t_suff * 1.001, 400)
-    mins = semi_green_grid(times, basis).min(axis=1)
-    idx, count = _certify_suffix(mins, times)
-    if idx is None:
-        return PositivityTime(t_star=t_suff, certified_on=0, sufficient_time=t_suff)
-    return PositivityTime(t_star=float(times[idx]), certified_on=count,
-                          sufficient_time=t_suff)
+    return _after_last_failure(times, semi_green_grid(times, basis).min(axis=1))
 
 
-def positivity_time_full(n: int, tau: float, theta: float) -> PositivityTime:
+def _tail_steps(b: np.ndarray) -> int:
+    """Smallest m >= 1 with sum(b ** m) <= 1/2, for 0 <= b < 1: doubling,
+    then integer bisection on the strictly decreasing sum."""
+    lo, hi = 0, 1  # S(lo) > 1/2 (or lo = 0) and S(hi) <= 1/2
+    while np.sum(b ** hi) > 0.5:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if np.sum(b ** mid) <= 0.5 else (mid, hi)
+    return hi
+
+
+def positivity_time_full(n: int, tau: float, theta: float) -> float:
     """Certified time t(n,tau) = m* tau with G1 >= 1/2 at grid points.
 
-    Seeds with the geometric proof bound 2 [n/2] (1-eps)^m <= 1/2, where
-    1 - eps = max_j |r1_j r2_j| is the exact two-sided contraction margin,
-    then shrinks m* over the certificate suffix of direct grid minima,
-    evaluated in blocks of steps of at most GRID_BUDGET grid values.
-    """
+    G1 = sum_j (r1_j r2_j)^m cos(2 pi j d / n) >= 1 - S(m), and the exact
+    tail S(m) = sum_{j != 0} |r1_j r2_j|^m decreases strictly, so every step
+    from the smallest m_tail with S(m_tail) <= 1/2 on is certified.  Grid
+    minima are scanned back from m_tail in windows (one step, doubling up
+    to GRID_BUDGET values) to the last step below 1/2; m* is the step after
+    it, or 1 when no step fails."""
     validate_run_config(GridSpec(n), SchemeSpec(tau=tau, theta=theta),
                         "positivity time undefined")
     factors = AmplificationFactors(spectral_basis(n), tau, theta)
-    eps = factors.contraction_margin()[0]
-    if eps <= 0.0:
+    b = np.abs(factors.r12[1:])
+    if b.max() >= 1.0:
         raise ValueError("degenerate contraction margin; tau too small to resolve")
-    half = n // 2
-    target = 0.5 / (2.0 * half)
-    rate = 1.0 - eps  # 0 when every nonconstant mode dies in one step (n = 3)
-    m_suff = max(1, math.ceil(math.log(target) / math.log(rate))) if rate > 0.0 else 1
-    steps = np.arange(1, m_suff + 2)
-    block = max(1, GRID_BUDGET // n)
-    mins = np.concatenate([full_green_grid(steps[k:k + block] * tau, "G1", factors).min(axis=1)
-                           for k in range(0, len(steps), block)])
-    idx, count = _certify_suffix(mins, steps)
-    if idx is None:
-        return PositivityTime(t_star=m_suff * tau, certified_on=0,
-                              sufficient_time=m_suff * tau)
-    return PositivityTime(t_star=(idx + 1) * tau, certified_on=count,
-                          sufficient_time=m_suff * tau)
+    hi, width, cap = _tail_steps(b), 1, max(1, GRID_BUDGET // n)
+    while hi >= 1:
+        steps = np.arange(max(1, hi - width + 1), hi + 2)  # step hi + 1 is certified
+        mins = full_green_grid(steps[:-1] * tau, "G1", factors).min(axis=1)
+        if mins.min() < 0.5:
+            return _after_last_failure(steps * tau, mins)
+        hi, width = int(steps[0]) - 1, min(2 * width, cap)
+    return tau
 
 
 def sharp_gate(n: int, tau: float, j0: float, lam: float, zeta: float) -> tuple[float, list]:

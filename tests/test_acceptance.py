@@ -47,11 +47,11 @@ def test_criterion_2_positivity_certificates():
     n^2 grid pairs at t* and 2 t*."""
     certified = 0
     for n in LATTICE_NS:
-        pt = positivity_time_semi(n)
+        t_star = positivity_time_semi(n)
         basis = spectral_basis(n)
         g = np.arange(n) / n
         for mult in (1.0, 2.0):
-            vals = np.asarray(semi_green(pt.t_star * mult, g[:, None], g[None, :],
+            vals = np.asarray(semi_green(t_star * mult, g[:, None], g[None, :],
                                          basis))
             assert vals.shape == (n, n) and vals.min() >= 0.5
         certified += 1
@@ -62,11 +62,11 @@ def test_criterion_2_positivity_certificates():
                 validate_run_config(GridSpec(n), SchemeSpec(tau=tau, theta=theta))
             except ValueError:
                 continue
-            pt = positivity_time_full(n, tau, theta)
+            t_star = positivity_time_full(n, tau, theta)
             factors = AmplificationFactors(spectral_basis(n), tau, theta)
             g = np.arange(n) / n
             for mult in (1.0, 2.0):
-                vals = np.asarray(full_green(pt.t_star * mult, g[:, None],
+                vals = np.asarray(full_green(t_star * mult, g[:, None],
                                              g[None, :], "G1", factors))
                 assert vals.shape == (n, n) and vals.min() >= 0.5
             certified += 1
@@ -103,7 +103,7 @@ def test_criterion_4_intermittency_lower_bound():
         grid, scheme = GridSpec(n), SchemeSpec(tau=tau, theta=theta)
         model = ModelSpec(lam=lam, sigma=SigmaSpec.linear(1.0),
                           u0=InitialData.constant(1.0))
-        t_pos = positivity_time_full(n, tau, theta).t_star
+        t_pos = positivity_time_full(n, tau, theta)
         bound = math.log1p(lam ** 2 * tau) / tau
         horizon = t_pos + 4.0 / bound
         steps = int(math.ceil(horizon / tau))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import shelab.stability
 from shelab.kernels import (AmplificationFactors, full_green, full_green_grid, semi_green,
@@ -90,32 +91,35 @@ class TestCheckStability:
 
 class TestPositivityTimes:
     def test_semi_sufficient_closed_form(self):
-        pt = positivity_time_semi(3)
-        assert pt.sufficient_time == pytest.approx(math.log(4.0) / 27.0, rel=1e-12)
-        assert pt.t_star <= pt.sufficient_time
+        # n = 3: lam_1 = -27, so the proof bound is log(4)/27
+        assert -spectral_basis(3).eigenvalues[1] == pytest.approx(27.0, rel=1e-12)
+        assert positivity_time_semi(3) <= math.log(4.0) / 27.0
 
     @pytest.mark.parametrize("n", [3, 4, 8, 16])
     def test_semi_certificate_brute_force(self, n):
-        pt = positivity_time_semi(n)
+        t_star = positivity_time_semi(n)
         basis = spectral_basis(n)
         g = np.arange(n) / n
         for mult in (1.0, 2.0):
-            vals = np.asarray(semi_green(pt.t_star * mult, g[:, None], g[None, :], basis))
+            vals = np.asarray(semi_green(t_star * mult, g[:, None], g[None, :], basis))
             assert vals.min() >= 0.5
 
     def test_semi_sufficient_time_monotone(self):
-        # the proof-bound time grows with n (the certified one may not)
-        suff = [positivity_time_semi(n).sufficient_time for n in (3, 4, 8, 16)]
+        # the certified time lies within the proof bound (n-1) e^{lam_1 t} <= 1/2,
+        # which grows with n (the certified one may not)
+        suff = [math.log(2.0 * (n - 1)) / -spectral_basis(n).eigenvalues[1]
+                for n in (3, 4, 8, 16)]
+        assert all(positivity_time_semi(n) <= t for n, t in zip((3, 4, 8, 16), suff))
         assert all(b > a for a, b in zip(suff, suff[1:]))
 
     @pytest.mark.parametrize("n,tau,theta", [(4, 0.01, 1.0), (8, 0.004, 0.0),
                                              (16, 0.003, 0.5)])
     def test_full_certificate_brute_force(self, n, tau, theta):
-        pt = positivity_time_full(n, tau, theta)
+        t_star = positivity_time_full(n, tau, theta)
         factors = AmplificationFactors(spectral_basis(n), tau, theta)
         g = np.arange(n) / n
         for mult in (1.0, 2.0):
-            vals = np.asarray(full_green(pt.t_star * mult, g[:, None], g[None, :],
+            vals = np.asarray(full_green(t_star * mult, g[:, None], g[None, :],
                                          "G1", factors))
             assert vals.min() >= 0.5
 
@@ -126,47 +130,67 @@ class TestPositivityTimes:
           for theta in (1.0, 0.5)],
         (*_sweep_scheme(2.0, 4.0), 1.0)])
     def test_full_matches_per_step_minima(self, monkeypatch, n, tau, theta):
-        # the blocked grid minima certify the same time as one kernel
-        # evaluation per step, with the default blocks and with blocks of
-        # 7 steps, so that most certified steps lie past a block boundary
-        pt = positivity_time_full(n, tau, theta)
-        m_suff = round(pt.sufficient_time / tau)
-        want = positivity_per_step(n, tau, theta, m_suff)
-        assert (pt.t_star, pt.certified_on) == want
+        # the backward windows of grid minima certify the same time as one
+        # kernel evaluation per step up to the old proof bound, with the
+        # default window cap and with windows capped at 7 steps
+        want = positivity_per_step(n, tau, theta, old_proof_bound_steps(n, tau, theta))[0]
+        assert positivity_time_full(n, tau, theta) == want
         monkeypatch.setattr(shelab.stability, "GRID_BUDGET", 7 * n)
-        pt = positivity_time_full(n, tau, theta)
-        assert (pt.t_star, pt.certified_on) == want
+        assert positivity_time_full(n, tau, theta) == want
 
-    @pytest.mark.parametrize("n,coupling,theta,old_steps,new_steps", [
+    @pytest.mark.parametrize("n,coupling,theta,old_steps,margin_steps", [
         (5, 0.9, 0.25, 19, 10), (7, 0.9, 0.25, 23, 15), (4, 3.0, 0.75, 6, 2),
         (10, 3.0, 0.75, 8, 4)])
-    def test_exact_margin_keeps_t_star(self, n, coupling, theta, old_steps, new_steps):
-        # the exact margin is never below the old regime-formula eps', so the
-        # proof bound shrinks; the certified time is the one a per-step scan
-        # to the old bound finds
+    def test_exact_margin_keeps_t_star(self, n, coupling, theta, old_steps, margin_steps):
+        # the certified time is the one a per-step scan to the old bound
+        # finds, and lies within the proof bound 2 [n/2] (1-eps)^m <= 1/2 of
+        # the exact two-sided margin (margin_steps)
         tau = coupling / (n * n)
         assert old_proof_bound_steps(n, tau, theta) == old_steps
-        pt = positivity_time_full(n, tau, theta)
-        assert round(pt.sufficient_time / tau) == new_steps
-        assert pt.t_star == positivity_per_step(n, tau, theta, old_steps)[0]
+        t_star = positivity_time_full(n, tau, theta)
+        assert round(t_star / tau) <= margin_steps
+        assert t_star == positivity_per_step(n, tau, theta, old_steps)[0]
 
     def test_full_every_mode_dies_in_one_step(self):
         # n = 3, theta = 0, tau = -1/lam_1: r1 r2 = 0 on the one nonconstant
-        # mode pair, so the exact margin is 1 and G1 = 1 from the first step
+        # mode pair, so the exact tail is 0 and G1 = 1 from the first step
         tau = -1.0 / spectral_basis(3).eigenvalues[1]
         assert AmplificationFactors(spectral_basis(3), tau, 0.0).r12[1] == 0.0
-        pt = positivity_time_full(3, tau, 0.0)
-        assert (pt.t_star, pt.sufficient_time) == (tau, tau)
-        assert pt.t_star == positivity_per_step(3, tau, 0.0, old_proof_bound_steps(3, tau, 0.0))[0]
+        t_star = positivity_time_full(3, tau, 0.0)
+        assert t_star == tau
+        assert t_star == positivity_per_step(3, tau, 0.0, old_proof_bound_steps(3, tau, 0.0))[0]
 
     def test_full_strong_damping_short_time(self):
         # theta=1 with a large step contracts hard: t* within a few steps
-        pt = positivity_time_full(4, 0.5, 1.0)
-        assert pt.t_star <= 4 * 0.5
+        assert positivity_time_full(4, 0.5, 1.0) <= 4 * 0.5
 
     def test_full_requires_stability(self):
         with pytest.raises(ValueError, match="^positivity time undefined: stability regime"):
             positivity_time_full(10, 0.01, 0.0)
+
+    def test_full_degenerate_margin_raises(self):
+        # an admitted tau so small that r1 r2 rounds to 1: no tail bound exists
+        assert admitted(3, 1e-18, 1.0)
+        assert AmplificationFactors(spectral_basis(3), 1e-18, 1.0).r12.min() == 1.0
+        with pytest.raises(ValueError, match="^degenerate contraction margin"):
+            positivity_time_full(3, 1e-18, 1.0)
+
+
+@given(n=st.integers(min_value=3, max_value=32),
+       coupling=st.floats(min_value=0.05, max_value=3.0),
+       theta=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+@settings(max_examples=25, deadline=None)
+def test_tail_certificate_matches_per_step_scan(n, coupling, theta):
+    # t* is the per-step scan's time, and G1 >= 1/2 at every step from t*
+    # to the old geometric proof bound
+    tau = coupling / (n * n)
+    assume(admitted(n, 1.01 * tau, theta))  # off the theta < 1/2 edge, where the old bound diverges
+    bound = old_proof_bound_steps(n, tau, theta)
+    t_star = positivity_time_full(n, tau, theta)
+    assert t_star == positivity_per_step(n, tau, theta, bound)[0]
+    factors = AmplificationFactors(spectral_basis(n), tau, theta)
+    steps = np.arange(round(t_star / tau), bound + 1)
+    assert full_green_grid(steps * tau, "G1", factors).min() >= 0.5
 
 
 class TestSharpRegime:
