@@ -25,6 +25,7 @@ from .kernels import (AmplificationFactors, SpectralBasis,
                       full_green, full_green_square_integral, heat_kernel,
                       heat_kernel_square_integral, semi_green,
                       semi_green_square_integral)
+from .model import SchemeSpec
 from .solver import discrete_laplacian
 
 __all__ = ["CheckResult", "lemma_suite", "DEFAULT_NS", "DEFAULT_THETAS"]
@@ -205,7 +206,7 @@ def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS,
 
         for theta in thetas:
             tau = 0.4 / (n * n)
-            factors = AmplificationFactors(basis, tau, theta)
+            factors = AmplificationFactors(basis, SchemeSpec(tau=tau, theta=theta))
             half = n // 2
             results["factor-ordering"].merge(
                 1e-12 - float(np.max(np.diff(factors.r12[1:half + 1])))
@@ -232,7 +233,7 @@ def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS,
 
             # refined grid lower bound needs its own step-size restriction
             tau_r = 0.12 / (n * n)
-            factors_r = AmplificationFactors(basis, tau_r, theta)
+            factors_r = AmplificationFactors(basis, SchemeSpec(tau=tau_r, theta=theta))
             if theta == 1.0 or n * n * tau_r < 1.0 / (8.0 * (1.0 - theta)):
                 sq = full_green_square_integral(t, 0.0, factors_r)
                 mt = (factors_r.step_power(t) + 1) * tau_r

@@ -31,7 +31,8 @@ from .model import GridSpec, ModelSpec, SchemeSpec, validate_run_config
 from .moments import ols
 # normals_from_raw is also bound here because perfbench's tracer test patches
 # and restores it in this module's namespace.
-from .noise import coarsen_ladder, normal_rows, normals_from_raw, path_streams  # noqa: F401
+from .noise import (NOISE_CHUNK_CELLS, coarsen_ladder, normal_rows,  # noqa: F401
+                    normals_from_raw, path_streams)
 from .solver import BlowupError, StepOperator
 
 __all__ = [
@@ -192,10 +193,10 @@ def green_error_full(n: int, tau: float, theta: float, x: float = 0.0,
     quadrature places panels on every step interval; otherwise the smooth
     substitution is used and validated by the self-consistency check.
     """
-    validate_run_config(GridSpec(n), SchemeSpec(tau=tau, theta=theta),
-                        "step-size regime inadmissible")
+    scheme = SchemeSpec(tau=tau, theta=theta)
+    validate_run_config(GridSpec(n), scheme, "step-size regime inadmissible")
     basis = spectral_basis(n)
-    factors = AmplificationFactors(basis, tau, theta)
+    factors = AmplificationFactors(basis, scheme)
     prof = basis.modes(x)
 
     def d_of_t(t):
@@ -227,18 +228,21 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
 
     ladder: list of (n, tau) pairs ordered coarse -> fine; the last entry is
     the reference.  Every rung's (n, tau) must nest into the reference by
-    integer factors, not only powers of two: each chunk of fine noise is
-    coarsened to every rung by noise.coarsen_ladder, which chains the
+    integer factors, not only powers of two: fine noise, read in whole chunks
+    (lcm of the time factors) up to NOISE_CHUNK_CELLS with its coarse copies,
+    is coarsened to every rung by noise.coarsen_ladder, which chains the
     power-of-two rungs through one halving tree and coarsens other factors
     straight from the fine block, so each rung's noise is bit-exactly
-    coarsen_array of the fine noise.  All rung errors are reported; only
-    rungs separated from the reference by at least `fit_separation` in the
-    refined coordinate enter the order fit (a too-close reference deflates
-    the coupled error: with slow orders the errors of rung and reference
-    stay comparable and positively correlated).  Every rung must pass validate_run_config, and
-    the ladder must refine one axis with at least two rungs to fit; both are
-    checked before any noise is drawn (ValueError).  A blow-up is re-raised
-    naming the rung's (n, tau) and its own step index.
+    coarsen_array of the fine noise.  The rungs advance one chunk at a time,
+    so the earliest blow-up is the one reported.  All rung errors are
+    reported; only rungs separated from the reference by at least
+    `fit_separation` in the refined coordinate enter the order fit (a
+    too-close reference deflates the coupled error: with slow orders the
+    errors of rung and reference stay comparable and positively correlated).
+    Every rung must pass validate_run_config, and the ladder must refine one
+    axis with at least two rungs to fit; both are checked before any noise is
+    drawn (ValueError).  A blow-up is re-raised naming the rung's (n, tau) and
+    its own step index.
     """
     if len(ladder) < 3:
         raise ValueError("ladder needs at least two rungs plus the reference")
@@ -253,7 +257,7 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     m_f = int(round(T / tau_f))
     if abs(m_f * tau_f - T) > 1e-9:
         raise ValueError("T must be a multiple of the reference step")
-    chunk = max(tf for _, tf in factors)
+    chunk = math.lcm(*(tf for _, tf in factors))  # a coarsest step when the factors nest
     if m_f % chunk:
         raise ValueError("T must cover a whole number of coarsest steps")
     ops, probes = [], []
@@ -286,18 +290,24 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     done = 0
     while done < paths:
         count = min(100, paths - done)
+        # whole chunks per read; fine block and coarse copies in budget
+        step_cells = count * sum((chunk // tf) * (n_f // sf) for sf, tf in factors)
+        read = chunk * max(1, NOISE_CHUNK_CELLS // step_cells)
         gens = path_streams(seed, "strong", range(done, done + count))
         states = [np.tile(model.u0.values(GridSpec(nr)), (count, 1))
                   for (nr, _) in ladder]
-        for start in range(0, m_f, chunk):
-            xi = normal_rows(gens, chunk, n_f)
-            for r, ((_, tf), rows) in enumerate(zip(factors, coarsen_ladder(xi, factors))):
-                for s in range(chunk // tf):
-                    try:
-                        states[r] = ops[r].apply(states[r], rows[:, s, :])
-                    except BlowupError as err:
-                        raise BlowupError(start // tf + s + 1, err.magnitude,
-                                          rung=ladder[r]) from None
+        for start in range(0, m_f, read):
+            xi = normal_rows(gens, min(read, m_f - start), n_f)
+            coarse = coarsen_ladder(xi, factors)
+            for step in range(0, xi.shape[1], chunk):  # one chunk, rung by rung
+                for r, ((_, tf), rows) in enumerate(zip(factors, coarse)):
+                    for s in range(step // tf, (step + chunk) // tf):
+                        try:
+                            states[r] = ops[r].apply(states[r], rows[:, s, :])
+                        except BlowupError as err:
+                            raise BlowupError(start // tf + s + 1, err.magnitude,
+                                              rung=ladder[r]) from None
+            del xi, coarse  # hold one read at a time
         ref = states[-1][:, probes[-1]]
         for r in range(len(rungs)):
             d = states[r][:, probes[r]] - ref

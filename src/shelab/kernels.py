@@ -24,13 +24,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import _floor_quantize, _floor_steps
+from .model import SchemeSpec, _floor_quantize, _floor_steps
 
 __all__ = [
     "SpectralBasis",
     "spectral_basis",
     "AmplificationFactors",
-    "StabilityViolation",
     "heat_kernel",
     "heat_kernel_square_integral",
     "semi_green",
@@ -40,18 +39,6 @@ __all__ = [
     "full_green_square_integral",
     "full_green_grid",
 ]
-
-
-class StabilityViolation(RuntimeError):
-    """Raised when a fully discrete kernel is requested for mode factors
-    that are not uniformly contractive (|R1*R2| >= 1 for some mode j>=1)."""
-
-    def __init__(self, mode: int, value: float):
-        self.mode = mode
-        self.value = value
-        super().__init__(
-            f"amplification |R1*R2| = {value:.6g} >= 1 at mode j={mode}; "
-            "the step-size regime is inadmissible")
 
 
 # Truncation of the continuous kernel's two dual series.  Both tails stay far
@@ -135,21 +122,23 @@ def spectral_basis(n: int) -> SpectralBasis:
 
 
 class AmplificationFactors:
-    """Per-mode one-step factors of the theta scheme.
+    """Per-mode one-step factors of a scheme, the one place they are formed.
 
-    r1_j = (1 - theta tau lam_j)^-1, r2_j = 1 + (1-theta) tau lam_j and
-    their product r12_j.
+    The theta scheme has r1_j = (1 - theta tau lam_j)^-1 and
+    r2_j = 1 + (1-theta) tau lam_j; the exponential integrator has
+    r1_j = exp(tau lam_j) and r2_j = 1.  r12 is their product.
     """
 
-    def __init__(self, basis: SpectralBasis, tau: float, theta: float):
-        if not tau > 0.0:
-            raise ValueError("tau must be positive")
+    def __init__(self, basis: SpectralBasis, scheme: SchemeSpec):
         self.basis = basis
-        self.tau = float(tau)
-        self.theta = float(theta)
-        lam = basis.eigenvalues
-        self.r1 = 1.0 / (1.0 - theta * tau * lam)
-        self.r2 = 1.0 + (1.0 - theta) * tau * lam
+        self.tau = tau = float(scheme.tau)
+        lam, theta = basis.eigenvalues, scheme.theta
+        if scheme.stepper == "theta":
+            self.r1 = 1.0 / (1.0 - theta * tau * lam)
+            self.r2 = 1.0 + (1.0 - theta) * tau * lam
+        else:
+            self.r1 = np.exp(tau * lam)
+            self.r2 = np.ones(basis.n)
         self.r12 = self.r1 * self.r2
 
     @property
@@ -163,10 +152,13 @@ class AmplificationFactors:
         j = int(np.argmax(mags)) + 1
         return 1.0 - float(mags[j - 1]), j
 
-    def require_stable(self):
+    def require_stable(self) -> "AmplificationFactors":
+        """The table, checked: ValueError names a mode with |r1*r2| >= 1."""
         eps, j = self.contraction_margin()
         if eps <= 0.0:
-            raise StabilityViolation(j, 1.0 - eps)
+            raise ValueError(f"amplification |r1*r2| = {1.0 - eps:.6g} >= 1 at mode j={j}; "
+                             "the step is not contractive in floating point")
+        return self
 
     def step_power(self, t):
         """[t/tau] elementwise: an int for scalar t, an int array otherwise."""

@@ -32,9 +32,9 @@ from scipy import special
 
 from .model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec,
                     validate_run_config)
-from .noise import normal_rows, path_streams
-from .kernels import spectral_basis
-from .solver import BlowupError, StepOperator, mode_factors
+from .noise import NOISE_CHUNK_CELLS, normal_rows, path_streams
+from .kernels import AmplificationFactors, spectral_basis
+from .solver import BlowupError, StepOperator
 from .stability import positivity_time_full, sharp_gate
 
 __all__ = [
@@ -52,10 +52,6 @@ __all__ = [
     "lambda_scaling_sweep",
     "intermittency_report",
 ]
-
-# Noise cells (float64) that one mc_moment batch holds at a time: 8 MiB.
-NOISE_CHUNK_CELLS = 2 ** 20
-
 
 @dataclass(frozen=True)
 class MomentMatrices:
@@ -117,13 +113,13 @@ def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: Mod
     u0 = model.u0.values(grid)
     record = np.unique(np.append(np.arange(0, steps + 1, record_every), steps))
     basis = spectral_basis(grid.n)
-    r1, r2 = mode_factors(basis, scheme)
+    factors = AmplificationFactors(basis, scheme).require_stable()
     if np.all(u0 == u0[0]):
-        out = _constant_data_moments(r1, r1 * r2, gain, float(u0[0]), record)
+        out = _constant_data_moments(factors.r1, factors.r12, gain, float(u0[0]), record)
         out[0] = np.outer(u0, u0)
         return MomentMatrices(steps=record, matrices=out)
     out = np.empty((len(record), grid.n, grid.n))
-    b, g = basis.circulant(r1 * r2), basis.circulant(r1)  # R1 R2 and R1
+    b, g = basis.circulant(factors.r12), basis.circulant(factors.r1)  # R1 R2 and R1
     m = np.outer(u0, u0)
     out[0] = m
     r = 1

@@ -28,10 +28,13 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
-__all__ = ["GENERATOR_ID", "NoiseSeed", "path_streams", "normal_rows", "sample_block",
-           "coarsen_array", "coarsen_ladder"]
+__all__ = ["GENERATOR_ID", "NOISE_CHUNK_CELLS", "NoiseSeed", "path_streams", "normal_rows",
+           "sample_block", "coarsen_array", "coarsen_ladder"]
 
 GENERATOR_ID = "philox4x64/seedseq+ndtri-v1"
+
+# Noise cells (float64) that a Monte Carlo driver holds at a time: 8 MiB.
+NOISE_CHUNK_CELLS = 2 ** 20
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 

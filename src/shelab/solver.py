@@ -26,14 +26,13 @@ import numpy as np
 
 from .kernels import AmplificationFactors, spectral_basis
 from .model import GridSpec, ModelSpec, SchemeSpec, validate_run_config
-from .noise import NoiseSeed, sample_block
+from .noise import NOISE_CHUNK_CELLS, NoiseSeed, normal_rows
 
 __all__ = [
     "DENSE_MAX_N",
     "BlowupError",
     "StepOperator",
     "discrete_laplacian",
-    "mode_factors",
     "simulate",
 ]
 
@@ -67,17 +66,6 @@ def discrete_laplacian(values: np.ndarray, n: int | None = None) -> np.ndarray:
     return n * n * (np.roll(v, -1, axis=-1) - 2.0 * v + np.roll(v, 1, axis=-1))
 
 
-def mode_factors(basis, scheme: SchemeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(r1, r2) on all n Fourier modes in FFT order: the theta scheme's
-    factors (checked stable), or exp(tau lam_j) and 1 for the exponential
-    integrator."""
-    if scheme.stepper == "theta":
-        factors = AmplificationFactors(basis, scheme.tau, scheme.theta)
-        factors.require_stable()
-        return factors.r1, factors.r2
-    return np.exp(scheme.tau * basis.eigenvalues), np.ones(basis.n)
-
-
 class StepOperator:
     """Precomputed one-step operators for repeated stepping on one (n, tau, theta).
 
@@ -93,16 +81,16 @@ class StepOperator:
         self.n = int(n)
         self.model = model
         basis = spectral_basis(self.n)
-        r1, r2 = mode_factors(basis, scheme)
-        self.r2_is_one = bool(np.all(r2 == 1.0))
+        factors = AmplificationFactors(basis, scheme).require_stable()
+        self.r2_is_one = bool(np.all(factors.r2 == 1.0))
         self.dense = self.n <= DENSE_MAX_N
         if self.dense:
-            self.r1 = basis.circulant(r1)
-            self.b = None if self.r2_is_one else basis.circulant(r1 * r2)
+            self.r1 = basis.circulant(factors.r1)
+            self.b = None if self.r2_is_one else basis.circulant(factors.r12)
         else:
             half = self.n // 2 + 1  # rfft half-spectrum
-            self.r1h = r1[:half]
-            self.r2h = None if self.r2_is_one else r2[:half]
+            self.r1h = factors.r1[:half]
+            self.r2h = None if self.r2_is_one else factors.r2[:half]
         self.noise_amp = model.lam * np.sqrt(self.n * scheme.tau)
 
     def apply(self, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -140,7 +128,8 @@ def simulate(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, seed: NoiseSe
     time order.
 
     Deterministic given (seed, stream); raises BlowupError with the reached
-    horizon when the state exceeds the growth monitor.
+    horizon when the state exceeds the growth monitor.  The path's noise is
+    read in chunks of at most NOISE_CHUNK_CELLS cells.
     """
     validate_run_config(grid, scheme)
     record = sorted(set(int(i) for i in record_indices)) or [0]
@@ -150,13 +139,15 @@ def simulate(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, seed: NoiseSe
     u = model.u0.values(grid)
     want = set(record)
     states = [u] if 0 in want else []
-    if record[-1] > 0:
-        xi = sample_block(seed, record[-1], grid.n)
-        for i in range(record[-1]):
-            try:
-                u = op.apply(u, xi[i])
-            except BlowupError as err:
-                raise BlowupError(i + 1, err.magnitude) from None
-            if i + 1 in want:
-                states.append(u)
+    gens, rows = [seed.bit_generator()], max(1, NOISE_CHUNK_CELLS // grid.n)
+    for i in range(record[-1]):
+        if i % rows == 0:
+            xi = None  # hold one chunk at a time
+            xi = normal_rows(gens, min(rows, record[-1] - i), grid.n)[0]
+        try:
+            u = op.apply(u, xi[i % rows])
+        except BlowupError as err:
+            raise BlowupError(i + 1, err.magnitude) from None
+        if i + 1 in want:
+            states.append(u)
     return np.stack(states)

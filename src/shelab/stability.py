@@ -20,6 +20,9 @@ __all__ = [
 # Entries of one window of kernel grid values (steps x n) in
 # positivity_time_full: at most 1 MiB of float64 at a time.
 GRID_BUDGET = 2 ** 17
+# Longest exact tail, in steps, that positivity_time_full accepts.  The sweep's
+# rule needs 1.2e7 at n = 1800; theta = 0 with n^2 tau just below 1/2 ~3e15.
+STEP_BUDGET = 10 ** 10
 
 
 def _after_last_failure(times, grid_min):
@@ -60,13 +63,15 @@ def positivity_time_full(n: int, tau: float, theta: float) -> float:
     from the smallest m_tail with S(m_tail) <= 1/2 on is certified.  Grid
     minima are scanned back from m_tail in windows (one step, doubling up
     to GRID_BUDGET values) to the last step below 1/2; m* is the step after
-    it, or 1 when no step fails."""
-    validate_run_config(GridSpec(n), SchemeSpec(tau=tau, theta=theta),
-                        "positivity time undefined")
-    factors = AmplificationFactors(spectral_basis(n), tau, theta)
+    it, or 1 when no step fails.  A step that does not contract, or a tail
+    longer than STEP_BUDGET steps, raises ValueError."""
+    scheme = SchemeSpec(tau=tau, theta=theta)
+    validate_run_config(GridSpec(n), scheme, "positivity time undefined")
+    factors = AmplificationFactors(spectral_basis(n), scheme).require_stable()
     b = np.abs(factors.r12[1:])
-    if b.max() >= 1.0:
-        raise ValueError("degenerate contraction margin; tau too small to resolve")
+    if np.sum(b ** STEP_BUDGET) > 0.5:
+        raise ValueError("positivity time undefined: the exact tail needs more than "
+                         f"STEP_BUDGET = {STEP_BUDGET:.0e} steps")
     hi, width, cap = _tail_steps(b), 1, max(1, GRID_BUDGET // n)
     while hi >= 1:
         steps = np.arange(max(1, hi - width + 1), hi + 2)  # step hi + 1 is certified

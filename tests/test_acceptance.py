@@ -63,7 +63,7 @@ def test_criterion_2_positivity_certificates():
             except ValueError:
                 continue
             t_star = positivity_time_full(n, tau, theta)
-            factors = AmplificationFactors(spectral_basis(n), tau, theta)
+            factors = AmplificationFactors(spectral_basis(n), SchemeSpec(tau=tau, theta=theta))
             g = np.arange(n) / n
             for mult in (1.0, 2.0):
                 vals = np.asarray(full_green(t_star * mult, g[:, None],

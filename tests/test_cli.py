@@ -151,6 +151,15 @@ class TestMoments:
         err = capsys.readouterr().err
         assert "horizon reached at t=0.0;" in err and "np." not in err
 
+    def test_non_contractive_step_exit_2(self, tmp_path, capsys):
+        # admitted, but r1 r2 rounds to 1 on the nonconstant modes
+        cfg = write_config(tmp_path, {"grid": {"n": 3},
+                                      "scheme": {"tau": 1e-18, "theta": 1.0},
+                                      "moments": {"mode": "exact", "steps": 5}})
+        assert main(["moments", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "|r1*r2| = 1 >= 1 at mode j=1" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
     def test_config_error_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {})
         assert main(["moments", "--config", cfg, "--out-dir", str(tmp_path)]) == 2

@@ -23,7 +23,7 @@ def initial_data_error_full(n: int, tau: float, theta: float, u0: InitialData,
     """|int_0^1 (G^n - G1^{n,tau})(t,x,y) u0(kappa_n(y)) dy|^2, closed form:
     the y-integral collapses to the grid DFT of the initial samples."""
     basis = spectral_basis(n)
-    factors = AmplificationFactors(basis, tau, theta)
+    factors = AmplificationFactors(basis, SchemeSpec(tau=tau, theta=theta))
     factors.require_stable()
     c = np.fft.fft(u0.values(GridSpec(n))) / n
     delta = np.exp(basis.eigenvalues * t) - factors.r12 ** factors.step_power(t)
@@ -95,7 +95,7 @@ def green_error_semi_per_node(n, x=0.0, quad=QuadratureSpec()) -> float:
 def green_error_full_per_node(n, tau, theta, x=0.0, quad=QuadratureSpec()) -> float:
     """green_error_full, one time node per call."""
     basis = spectral_basis(n)
-    factors = AmplificationFactors(basis, tau, theta)
+    factors = AmplificationFactors(basis, SchemeSpec(tau=tau, theta=theta))
     prof = basis.modes(x)
 
     def d_of_t(t):
@@ -234,12 +234,29 @@ class TestInitialDataErrorFull:
         tau, theta, t, x = 0.01, 1.0, 0.05, 0.37
         g = 1.5 + np.sin(2 * np.pi * np.arange(n) / n) + 0.2 * np.arange(n) / n
         basis = spectral_basis(n)
-        factors = AmplificationFactors(basis, tau, theta)
+        factors = AmplificationFactors(basis, SchemeSpec(tau=tau, theta=theta))
         cells = (np.arange(n) + 0.5) / n
         diff = semi_green(t, x, cells, basis) - full_green(t, x, cells, "G1", factors)
         expected = float(np.mean(diff * g)) ** 2
         got = initial_data_error_full(n, tau, theta, InitialData.grid_samples(g.tolist()), t, x)
         assert got == pytest.approx(expected, rel=1e-9)
+
+
+def hand_stepped_errors(ladder, model, m_f, paths, seed, theta=0.75):
+    """RMS errors of a temporal ladder at n = 8 against its last rung, each
+    rung stepped alone on coarsen_array of each path's whole "strong" stream."""
+    fine = np.stack([sample_block(NoiseSeed(seed, path=k, purpose="strong"), m_f, 8)
+                     for k in range(paths)])
+    finals = []
+    for n, tau in ladder:
+        op = StepOperator(n, SchemeSpec(tau=tau, theta=theta), model)
+        u = np.ones((paths, n))
+        coarse = coarsen_array(fine, 1, round(tau * 2 ** 10))
+        for s in range(coarse.shape[1]):
+            u = op.apply(u, coarse[:, s, :])
+        finals.append(u[:, 0])
+    return [math.sqrt(float(np.dot(u - finals[-1], u - finals[-1])) / paths)
+            for u in finals[:-1]]
 
 
 class TestStrongErrorStudy:
@@ -369,23 +386,17 @@ class TestStrongErrorStudy:
         # time factors 6 and 3 are coarsened straight from the fine block;
         # the oracle reads each path's whole "strong" stream at once
         ladder = [(8, 6 * 2 ** -10), (8, 3 * 2 ** -10), (8, 2 ** -10)]
-        paths, seed, m_f = 5, 3, 12
-        curve = strong_error_study(ladder, pam_model, 0.75, m_f * 2 ** -10, paths, seed,
+        curve = strong_error_study(ladder, pam_model, 0.75, 12 * 2 ** -10, 5, 3,
                                    fit_separation=2)
-        fine = np.stack([sample_block(NoiseSeed(seed, path=k, purpose="strong"), m_f, 8)
-                         for k in range(paths)])
-        finals = []
-        for n, tau in ladder:
-            op = StepOperator(n, SchemeSpec(tau=tau, theta=0.75), pam_model)
-            u = np.ones((paths, n))
-            coarse = coarsen_array(fine, 1, round(tau * 2 ** 10))
-            for s in range(coarse.shape[1]):
-                u = op.apply(u, coarse[:, s, :])
-            finals.append(u[:, 0])
-        want = [math.sqrt(float(np.dot(u - finals[-1], u - finals[-1])) / paths)
-                for u in finals[:-1]]
-        assert list(curve.errors) == want
+        assert list(curve.errors) == hand_stepped_errors(ladder, pam_model, 12, 5, 3)
         assert list(curve.fit_mask) == [True, True]
+
+    def test_unnested_time_factors_step_in_lcm_chunks(self, pam_model):
+        # 8 does not divide 12: the rungs step together in chunks of 24
+        ladder = [(8, 12 * 2 ** -10), (8, 8 * 2 ** -10), (8, 2 ** -10)]
+        curve = strong_error_study(ladder, pam_model, 0.75, 24 * 2 ** -10, 5, 3,
+                                   fit_separation=2)
+        assert list(curve.errors) == hand_stepped_errors(ladder, pam_model, 24, 5, 3)
 
     def test_fit_mask_separation(self, pam_model):
         ladder = [(8, 2 ** -10), (16, 2 ** -10), (32, 2 ** -10), (64, 2 ** -10)]

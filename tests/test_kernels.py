@@ -1,18 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shelab.kernels import (CROSSOVER_TIME, IMAGE_TERMS, SPECTRAL_TERMS,
-                            AmplificationFactors, StabilityViolation,
+                            AmplificationFactors,
                             full_green, full_green_grid,
                             full_green_square_integral, heat_kernel,
                             heat_kernel_square_integral, semi_green,
                             semi_green_grid, semi_green_square_integral,
                             spectral_basis)
 from shelab.model import SchemeSpec
-from shelab.solver import mode_factors
 
 
 def quad_unit_interval(fn, panels=512, order=8):
@@ -71,8 +71,7 @@ class TestSpectralBasis:
         # every row of a Green matrix sums to its mode-0 factor r1_0 r2_0 = 1;
         # theta = 1/2 is the hard case: r1 r2 nears -1 at the top modes
         basis = spectral_basis(n)
-        r1, r2 = mode_factors(basis, scheme)
-        rows = basis.circulant(r1 * r2).sum(axis=1)
+        rows = basis.circulant(AmplificationFactors(basis, scheme).r12).sum(axis=1)
         assert np.max(np.abs(rows - 1.0)) <= 2e-15
 
 
@@ -143,7 +142,7 @@ def test_grid_points_match_cosine_route(n, t, tau, theta):
     # interpolated complex modes at (q/n, l/n) against the inverse real
     # FFT of grid_values, for the semi- and fully discrete kernels
     basis = spectral_basis(n)
-    factors = AmplificationFactors(basis, tau, theta)
+    factors = AmplificationFactors(basis, SchemeSpec(tau=tau, theta=theta))
     x = np.arange(n)[:, None] / n
     y = np.arange(n)[None, :] / n
     d = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
@@ -171,7 +170,7 @@ def _assert_stacks_scalar_calls(fn, times):
 @settings(max_examples=60, deadline=None)
 def test_time_array_equals_scalar_calls(n, theta, tau, k, frac, times):
     basis = spectral_basis(n)
-    factors = AmplificationFactors(basis, tau, theta)
+    factors = AmplificationFactors(basis, SchemeSpec(tau=tau, theta=theta))
     x = ((k % n) + frac) / n  # a grid point when frac == 0
     y = np.array([0.0, 0.3, (k % n + 0.5) / n])
     # both sides of the image/spectral crossover in every example
@@ -192,7 +191,7 @@ def test_time_array_equals_scalar_calls(n, theta, tau, k, frac, times):
 
 def test_scalar_time_returns_float():
     basis = spectral_basis(5)
-    factors = AmplificationFactors(basis, 0.01, 1.0)
+    factors = AmplificationFactors(basis, SchemeSpec(tau=0.01, theta=1.0))
     for value in (heat_kernel(0.1, 0.2, 0.3), heat_kernel_square_integral(0.1),
                   semi_green(0.1, 0.2, 0.3, basis), semi_green_square_integral(0.1, 0.2, basis),
                   full_green(0.1, 0.2, 0.3, "G2", factors),
@@ -279,38 +278,39 @@ class TestSemiGreen:
 class TestFullGreen:
     def test_conservation(self):
         basis = spectral_basis(4)
-        factors = AmplificationFactors(basis, 0.01, 1.0)
+        factors = AmplificationFactors(basis, SchemeSpec(tau=0.01, theta=1.0))
         cells = np.asarray(full_green(0.05, 0.37, (np.arange(4) + 0.5) / 4, "G1", factors))
         assert cells.mean() == pytest.approx(1.0, abs=1e-13)
 
     def test_implicit_g2_modes_contract(self):
         basis = spectral_basis(8)
-        factors = AmplificationFactors(basis, 0.05, 1.0)
+        factors = AmplificationFactors(basis, SchemeSpec(tau=0.05, theta=1.0))
         m = factors.step_power(0.4)
         per_mode = factors.r12 ** (m + 1)   # theta=1: r2 = 1, so (r1)^{m+1}
         assert np.all(per_mode[1:] > 0.0) and np.all(per_mode[1:] <= 1.0)
 
     def test_small_tau_limit_matches_semi(self):
         basis = spectral_basis(4)
-        factors = AmplificationFactors(basis, 1e-6, 0.5)
+        factors = AmplificationFactors(basis, SchemeSpec(tau=1e-6, theta=0.5))
         t, x, y = 0.01, 0.2, 0.7
         assert abs(full_green(t, x, y, "G1", factors) - semi_green(t, x, y, basis)) < 1e-6
 
     def test_stability_violation_diagnostic(self):
         basis = spectral_basis(10)
-        factors = AmplificationFactors(basis, 0.01, 0.0)  # n^2 tau = 1
-        with pytest.raises(StabilityViolation) as err:
+        factors = AmplificationFactors(basis, SchemeSpec(tau=0.01, theta=0.0))  # n^2 tau = 1
+        with pytest.raises(ValueError, match=r"\|r1\*r2\| = [0-9.]+ >= 1 at mode j=") as err:
             full_green(0.1, 0.1, 0.1, "G1", factors)
-        assert err.value.mode >= 1
+        assert int(re.search(r"mode j=(\d+)", str(err.value)).group(1)) >= 1
 
     def test_square_integral_cases(self):
         basis = spectral_basis(6)
-        factors = AmplificationFactors(basis, 0.008, 1.0)
+        factors = AmplificationFactors(basis, SchemeSpec(tau=0.008, theta=1.0))
         # t=0: sum of r1_j^2 weights, at grid x equals sum r1^2 >= 1
         assert full_green_square_integral(0.0, 0.0, factors) == pytest.approx(
             float(np.sum(factors.r1 ** 2)), rel=1e-14)
         # theta=0: r1 = 1, value is sum (r2)^{2m}
-        f0 = AmplificationFactors(spectral_basis(4), 0.02, 0.0)  # n^2 tau = 0.32
+        # n^2 tau = 0.32
+        f0 = AmplificationFactors(spectral_basis(4), SchemeSpec(tau=0.02, theta=0.0))
         m = f0.step_power(0.1)
         assert full_green_square_integral(0.1, 0.0, f0) == pytest.approx(
             float(np.sum(f0.r2 ** (2 * m))), rel=1e-14)
@@ -318,7 +318,7 @@ class TestFullGreen:
     def test_square_integral_vs_quadrature(self):
         n = 4
         basis = spectral_basis(n)
-        factors = AmplificationFactors(basis, 0.01, 1.0)
+        factors = AmplificationFactors(basis, SchemeSpec(tau=0.01, theta=1.0))
         x, t = 0.37, 0.05
         cells = np.asarray(full_green(t, x, (np.arange(n) + 0.5) / n, "G2", factors))
         assert full_green_square_integral(t, x, factors) == pytest.approx(
@@ -329,7 +329,7 @@ class TestAmplificationFactors:
     @pytest.mark.parametrize("n,tau,theta", [(8, 0.004, 0.0), (8, 0.01, 0.5),
                                              (16, 0.3, 0.75), (64, 0.001, 1.0)])
     def test_invariants(self, n, tau, theta):
-        factors = AmplificationFactors(spectral_basis(n), tau, theta)
+        factors = AmplificationFactors(spectral_basis(n), SchemeSpec(tau=tau, theta=theta))
         assert factors.r1[0] == 1.0 and factors.r2[0] == 1.0
         assert np.all(factors.r1 > 0.0) and np.all(factors.r1 <= 1.0)
         eps, j = factors.contraction_margin()
@@ -342,5 +342,5 @@ class TestAmplificationFactors:
         basis = spectral_basis(n)
         decay = np.exp(2.0 * basis.eigenvalues[: n // 2 + 1] * 0.01)
         assert np.all(np.diff(decay) < 0.0)
-        factors = AmplificationFactors(basis, 0.001, 0.25)
+        factors = AmplificationFactors(basis, SchemeSpec(tau=0.001, theta=0.25))
         assert np.all(np.diff(factors.r12[1: n // 2 + 1]) < 0.0)

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import circulant
 
-from shelab.kernels import AmplificationFactors, StabilityViolation, spectral_basis
+from shelab.kernels import AmplificationFactors, spectral_basis
 from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
-from shelab.noise import NoiseSeed, sample_block
+import shelab.solver
+from shelab.noise import NOISE_CHUNK_CELLS, NoiseSeed, sample_block
 from shelab.solver import (DENSE_MAX_N, BlowupError, StepOperator, discrete_laplacian,
                            simulate)
 
@@ -40,7 +42,7 @@ class TestThetaStep:
     def test_single_mode_decay(self, quiet_model):
         n, tau, theta, steps = 8, 1e-3, 0.75, 60
         op = StepOperator(n, SchemeSpec(tau=tau, theta=theta), quiet_model)
-        factors = AmplificationFactors(spectral_basis(n), tau, theta)
+        factors = AmplificationFactors(spectral_basis(n), SchemeSpec(tau=tau, theta=theta))
         u0 = np.cos(2 * np.pi * np.arange(n) / n)
         u = u0.copy()
         for _ in range(steps):
@@ -66,7 +68,7 @@ class TestThetaStep:
         assert np.max(np.abs(back - v)) < 1e-12
 
     def test_stability_enforced(self, pam_model):
-        with pytest.raises(StabilityViolation):
+        with pytest.raises(ValueError, match="at mode j=5; the step is not contractive"):
             StepOperator(10, SchemeSpec(tau=0.01, theta=0.0), pam_model).apply(
                 np.ones(10), np.zeros(10))
 
@@ -193,6 +195,31 @@ class TestSimulate:
         b = simulate(grid, scheme, pam_model, NoiseSeed(9), range(0, 51, 10))
         assert np.array_equal(a, b)
         assert a.shape == b.shape == (6, 8)
+
+    def test_chunked_noise_continues_the_stream(self, pam_model, monkeypatch):
+        # chunks of 3 steps (3, 3, 3, 1) give the bits of one whole read
+        grid, scheme, seed = GridSpec(8), SchemeSpec(tau=1e-3, theta=1.0), NoiseSeed(9)
+        op = StepOperator(grid.n, scheme, pam_model)
+        u, want = pam_model.u0.values(grid), []
+        for i, xi in enumerate(sample_block(seed, 10, grid.n), start=1):
+            u = op.apply(u, xi)
+            if i in (3, 4, 10):
+                want.append(u)
+        monkeypatch.setattr(shelab.solver, "NOISE_CHUNK_CELLS", 3 * grid.n)
+        assert np.array_equal(simulate(grid, scheme, pam_model, seed, [3, 4, 10]), want)
+
+    def test_noise_held_in_one_chunk(self, pam_model):
+        # 4096 steps at n = 1024 are four chunks of 8 MiB; one read of the
+        # whole 32 MiB path with its raw words peaked near 96 MiB
+        grid, scheme = GridSpec(1024), SchemeSpec(tau=1e-3, theta=1.0)
+        assert 4096 * grid.n == 4 * NOISE_CHUNK_CELLS
+        tracemalloc.start()
+        try:
+            simulate(grid, scheme, pam_model, NoiseSeed(9), [4096])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
 
     def test_invalid_config_rejected(self, pam_model):
         with pytest.raises(ValueError, match="invalid run configuration"):

@@ -14,7 +14,7 @@ from shelab.stability import positivity_time_full, positivity_time_semi, sharp_g
 def positivity_per_step(n, tau, theta, m_suff):
     """(t*, certified samples) from one grid-minimum evaluation per step
     m = 1..m_suff+1 and the last step below 1/2."""
-    factors = AmplificationFactors(spectral_basis(n), tau, theta)
+    factors = AmplificationFactors(spectral_basis(n), SchemeSpec(tau=tau, theta=theta))
     mins = np.array([full_green_grid(m * tau, "G1", factors).min()
                      for m in range(1, m_suff + 2)])
     bad = np.flatnonzero(mins < 0.5)
@@ -49,7 +49,7 @@ def old_proof_bound_steps(n, tau, theta):
         regime_eps = min(1.0 / (coupling + 0.5), 0.5)
     else:
         regime_eps = 2.0 - 4.0 * coupling / (1.0 + 4.0 * theta * coupling)
-    factors = AmplificationFactors(spectral_basis(n), tau, theta)
+    factors = AmplificationFactors(spectral_basis(n), SchemeSpec(tau=tau, theta=theta))
     eps_prime = min(regime_eps, 1.0 - factors.r12[1])
     return max(1, math.ceil(math.log(0.5 / (2 * (n // 2))) / math.log(1.0 - eps_prime)))
 
@@ -65,7 +65,7 @@ class TestCheckStability:
 
     def test_crank_nicolson_example(self):
         assert admitted(10, 0.009, 0.5)  # n^2 tau = 0.9 admissible
-        factors = AmplificationFactors(spectral_basis(10), 0.009, 0.5)
+        factors = AmplificationFactors(spectral_basis(10), SchemeSpec(tau=0.009, theta=0.5))
         assert factors.contraction_margin()[0] > 0.0
 
     def test_explicit_regime_violation(self):
@@ -82,7 +82,7 @@ class TestCheckStability:
                                              (64, 0.001, 1.0)])
     def test_two_sided_margin_invariant(self, n, tau, theta):
         assert admitted(n, tau, theta)
-        factors = AmplificationFactors(spectral_basis(n), tau, theta)
+        factors = AmplificationFactors(spectral_basis(n), SchemeSpec(tau=tau, theta=theta))
         eps = factors.contraction_margin()[0]
         half = n // 2
         assert eps > 0.0
@@ -116,7 +116,7 @@ class TestPositivityTimes:
                                              (16, 0.003, 0.5)])
     def test_full_certificate_brute_force(self, n, tau, theta):
         t_star = positivity_time_full(n, tau, theta)
-        factors = AmplificationFactors(spectral_basis(n), tau, theta)
+        factors = AmplificationFactors(spectral_basis(n), SchemeSpec(tau=tau, theta=theta))
         g = np.arange(n) / n
         for mult in (1.0, 2.0):
             vals = np.asarray(full_green(t_star * mult, g[:, None], g[None, :],
@@ -155,7 +155,8 @@ class TestPositivityTimes:
         # n = 3, theta = 0, tau = -1/lam_1: r1 r2 = 0 on the one nonconstant
         # mode pair, so the exact tail is 0 and G1 = 1 from the first step
         tau = -1.0 / spectral_basis(3).eigenvalues[1]
-        assert AmplificationFactors(spectral_basis(3), tau, 0.0).r12[1] == 0.0
+        factors = AmplificationFactors(spectral_basis(3), SchemeSpec(tau=tau, theta=0.0))
+        assert factors.r12[1] == 0.0
         t_star = positivity_time_full(3, tau, 0.0)
         assert t_star == tau
         assert t_star == positivity_per_step(3, tau, 0.0, old_proof_bound_steps(3, tau, 0.0))[0]
@@ -171,9 +172,19 @@ class TestPositivityTimes:
     def test_full_degenerate_margin_raises(self):
         # an admitted tau so small that r1 r2 rounds to 1: no tail bound exists
         assert admitted(3, 1e-18, 1.0)
-        assert AmplificationFactors(spectral_basis(3), 1e-18, 1.0).r12.min() == 1.0
-        with pytest.raises(ValueError, match="^degenerate contraction margin"):
+        factors = AmplificationFactors(spectral_basis(3), SchemeSpec(tau=1e-18, theta=1.0))
+        assert factors.r12.min() == 1.0
+        with pytest.raises(ValueError, match=r"\|r1\*r2\| = 1 >= 1 at mode j=1;"):
             positivity_time_full(3, 1e-18, 1.0)
+
+    @pytest.mark.parametrize("n", [14, 28])
+    def test_full_refuses_tail_beyond_step_budget(self, n):
+        # n^2 tau rounds to 0.49999999999999994, so theta = 0 is admitted
+        # with a Nyquist factor r1 r2 = -1 + 2e-16: the tail needs ~3e15 steps
+        tau = 0.5 / (n * n)
+        assert admitted(n, tau, 0.0)
+        with pytest.raises(ValueError, match=r"more than STEP_BUDGET = 1e\+10 steps"):
+            positivity_time_full(n, tau, 0.0)
 
 
 @given(n=st.integers(min_value=3, max_value=32),
@@ -188,7 +199,7 @@ def test_tail_certificate_matches_per_step_scan(n, coupling, theta):
     bound = old_proof_bound_steps(n, tau, theta)
     t_star = positivity_time_full(n, tau, theta)
     assert t_star == positivity_per_step(n, tau, theta, bound)[0]
-    factors = AmplificationFactors(spectral_basis(n), tau, theta)
+    factors = AmplificationFactors(spectral_basis(n), SchemeSpec(tau=tau, theta=theta))
     steps = np.arange(round(t_star / tau), bound + 1)
     assert full_green_grid(steps * tau, "G1", factors).min() >= 0.5
 
