@@ -230,10 +230,10 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     the reference.  Every rung's (n, tau) must nest into the reference by
     integer factors, not only powers of two: fine noise, read in whole chunks
     (lcm of the time factors) up to NOISE_CHUNK_CELLS with its coarse copies,
-    is coarsened to every rung by noise.coarsen_ladder, which chains the
-    power-of-two rungs through one halving tree and coarsens other factors
-    straight from the fine block, so each rung's noise is bit-exactly
-    coarsen_array of the fine noise.  The rungs advance one chunk at a time,
+    one read alive at a time, is coarsened to every rung by
+    noise.coarsen_ladder, which chains the power-of-two rungs through one
+    halving tree and coarsens other factors straight from the fine block, so
+    each rung's noise is bit-exactly coarsen_array of the fine noise.  The rungs advance one chunk at a time,
     so the earliest blow-up is the one reported.  All rung errors are
     reported; only rungs separated from the reference by at least
     `fit_separation` in the refined coordinate enter the order fit (a
@@ -286,6 +286,21 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
         raise ValueError("ladder must refine exactly one of (n, tau)")
     if mask.sum() < 2:
         raise ValueError("fewer than two rungs are separated enough to fit an order")
+
+    def advance(gens, states, start, rows):
+        """Read the next `rows` fine steps of every path, coarsen them to
+        every rung and step the rungs one chunk at a time, rung by rung.  The
+        noise is local, so it dies on return: a study holds one read."""
+        coarse = coarsen_ladder(normal_rows(gens, rows, n_f), factors)
+        for step in range(0, rows, chunk):
+            for r, ((_, tf), block) in enumerate(zip(factors, coarse)):
+                for s in range(step // tf, (step + chunk) // tf):
+                    try:
+                        states[r] = ops[r].apply(states[r], block[:, s, :])
+                    except BlowupError as err:
+                        raise BlowupError(start // tf + s + 1, err.magnitude,
+                                          rung=ladder[r]) from None
+
     sq_err = np.zeros(len(rungs))
     done = 0
     while done < paths:
@@ -297,17 +312,7 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
         states = [np.tile(model.u0.values(GridSpec(nr)), (count, 1))
                   for (nr, _) in ladder]
         for start in range(0, m_f, read):
-            xi = normal_rows(gens, min(read, m_f - start), n_f)
-            coarse = coarsen_ladder(xi, factors)
-            for step in range(0, xi.shape[1], chunk):  # one chunk, rung by rung
-                for r, ((_, tf), rows) in enumerate(zip(factors, coarse)):
-                    for s in range(step // tf, (step + chunk) // tf):
-                        try:
-                            states[r] = ops[r].apply(states[r], rows[:, s, :])
-                        except BlowupError as err:
-                            raise BlowupError(start // tf + s + 1, err.magnitude,
-                                              rung=ladder[r]) from None
-            del xi, coarse  # hold one read at a time
+            advance(gens, states, start, min(read, m_f - start))
         ref = states[-1][:, probes[-1]]
         for r in range(len(rungs)):
             d = states[r][:, probes[r]] - ref

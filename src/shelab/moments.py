@@ -171,7 +171,8 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     its batch by one `path_streams` call.  Paths run in batches of about 4e6
     noise cells, a rule that fixes only the order in which batches merge: a
     batch holds at most NOISE_CHUNK_CELLS noise cells, read in the fewest
-    even chunks of whole steps.  The standard errors come from each batch's
+    even chunks of whole steps, and the records of a chunk are tallied before
+    the next one is read.  The standard errors come from each batch's
     sum of squared deviations, merged across batches by the pairwise update
     of Chan, Golub and LeVeque, so weak noise does not cancel them away.  On
     blow-up the series is truncated at the last record before the horizon
@@ -206,9 +207,16 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
         np.abs(cols, out=cols)
         return cols.min(axis=0)
 
-    def tally(base, rows):
-        """Fold one batch's |u| at the probe (records x paths) into the
-        sums, merging each record's squared deviations pairwise."""
+    def tally(recorded, bases):
+        """Fold |u| at the probe at the recorded steps (one row of a batch's
+        paths each) into the sums, merging each record's squared deviations
+        pairwise, and empty both lists.  Each record row is folded on its
+        own, so tallying a batch in parts gives the same bits."""
+        if not recorded:
+            return
+        base, rows = np.stack(bases), np.array([pos[i] for i in recorded])
+        recorded.clear()
+        bases.clear()
         na, nb = counts[rows], base.shape[1]
         seen = na > 0
         for k, q in enumerate(p_list):
@@ -237,7 +245,8 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
         xi = None
         for i in range(limit):
             if i % rows == 0:
-                del xi  # hold one chunk at a time
+                del xi  # hold one chunk at a time, and no records beside it
+                tally(recorded, bases)
                 xi = normal_rows(gens, min(rows, limit - i), grid.n)
             try:
                 states = op.apply(states, xi[:, i % rows, :])
@@ -248,8 +257,7 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
                 recorded.append(i + 1)
                 bases.append(probe(states))
         del xi
-        if recorded:
-            tally(np.stack(bases), np.array([pos[i] for i in recorded]))
+        tally(recorded, bases)
         start += count
     kept = [i for i in record_set if i < horizon and counts[pos[i]] == paths]
     truncated = len(kept) < len(record_set)
@@ -414,15 +422,12 @@ def intermittency_report(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec,
     if not set(int(p) for p in p_list) <= allowed:
         raise ValueError(f"p_list must be a subset of {sorted(allowed)}")
     p_list = sorted(set(int(p) for p in p_list))
+    t_pos = positivity_time_full(grid.n, scheme.tau, scheme.theta, scheme.stepper)
     times = [i * scheme.tau for i in range(0, horizon_steps + 1,
                                            max(1, horizon_steps // 200))]
     series = mc_moment(grid, scheme, model, list(p_list), "min", times, paths, seed)
     horizon_flag = any(s.horizon_reached for s in series)
     t_end = min(s.times[-1] for s in series)
-    try:
-        t_pos = positivity_time_full(grid.n, scheme.tau, scheme.theta)
-    except ValueError:
-        t_pos = 0.0
     window = (max(t_pos, 0.2 * t_end), t_end)
     fits = {}
     for s in series:

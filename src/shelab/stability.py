@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .kernels import (AmplificationFactors, full_green_grid, semi_green_grid,
+from .kernels import (AmplificationFactors, full_green_grid, semi_green, semi_green_grid,
                       spectral_basis)
 from .model import GridSpec, SchemeSpec, validate_run_config
 
@@ -33,14 +33,24 @@ def _after_last_failure(times, grid_min):
 
 
 def positivity_time_semi(n: int) -> float:
-    """Certified time t(n) with min over grid pairs of G^n(t, q/n, l/n) >= 1/2:
-    of 400 samples up to just past the proof bound (n-1) e^{lam_1 t} <= 1/2,
-    past which the analytic envelope holds, the first after which every
-    sampled grid minimum stays >= 1/2."""
+    """Certified time t(n) with min over grid pairs of G^n(t, q/n, l/n) >= 1/2.
+
+    e^{t Delta_n} is a Markov semigroup, so every grid minimum of G^n is
+    nondecreasing in t, (P_{t+s})_{ij} = sum_k (P_s)_{ik} (P_t)_{kj} >=
+    min_k (P_t)_{kj}, and t* is the one root of min_d G^n(t, d) = 1/2 on
+    (0, t_suff], t_suff the proof bound (n-1) e^{lam_1 t} <= 1/2.  Brent's
+    root may sit a hair below the crossing, so t* moves up by the solve's
+    tolerance until every grid pair, evaluated by semi_green, reads >= 1/2."""
+    from .renewal import _brentq  # renewal imports this module
+
     basis = spectral_basis(n)
-    t_suff = math.log(2.0 * (n - 1)) / (-basis.eigenvalues[1])
-    times = np.linspace(t_suff / 400, t_suff * 1.001, 400)
-    return _after_last_failure(times, semi_green_grid(times, basis).min(axis=1))
+    t_suff = math.log(2.0 * (n - 1)) / -float(basis.eigenvalues[1])
+    xtol = 1e-12 * t_suff
+    t_star = _brentq(lambda t: float(semi_green_grid(t, basis).min()) - 0.5, 0.0, t_suff, xtol)
+    g = np.arange(n) / n
+    while min(semi_green(t_star, x, g, basis).min() for x in g) < 0.5:
+        t_star += xtol
+    return t_star
 
 
 def _tail_steps(b: np.ndarray) -> int:
@@ -55,8 +65,9 @@ def _tail_steps(b: np.ndarray) -> int:
     return hi
 
 
-def positivity_time_full(n: int, tau: float, theta: float) -> float:
-    """Certified time t(n,tau) = m* tau with G1 >= 1/2 at grid points.
+def positivity_time_full(n: int, tau: float, theta: float, stepper: str = "theta") -> float:
+    """Certified time t(n,tau) = m* tau with G1 >= 1/2 at grid points, for
+    the scheme SchemeSpec(tau, theta, stepper).
 
     G1 = sum_j (r1_j r2_j)^m cos(2 pi j d / n) >= 1 - S(m), and the exact
     tail S(m) = sum_{j != 0} |r1_j r2_j|^m decreases strictly, so every step
@@ -65,7 +76,7 @@ def positivity_time_full(n: int, tau: float, theta: float) -> float:
     to GRID_BUDGET values) to the last step below 1/2; m* is the step after
     it, or 1 when no step fails.  A step that does not contract, or a tail
     longer than STEP_BUDGET steps, raises ValueError."""
-    scheme = SchemeSpec(tau=tau, theta=theta)
+    scheme = SchemeSpec(tau=tau, theta=theta, stepper=stepper)
     validate_run_config(GridSpec(n), scheme, "positivity time undefined")
     factors = AmplificationFactors(spectral_basis(n), scheme).require_stable()
     b = np.abs(factors.r12[1:])

@@ -12,7 +12,7 @@ from shelab.convergence import (QuadratureSpec, _gauss, _semi_d, _tail_bound_ful
 from shelab.kernels import (AmplificationFactors, full_green, heat_kernel,
                             heat_kernel_square_integral, semi_green, spectral_basis)
 from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
-from shelab.noise import NoiseSeed, coarsen_array, sample_block
+from shelab.noise import NOISE_CHUNK_CELLS, NoiseSeed, coarsen_array, sample_block
 from shelab.solver import BlowupError, StepOperator
 
 from conftest import const_sigma
@@ -397,6 +397,26 @@ class TestStrongErrorStudy:
         curve = strong_error_study(ladder, pam_model, 0.75, 24 * 2 ** -10, 5, 3,
                                    fit_separation=2)
         assert list(curve.errors) == hand_stepped_errors(ladder, pam_model, 24, 5, 3)
+
+    @pytest.mark.parametrize("ladder, T, paths", [
+        # temporal: time factors 16..2 step in chunks of 16; 80 fine rows
+        # (3.9 MiB) and their coarse copies per read, 4 reads
+        ([(64, 2.0 ** -k) for k in (8, 9, 10, 11, 12)], 320 * 2 ** -12, 100),
+        # spatial: one fine step per chunk, 87 rows (4.2 MiB) per read
+        ([(n, 2.0 ** -14) for n in (8, 16, 32, 64)], 2 ** -6, 200),
+    ], ids=["temporal", "spatial"])
+    def test_noise_held_in_one_read(self, pam_model, ladder, T, paths):
+        # one read with its coarse copies is within NOISE_CHUNK_CELLS; the
+        # study held the last read's fine block while the next was drawn
+        # (12.2 and 12.5 MiB).  Slack: 1 MiB for the streams, states,
+        # operators and stepping temporaries.
+        tracemalloc.start()
+        try:
+            strong_error_study(ladder, pam_model, theta=1.0, T=T, paths=paths, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= NOISE_CHUNK_CELLS * 8 + 2 ** 20
 
     def test_fit_mask_separation(self, pam_model):
         ladder = [(8, 2 ** -10), (16, 2 ** -10), (32, 2 ** -10), (64, 2 ** -10)]

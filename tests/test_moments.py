@@ -475,16 +475,21 @@ class TestMcMoment:
                                   [np.sum(b ** series.p) / paths for b in bases])
 
     def test_noise_held_in_one_chunk(self):
-        # pam-hierarchy's sizes: 4 chunks of 125 steps (7.6 MiB each) instead
-        # of the whole (1000, 500, 8) block (30.5 MiB)
+        # pam-hierarchy's sizes and records: 4 chunks of 125 steps (7.6 MiB
+        # each) instead of the whole (1000, 500, 8) block (30.5 MiB), and a
+        # chunk's 63 records (0.5 MiB) tallied before the next read; stacking
+        # all 251 beside the last chunk peaked at 10.4 MiB.  Slack: one
+        # chunk's records plus 1 MiB for the streams, states and stepping
+        # temporaries.
         grid, scheme, model = make(8, 1e-3, 1.0, 1.0)
+        times = [i * 1e-3 for i in range(0, 501, 2)]
         tracemalloc.start()
         try:
-            mc_moment(grid, scheme, model, [2, 4], "min", [0.1, 0.5], 1000, seed=1)
+            mc_moment(grid, scheme, model, [2, 4], "min", times, 1000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20
+        assert peak <= NOISE_CHUNK_CELLS * 8 + 63 * 1000 * 8 + 2 ** 20
 
     def test_blowup_truncates_with_flag(self):
         grid = GridSpec(4)
@@ -585,6 +590,21 @@ class TestIntermittencyReport:
         for fit in rep.fits.values():
             assert fit.gamma == pytest.approx(0.0, abs=1e-10)
         assert rep.all_finite and not rep.gamma2_positive
+
+    def test_window_starts_at_the_steppers_positivity_time(self, pam_model):
+        # the exponential stepper's t* = 0.04; the theta scheme at theta = 0
+        # refuses n^2 tau = 0.64, which used to leave the window at 0.2 t_end
+        grid, scheme, _ = make(8, 0.01, 0.0, 1.0, stepper="exponential")
+        rep = intermittency_report(grid, scheme, pam_model, [2], 10, 8, seed=0)
+        assert rep.window == (pytest.approx(0.04), pytest.approx(0.1))
+        assert rep.window[0] == positivity_time_full(8, 0.01, 0.0, "exponential")
+
+    def test_step_budget_refusal_propagates(self, pam_model):
+        # n^2 tau rounds below 1/2, so theta = 0 is admitted, but its
+        # positivity time is refused: no silent fit on (0.2 t_end, t_end)
+        with pytest.raises(ValueError, match="STEP_BUDGET"):
+            intermittency_report(GridSpec(14), SchemeSpec(tau=0.5 / 196, theta=0.0),
+                                 pam_model, [2], 400, 8, seed=0)
 
     def test_pam_moment_hierarchy(self, pam_model):
         # gamma_4 / 4 >= gamma_2 / 2 within confidence intervals

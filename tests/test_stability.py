@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import shelab.renewal
 import shelab.stability
 from shelab.kernels import (AmplificationFactors, full_green, full_green_grid, semi_green,
                             spectral_basis)
@@ -104,6 +105,34 @@ class TestPositivityTimes:
             vals = np.asarray(semi_green(t_star * mult, g[:, None], g[None, :], basis))
             assert vals.min() >= 0.5
 
+    @pytest.mark.parametrize("n", [3, 4, 8, 16, 64])
+    def test_semi_is_the_crossing(self, n):
+        # t* is the root of min G^n = 1/2 to the solve's tolerance: a relative
+        # 1e-9 earlier some grid pair is below 1/2 (400 samples sat 0.05-0.74 %
+        # above the root)
+        t_star = positivity_time_semi(n)
+        basis = spectral_basis(n)
+        g = np.arange(n) / n
+        below = semi_green(t_star * (1 - 1e-9), g[:, None], g[None, :], basis)
+        assert np.asarray(below).min() < 0.5
+
+    def test_semi_root_below_crossing_moves_up(self, monkeypatch):
+        # a root that reads below 1/2 moves up by the solve's tolerance to the
+        # first step at which every grid pair is certified
+        n = 8
+        basis = spectral_basis(n)
+        xtol = 1e-12 * (math.log(2.0 * (n - 1)) / -float(basis.eigenvalues[1]))
+        low = positivity_time_semi(n) - 5 * xtol
+        monkeypatch.setattr(shelab.renewal, "_brentq", lambda f, a, b, tol: low)
+        moved = positivity_time_semi(n)
+        g = np.arange(n) / n
+
+        def grid_min(t):
+            return np.asarray(semi_green(t, g[:, None], g[None, :], basis)).min()
+
+        assert grid_min(low) < 0.5 and moved > low
+        assert grid_min(moved) >= 0.5 > grid_min(moved - xtol)
+
     def test_semi_sufficient_time_monotone(self):
         # the certified time lies within the proof bound (n-1) e^{lam_1 t} <= 1/2,
         # which grows with n (the certified one may not)
@@ -112,11 +141,17 @@ class TestPositivityTimes:
         assert all(positivity_time_semi(n) <= t for n, t in zip((3, 4, 8, 16), suff))
         assert all(b > a for a, b in zip(suff, suff[1:]))
 
-    @pytest.mark.parametrize("n,tau,theta", [(4, 0.01, 1.0), (8, 0.004, 0.0),
-                                             (16, 0.003, 0.5)])
-    def test_full_certificate_brute_force(self, n, tau, theta):
-        t_star = positivity_time_full(n, tau, theta)
-        factors = AmplificationFactors(spectral_basis(n), SchemeSpec(tau=tau, theta=theta))
+    @pytest.mark.parametrize("n,tau,theta,stepper", [
+        (4, 0.01, 1.0, "theta"), (8, 0.004, 0.0, "theta"), (16, 0.003, 0.5, "theta"),
+        (8, 0.01, 0.0, "exponential"), (16, 0.05, 0.0, "exponential")],
+        ids=["4-0.01-1.0", "8-0.004-0.0", "16-0.003-0.5", "8-0.01-exponential",
+             "16-0.05-exponential"])
+    def test_full_certificate_brute_force(self, n, tau, theta, stepper):
+        # the exponential stepper is unconditional, so n^2 tau = 0.64 and 12.8
+        # are admitted at theta = 0
+        t_star = positivity_time_full(n, tau, theta, stepper)
+        factors = AmplificationFactors(spectral_basis(n),
+                                       SchemeSpec(tau=tau, theta=theta, stepper=stepper))
         g = np.arange(n) / n
         for mult in (1.0, 2.0):
             vals = np.asarray(full_green(t_star * mult, g[:, None], g[None, :],
