@@ -1,33 +1,32 @@
 """Green-function error integrals and coupled-refinement strong error.
 
-The double integrals int_0^inf int_0^1 |G - K|^2 dy dt (K the semi- or
-fully discrete kernel) evaluate the y-integral exactly: K is piecewise
+Every term of int_0^inf int_0^1 |G - G^n|^2 dy dt is exponential in t, so
+the semi-discrete integral is a closed form, O(n).  The fully discrete
+double integral evaluates the y-integral exactly: the kernel is piecewise
 constant on grid cells, so each continuous mode integrates against each
 discrete mode in closed form and the cross term collapses to an aliasing
-series (fixed Gauss nodes would lose the kernel spike once t falls below
-the squared node spacing; that per-cell quadrature survives as the
-moderate-t oracle in the tests).  The time integral is composite
-quadrature with the sqrt substitution t = s^2 absorbing the small-time
-scale, plus a certified analytic tail bound beyond the split (never
-ignored).  Each rule is one array of time nodes and weights, and the
-y-integral is evaluated for many nodes together: consecutive nodes share
-one aliasing table of at most ALIAS_BUDGET entries, so the few nodes near
-t = 0 (thousands of aliasing terms each) go in small runs and the rest of
-the rule in one call.  The one-node-per-call loop survives in the tests as
-the oracle.  The strong-error study drives every ladder rung with one
-shared Brownian sheet via noise coarsening (one halving tree shared by all
-rungs) and fits orders against the finest rung.
+series.  Its time integral is composite quadrature with the sqrt
+substitution t = s^2 absorbing the small-time scale, plus a certified
+analytic tail bound beyond the split (never ignored).  The rule is one
+array of time nodes and weights, and the y-integral is evaluated for many
+nodes together: consecutive nodes share one aliasing table of at most
+ALIAS_BUDGET entries, so the few nodes near t = 0 (thousands of aliasing
+terms each) go in small runs and the rest of the rule in one call.  The
+strong-error study drives every ladder rung with one shared Brownian sheet
+via noise coarsening (one halving tree shared by all rungs) and fits orders
+against the finest rung.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import (AmplificationFactors, SpectralBasis,
                       heat_kernel_square_integral, spectral_basis)
-from .model import GridSpec, ModelSpec, SchemeSpec, validate_run_config
+from .model import (GridSpec, ModelSpec, SchemeSpec, _floor_quantize,
+                    validate_run_config)
 from .moments import ols
 # normals_from_raw is also bound here because perfbench's tracer test patches
 # and restores it in this module's namespace.
@@ -36,28 +35,11 @@ from .noise import (NOISE_CHUNK_CELLS, coarsen_ladder, normal_rows,  # noqa: F40
 from .solver import BlowupError, StepOperator
 
 __all__ = [
-    "QuadratureSpec",
     "ErrorCurve",
     "green_error_semi",
     "green_error_full",
     "strong_error_study",
 ]
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite quadrature controls; `refined()` halves every step for the
-    self-consistency check (reported integrals must move by < 1%)."""
-
-    t_gauss: int = 8
-    fine_panels: int = 20
-    coarse_panels: int = 40
-    t_split: float = 1.0
-    resolve_cap: int = 4096
-
-    def refined(self) -> "QuadratureSpec":
-        return replace(self, t_gauss=2 * self.t_gauss, fine_panels=2 * self.fine_panels,
-                       coarse_panels=2 * self.coarse_panels)
-
 
 @dataclass
 class ErrorCurve:
@@ -72,6 +54,11 @@ class ErrorCurve:
 # Largest nodes x aliasing-terms table one evaluation of the y-integral
 # builds (1 MiB per float table).
 ALIAS_BUDGET = 2 ** 17
+# green_error_full's rule: Gauss points per panel, the smooth branch's fine
+# and coarse panels, the split before the certified tail, and the most step
+# intervals the staircase branch resolves.
+_T_GAUSS, _FINE_PANELS, _COARSE_PANELS = 8, 20, 40
+_T_SPLIT, _RESOLVE_CAP = 1.0, 4096
 
 
 def _gauss(points: int):
@@ -124,24 +111,13 @@ def _integrate(d_of_t, nodes: np.ndarray, weights: np.ndarray, n: int) -> float:
     return float(np.dot(weights, vals))
 
 
-def _sqrt_rule(s_knots: np.ndarray, quad: QuadratureSpec):
+def _sqrt_rule(s_knots: np.ndarray):
     """Nodes t = s^2 and weights of composite Gauss in s on the panels
     between s_knots: int D dt = int 2 s D(s^2) ds."""
-    xi, w = _gauss(quad.t_gauss)
+    xi, w = _gauss(_T_GAUSS)
     lo, hi = s_knots[:-1, None], s_knots[1:, None]
     s = lo + (hi - lo) * xi
     return (s * s).ravel(), ((hi - lo) * w * 2.0 * s).ravel()
-
-
-def _tail_bound_semi(n: int, t1: float) -> float:
-    """Certified bound on int_{t1}^inf int_0^1 (G - G^n)^2 dy dt via the
-    sup-norm envelopes |G - 1| <= A e^{-a t}, |G^n - 1| <= B e^{-b t}."""
-    a, b = 4.0 * math.pi ** 2, 16.0
-    A = 2.0 / (1.0 - math.exp(-3.0 * a * t1))
-    B = 2.0 / (1.0 - math.exp(-3.0 * b * t1))
-    return (A * A * math.exp(-2 * a * t1) / (2 * a)
-            + 2 * A * B * math.exp(-(a + b) * t1) / (a + b)
-            + B * B * math.exp(-2 * b * t1) / (2 * b))
 
 
 def _tail_bound_full(factors: AmplificationFactors, t1: float) -> float:
@@ -157,39 +133,42 @@ def _tail_bound_full(factors: AmplificationFactors, t1: float) -> float:
     return 2.0 * A * A * math.exp(-2 * a * t1) / (2 * a) + 2.0 * s1 * s1 * geo
 
 
-def _smooth_rule(n: int, quad: QuadratureSpec):
+def _smooth_rule(n: int):
     """Rule for int_0^{t_split} D(t) dt with t = s^2; panels graded to
     resolve the 1/n kernel scale near zero."""
-    s_mid = min(4.0 / n, math.sqrt(quad.t_split))
+    s_mid = min(4.0 / n, math.sqrt(_T_SPLIT))
     return _sqrt_rule(np.concatenate([
-        np.linspace(0.0, s_mid, quad.fine_panels + 1),
-        np.geomspace(s_mid, math.sqrt(quad.t_split), quad.coarse_panels + 1)[1:],
-    ]), quad)
+        np.linspace(0.0, s_mid, _FINE_PANELS + 1),
+        np.geomspace(s_mid, math.sqrt(_T_SPLIT), _COARSE_PANELS + 1)[1:],
+    ]))
 
 
-def _semi_d(n: int, x: float):
-    """D(t) = int_0^1 |G - G^n|^2 dy as a function of an array of times."""
+def green_error_semi(n: int, x: float = 0.0) -> float:
+    """int_0^inf int_0^1 |G(t,x,y) - G^n(t,x,y)|^2 dy dt, exact in O(n): with
+    L_j = -lam_j, 1/24 + sum_{j!=0} |e^n_j(x)|^2 / (2 L_j) - 2 Re sum_{j!=0}
+    e^n_j(x) T_j, T_j = sum_{k=-j mod n} e^{2 pi i k x} chat(k) / (4 pi^2 k^2 + L_j)
+    the time-integrated aliasing sum.  For x = (k + f)/n, w = e^{2 pi i j/n}
+    and a = sqrt(L_j), T_j = w^{-k} ((1 - w) sum_i w^i H((i + f)/n) + 1/L_j),
+    where H(s) = (e^{a(s-1)} - e^{-as}) / (2 L_j (1 - e^{-a})) integrates the
+    resolvent sum_k e^{2 pi i k s} / (4 pi^2 k^2 + L_j) on [0, 1); the i-sum is
+    geometric and every exponential below is at most 1."""
     basis = spectral_basis(n)
-    prof = basis.modes(x)
-
-    def d_of_t(t):
-        return _sq_diff_y_exact(t, x, basis, np.exp(np.multiply.outer(t, basis.eigenvalues)), prof)
-
-    return d_of_t
-
-
-def green_error_semi(n: int, x: float = 0.0,
-                     quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """int_0^inf int_0^1 |G(t,x,y) - G^n(t,x,y)|^2 dy dt, tail included."""
-    head = _integrate(_semi_d(n, x), *_smooth_rule(n, quad), n)
-    return head + _tail_bound_semi(n, quad.t_split)
+    j, big_l = np.arange(1, n), -basis.eigenvalues[1:]
+    e = basis.modes(x)[1:]
+    k = int(_floor_quantize(x, n))
+    f = max(n * x - k, 0.0)
+    a = np.sqrt(big_l) / n
+    w, r = np.exp(2j * np.pi * j / n), np.exp(-a)
+    geo = (np.exp(-a * (1.0 - f)) / (w - r) - np.exp(-a * f) / (1.0 - w * r)) / (2.0 * big_l)
+    alias = np.exp(-2j * np.pi * (j * k % n) / n) * ((1.0 - w) * geo + 1.0 / big_l)
+    return (1.0 / 24.0 + float(np.sum((e.real ** 2 + e.imag ** 2) / (2.0 * big_l)))
+            - 2.0 * float(np.sum(e * alias).real))
 
 
-def green_error_full(n: int, tau: float, theta: float, x: float = 0.0,
-                     quad: QuadratureSpec = QuadratureSpec()) -> float:
+def green_error_full(n: int, tau: float, theta: float, x: float = 0.0) -> float:
     """int_0^inf int_0^1 |G(t,x,y) - G2^{n,tau}(t,x,y)|^2 dy dt.
 
-    When the staircase is resolvable ([t_split/tau] <= resolve_cap) the time
+    When the staircase is resolvable ([_T_SPLIT/tau] <= _RESOLVE_CAP) the time
     quadrature places panels on every step interval; otherwise the smooth
     substitution is used and validated by the self-consistency check.
     """
@@ -203,20 +182,20 @@ def green_error_full(n: int, tau: float, theta: float, x: float = 0.0,
         coeff = factors.r12 ** factors.step_power(t)[:, None] * factors.r1
         return _sq_diff_y_exact(t, x, basis, coeff, prof)
 
-    steps = int(math.ceil(quad.t_split / tau))
-    if steps <= quad.resolve_cap:
+    steps = int(math.ceil(_T_SPLIT / tau))
+    if steps <= _RESOLVE_CAP:
         # first interval in the sqrt variable (kernel-difference ~ t^{-1/2}),
         # then Gauss panels on every further step interval below t_split
-        t0, w0 = _sqrt_rule(np.linspace(0.0, math.sqrt(min(tau, quad.t_split)), 9), quad)
-        xi, w = _gauss(quad.t_gauss)
+        t0, w0 = _sqrt_rule(np.linspace(0.0, math.sqrt(min(tau, _T_SPLIT)), 9))
+        xi, w = _gauss(_T_GAUSS)
         lo = tau * np.arange(1, steps)
-        hi = np.minimum(tau * np.arange(2, steps + 1), quad.t_split)
+        hi = np.minimum(tau * np.arange(2, steps + 1), _T_SPLIT)
         lo, hi = lo[hi > lo, None], hi[hi > lo, None]
         nodes = np.concatenate([t0, (lo + (hi - lo) * xi).ravel()])
         weights = np.concatenate([w0, ((hi - lo) * w).ravel()])
     else:
-        nodes, weights = _smooth_rule(n, quad)
-    return _integrate(d_of_t, nodes, weights, n) + _tail_bound_full(factors, quad.t_split)
+        nodes, weights = _smooth_rule(n)
+    return _integrate(d_of_t, nodes, weights, n) + _tail_bound_full(factors, _T_SPLIT)
 
 
 def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
@@ -241,9 +220,13 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     errors of rung and reference stay comparable and positively correlated).
     Every rung must pass validate_run_config, and the ladder must refine one
     axis with at least two rungs to fit; both are checked before any noise is
-    drawn (ValueError).  A blow-up is re-raised naming the rung's (n, tau) and
-    its own step index.
+    drawn (ValueError), as are paths >= 1 and T > 0.  A blow-up is re-raised
+    naming the rung's (n, tau) and its own step index.
     """
+    if paths < 1:
+        raise ValueError(f"paths must be >= 1, got {paths}")
+    if not T > 0:
+        raise ValueError(f"T must be > 0, got {T}")
     if len(ladder) < 3:
         raise ValueError("ladder needs at least two rungs plus the reference")
     n_f, tau_f = ladder[-1]

@@ -326,6 +326,20 @@ class TestConvergenceCommand:
         assert main(["convergence", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "stability regime violated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("study, message", [
+        ({"paths": 0, "T": 0.0625}, "paths must be >= 1"),
+        ({"paths": 2, "T": 0.0}, "T must be > 0"),
+        ({"paths": 2, "T": -0.0625}, "T must be > 0"),
+    ])
+    def test_strong_empty_study_exit_2(self, tmp_path, capsys, study, message):
+        # paths = 0 exited 0 with a CSV of nan; T <= 0 wrote a CSV of zeros
+        cfg = write_config(tmp_path, {"convergence": {
+            "kind": "strong", "theta": 1.0, **study,
+            "ladder": [[8, 0.015625], [8, 0.0078125], [8, 0.001953125]]}})
+        assert main(["convergence", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.glob("strong_error.*"))
+
     def test_strong_blowup_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": {"lambda": 1e160}, "convergence": {
             "kind": "strong", "theta": 1.0, "T": 0.0625, "paths": 2,

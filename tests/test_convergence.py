@@ -1,21 +1,45 @@
 import math
 import tracemalloc
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 import pytest
 from scipy.linalg import circulant
 
 import shelab.convergence
-from shelab.convergence import (QuadratureSpec, _gauss, _semi_d, _tail_bound_full,
-                                _tail_bound_semi, green_error_full, green_error_semi,
-                                strong_error_study)
+from shelab.convergence import (_gauss, _integrate, _sq_diff_y_exact, _tail_bound_full,
+                                green_error_full, green_error_semi, strong_error_study)
 from shelab.kernels import (AmplificationFactors, full_green, heat_kernel,
                             heat_kernel_square_integral, semi_green, spectral_basis)
-from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
+from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec, _floor_quantize
 from shelab.noise import NOISE_CHUNK_CELLS, NoiseSeed, coarsen_array, sample_block
 from shelab.solver import BlowupError, StepOperator
 
 from conftest import const_sigma
+
+RULE_CONSTANTS = ("_T_GAUSS", "_FINE_PANELS", "_COARSE_PANELS", "_T_SPLIT", "_RESOLVE_CAP")
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """green_error_full's composite rule, one field per module constant;
+    `refined()` halves every step for the self-consistency checks."""
+
+    t_gauss: int = 8
+    fine_panels: int = 20
+    coarse_panels: int = 40
+    t_split: float = 1.0
+    resolve_cap: int = 4096
+
+    def refined(self, times: int = 1) -> "QuadratureSpec":
+        f = 2 ** times
+        return replace(self, t_gauss=f * self.t_gauss, fine_panels=f * self.fine_panels,
+                       coarse_panels=f * self.coarse_panels)
+
+    def install(self, monkeypatch) -> None:
+        """Make this green_error_full's rule for the rest of the test."""
+        for name, value in zip(RULE_CONSTANTS, astuple(self)):
+            monkeypatch.setattr(shelab.convergence, name, value)
 
 
 def initial_data_error_full(n: int, tau: float, theta: float, u0: InitialData,
@@ -30,9 +54,21 @@ def initial_data_error_full(n: int, tau: float, theta: float, u0: InitialData,
     return float(np.sum(delta * basis.modes(x) * c).real) ** 2
 
 
+def _semi_d(n: int, x: float):
+    """D(t) = int_0^1 |G - G^n|^2 dy for an array of times, through the
+    aliasing series green_error_full's rule evaluates."""
+    basis = spectral_basis(n)
+    prof = basis.modes(x)
+
+    def d_of_t(t):
+        return _sq_diff_y_exact(t, x, basis, np.exp(np.multiply.outer(t, basis.eigenvalues)), prof)
+
+    return d_of_t
+
+
 def green_error_semi_pointwise(n: int, t: float, x: float = 0.0) -> float:
     """int_0^1 |G(t,x,y) - G^n(t,x,y)|^2 dy at one time, the y-integral
-    evaluated through the aliasing series of green_error_semi's integrand."""
+    evaluated through the aliasing series."""
     return float(_semi_d(n, x)(np.array([t], dtype=float))[0])
 
 
@@ -64,6 +100,26 @@ def _sq_diff_node(t: float, x: float, basis, coeff: np.ndarray, en_profile: np.n
     return max(heat_kernel_square_integral(t) + ksq - 2.0 * cross, 0.0)
 
 
+def _tail_bound_semi(n: int, t1: float) -> float:
+    """Certified bound on int_{t1}^inf int_0^1 (G - G^n)^2 dy dt via the
+    sup-norm envelopes |G - 1| <= A e^{-a t}, |G^n - 1| <= B e^{-b t}."""
+    a, b = 4.0 * math.pi ** 2, 16.0
+    A = 2.0 / (1.0 - math.exp(-3.0 * a * t1))
+    B = 2.0 / (1.0 - math.exp(-3.0 * b * t1))
+    return (A * A * math.exp(-2 * a * t1) / (2 * a)
+            + 2 * A * B * math.exp(-(a + b) * t1) / (a + b)
+            + B * B * math.exp(-2 * b * t1) / (2 * b))
+
+
+def _smooth_knots(n, quad) -> np.ndarray:
+    """Knots in s = sqrt(t) of the smooth branch on [0, t_split], graded to
+    resolve the 1/n kernel scale near zero."""
+    s_mid = min(4.0 / n, math.sqrt(quad.t_split))
+    return np.concatenate([np.linspace(0.0, s_mid, quad.fine_panels + 1),
+                           np.geomspace(s_mid, math.sqrt(quad.t_split),
+                                        quad.coarse_panels + 1)[1:]])
+
+
 def _sqrt_panels_per_node(d_of_t, s_knots, quad) -> float:
     xi, w = _gauss(quad.t_gauss)
     total = 0.0
@@ -73,23 +129,28 @@ def _sqrt_panels_per_node(d_of_t, s_knots, quad) -> float:
     return total
 
 
-def _smooth_head_per_node(d_of_t, n, quad) -> float:
-    s_mid = min(4.0 / n, math.sqrt(quad.t_split))
-    return _sqrt_panels_per_node(d_of_t, np.concatenate([
-        np.linspace(0.0, s_mid, quad.fine_panels + 1),
-        np.geomspace(s_mid, math.sqrt(quad.t_split), quad.coarse_panels + 1)[1:]]), quad)
+def green_error_semi_quadrature(n, x=0.0, quad=QuadratureSpec()) -> float:
+    """The composite rule green_error_semi's closed form replaced: the smooth
+    branch in s = sqrt(t), node arrays evaluated in runs, plus the tail bound."""
+    s_knots = _smooth_knots(n, quad)
+    xi, w = _gauss(quad.t_gauss)
+    lo, hi = s_knots[:-1, None], s_knots[1:, None]
+    s = lo + (hi - lo) * xi
+    head = _integrate(_semi_d(n, x), (s * s).ravel(), ((hi - lo) * w * 2.0 * s).ravel(), n)
+    return head + _tail_bound_semi(n, quad.t_split)
 
 
 def green_error_semi_per_node(n, x=0.0, quad=QuadratureSpec()) -> float:
-    """green_error_semi with the kernel difference evaluated one time node
-    per call (the quadrature loop the array evaluation replaced)."""
+    """green_error_semi_quadrature with the kernel difference evaluated one
+    time node per call."""
     basis = spectral_basis(n)
     prof = basis.modes(x)
 
     def d_of_t(t):
         return _sq_diff_node(t, x, basis, np.exp(basis.eigenvalues * t), prof)
 
-    return _smooth_head_per_node(d_of_t, n, quad) + _tail_bound_semi(n, quad.t_split)
+    head = _sqrt_panels_per_node(d_of_t, _smooth_knots(n, quad), quad)
+    return head + _tail_bound_semi(n, quad.t_split)
 
 
 def green_error_full_per_node(n, tau, theta, x=0.0, quad=QuadratureSpec()) -> float:
@@ -104,7 +165,8 @@ def green_error_full_per_node(n, tau, theta, x=0.0, quad=QuadratureSpec()) -> fl
 
     steps = int(math.ceil(quad.t_split / tau))
     if steps > quad.resolve_cap:
-        return _smooth_head_per_node(d_of_t, n, quad) + _tail_bound_full(factors, quad.t_split)
+        return (_sqrt_panels_per_node(d_of_t, _smooth_knots(n, quad), quad)
+                + _tail_bound_full(factors, quad.t_split))
     total = _sqrt_panels_per_node(d_of_t, np.linspace(0, math.sqrt(min(tau, quad.t_split)), 9),
                                   quad)
     xi, w = _gauss(quad.t_gauss)
@@ -116,21 +178,81 @@ def green_error_full_per_node(n, tau, theta, x=0.0, quad=QuadratureSpec()) -> fl
     return total + _tail_bound_full(factors, quad.t_split)
 
 
+def _chat(k: np.ndarray, n: int) -> np.ndarray:
+    """n x the k-th Fourier coefficient of the indicator of [-1/n, 0): the
+    y-integral of a continuous mode against a grid mode, zero at k = 0 mod n."""
+    return n * (1.0 - np.exp(-2j * np.pi * (k % n) / n)) / (2j * np.pi * k)
+
+
+def green_error_semi_alias_sum(n: int, x: float, terms_per_n: int = 20000) -> float:
+    """green_error_semi by direct time-integrated aliasing sums: 1/24 +
+    sum_{j!=0} |e^n_j|^2/(2 L_j) - 2 Re sum_{0<|k|<=K} e^{2 pi i k x} e^n_{-k}
+    chat(k) / (4 pi^2 k^2 + L_{-k}), K = terms_per_n n, in chunks.  The
+    truncation is below 1e-13 relative for n <= 64."""
+    basis = spectral_basis(n)
+    e, big_l = basis.modes(x), -basis.eigenvalues
+    cross = 0.0
+    for start in range(1, terms_per_n * n + 1, 2 ** 18):
+        half = np.arange(start, min(start + 2 ** 18, terms_per_n * n + 1))
+        k = np.concatenate([half, -half])
+        j = -k % n
+        z = (np.exp(2j * np.pi * (k * x % 1.0)) * e[j] * _chat(k, n)
+             / (4.0 * math.pi ** 2 * k.astype(float) ** 2 + big_l[j]))
+        cross += float(z.sum().real)
+    return 1.0 / 24.0 + float(np.sum(np.abs(e[1:]) ** 2 / (2.0 * big_l[1:]))) - 2.0 * cross
+
+
+def green_error_full_exact(n: int, tau: float, theta: float, x: float = 0.0) -> float:
+    """green_error_full's integral in closed form.  With b = r1 r2, the squared
+    term is tau sum_{j!=0} r1^2 |e^n_j|^2 / (1 - b^2); the cross term's time
+    integral int e^{-at} b^[t/tau] dt (a = 4 pi^2 k^2) is 1/a minus
+    (1 - b) e^{-a tau} / (a (1 - b e^{-a tau})).  The 1/a part sums to the
+    L = 0 cells B3({s})/6 of green_error_semi's telescoped form, one DFT; the
+    rest dies like e^{-a tau}, so k <= sqrt(45/(4 pi^2 tau)) + n is exact to
+    roundoff."""
+    basis = spectral_basis(n)
+    factors = AmplificationFactors(basis, SchemeSpec(tau=tau, theta=theta))
+    e, r1, b = basis.modes(x)[1:], factors.r1[1:], factors.r12[1:]
+    squared = tau * float(np.sum(r1 ** 2 * np.abs(e) ** 2 / (1.0 - b ** 2)))
+    k0 = int(_floor_quantize(x, n))
+    u = (np.arange(n) + max(n * x - k0, 0.0)) / n
+    j = np.arange(1, n)
+    cells = n * np.fft.ifft((u ** 3 - 1.5 * u ** 2 + 0.5 * u) / 6.0)[1:]
+    t0 = np.exp(-2j * np.pi * (j * k0 % n) / n) * (1.0 - np.exp(2j * np.pi * j / n)) * cells
+    k_max = math.ceil(math.sqrt(45.0 / (4.0 * math.pi ** 2 * tau))) + n
+    half = np.arange(1, k_max + 1)
+    k = np.concatenate([half, -half])
+    jk = -k % n - 1  # index into the j != 0 arrays; k = 0 mod n has chat = 0
+    a = 4.0 * math.pi ** 2 * k.astype(float) ** 2
+    decay = np.exp(-a * tau)
+    rest = (np.exp(2j * np.pi * (k * x % 1.0)) * e[jk] * _chat(k, n) * r1[jk] * (1.0 - b[jk])
+            * decay / (a * (1.0 - b[jk] * decay)))
+    return (1.0 / 24.0 + squared - 2.0 * float(np.sum(e * r1 * t0).real)
+            + 2.0 * float(rest.sum().real))
+
+
+def test_rule_spec_mirrors_module_constants():
+    assert astuple(QuadratureSpec()) == tuple(getattr(shelab.convergence, name)
+                                              for name in RULE_CONSTANTS)
+
+
 class TestArrayEvaluationAgainstPerNodeOracle:
     @pytest.mark.parametrize("n,tau,theta,x,quad", [
         (64, 2 ** -3, 1.0, 0.0, {}), (64, 2 ** -7, 1.0, 0.0, {}), (16, 2 ** -8, 0.5, 0.37, {}),
         (16, 0.003, 1.0, 0.0, {"t_split": 0.01}), (16, 2 ** -9, 1.0, 0.0, {"resolve_cap": 0}),
         (8, 1e-6, 0.75, 0.2, {})])
-    def test_green_error_full(self, n, tau, theta, x, quad):
+    def test_green_error_full(self, monkeypatch, n, tau, theta, x, quad):
         # resolve_cap 0 and tau = 1e-6 take the smooth branch, the rest
         # resolve the staircase; tau = 0.003 cuts its last step interval at t_split
         quad = QuadratureSpec(**quad)
-        got = green_error_full(n, tau, theta, x=x, quad=quad)
+        quad.install(monkeypatch)
+        got = green_error_full(n, tau, theta, x=x)
         assert got == pytest.approx(green_error_full_per_node(n, tau, theta, x, quad), rel=1e-12)
 
     @pytest.mark.parametrize("n,x", [(8, 0.0), (16, 0.37), (64, 0.0)])
     def test_green_error_semi(self, n, x):
-        assert green_error_semi(n, x) == pytest.approx(green_error_semi_per_node(n, x), rel=1e-12)
+        assert green_error_semi_quadrature(n, x) == pytest.approx(
+            green_error_semi_per_node(n, x), rel=1e-12)
         basis = spectral_basis(n)
         for t in (1e-6, 1e-3, 0.2):
             want = _sq_diff_node(t, x, basis, np.exp(basis.eigenvalues * t), basis.modes(x))
@@ -158,15 +280,61 @@ class TestGreenErrorSemi:
             cells = _sq_diff_y_cells(t, x, n)
             assert exact == pytest.approx(cells, abs=1e-9, rel=1e-7)
 
+    @pytest.mark.parametrize("n", [3, 8, 16, 64])
+    @pytest.mark.parametrize("x", [0.0, 0.37, 0.61])
+    def test_matches_direct_alias_sums(self, n, x):
+        assert green_error_semi(n, x) == pytest.approx(green_error_semi_alias_sum(n, x),
+                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("x", [0.0, 0.37])
+    def test_matches_thrice_refined_quadrature(self, n, x):
+        # the default rule is off by 4.4e-10 at grid points and by up to
+        # 3.4e-5 off the grid; three refinements converge to the closed form
+        want = green_error_semi_quadrature(n, x, QuadratureSpec().refined(3))
+        assert green_error_semi(n, x) == pytest.approx(want, rel=2e-12)
+
+    def test_periodic_in_x(self):
+        for n, x in [(8, 0.37), (16, 0.61), (64, 0.0)]:
+            want = green_error_semi(n, x)
+            assert green_error_semi(n, x + 1.0) == pytest.approx(want, rel=1e-13)
+            assert green_error_semi(n, x - 1.0) == pytest.approx(want, rel=1e-13)
+
+    def test_invariant_under_grid_shifts_at_large_n(self):
+        # G and G^n are both invariant under x, y -> x + 1/n, y + 1/n; the
+        # mode angles are reduced mod n, so a large shift costs no digits
+        n = 1024
+        want = green_error_semi(n, 0.37)
+        for m in (1, 517, 1023):
+            assert green_error_semi(n, 0.37 + m / n) == pytest.approx(want, rel=1e-12)
+
+    def test_finite_at_large_n(self):
+        # exp(a) would overflow once a = 2 n sin(pi j / n) passes 709
+        e2048, e4096 = green_error_semi(2048), green_error_semi(4096)
+        assert math.isfinite(e4096) and 0.0 < e4096 < e2048
+        assert 1.5 <= e2048 / e4096 <= 2.6
+
+    def test_peak_memory_is_linear_in_n(self):
+        # the composite rule peaked at 16.3 MiB at n = 1024
+        green_error_semi(1024)
+        tracemalloc.start()
+        try:
+            green_error_semi(1024, 0.37)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_decay_ratio(self):
         e8, e16 = green_error_semi(8), green_error_semi(16)
         assert 1.5 <= e8 / e16 <= 2.6
 
     def test_quadrature_self_consistency(self):
         q = QuadratureSpec()
-        a = green_error_semi(16, quad=q)
-        b = green_error_semi(16, quad=q.refined())
+        a = green_error_semi_quadrature(16, quad=q)
+        b = green_error_semi_quadrature(16, quad=q.refined())
         assert abs(a - b) / b < 0.01
+        assert abs(a - green_error_semi(16)) < abs(a - b) + 1e-12
 
     def test_monotone_in_n(self):
         errs = [green_error_semi(n) for n in (8, 16, 32)]
@@ -182,28 +350,50 @@ class TestGreenErrorSemi:
 
 class TestGreenErrorFull:
     def test_tau_quartering_ratio(self):
-        q = QuadratureSpec()
-        e1 = green_error_full(64, 2 ** -5, 1.0, quad=q)
-        e2 = green_error_full(64, 2 ** -7, 1.0, quad=q)
+        e1 = green_error_full(64, 2 ** -5, 1.0)
+        e2 = green_error_full(64, 2 ** -7, 1.0)
         assert 1.5 <= e1 / e2 <= 2.6
 
     def test_gate_enforced(self):
         with pytest.raises(ValueError, match="inadmissible"):
             green_error_full(10, 0.01, 0.0)
 
-    def test_resolved_vs_smooth_branch(self):
+    def test_resolved_vs_smooth_branch(self, monkeypatch):
         # forcing the smooth substitution must agree with the staircase-
         # resolving branch once the staircase is fine
         tau = 2 ** -9
         resolved = green_error_full(16, tau, 1.0)
-        smooth = green_error_full(16, tau, 1.0,
-                                  quad=QuadratureSpec(resolve_cap=0))
+        QuadratureSpec(resolve_cap=0).install(monkeypatch)
+        smooth = green_error_full(16, tau, 1.0)
         assert abs(resolved - smooth) / resolved < 0.02
 
     def test_small_tau_approaches_semi(self):
         semi = green_error_semi(16)
         full = green_error_full(16, 1e-6, 1.0)
         assert abs(full - semi) / semi < 0.01
+
+    EXACT_CASES = [(64, 2 ** -3, 1.0, 0.0), (64, 2 ** -5, 1.0, 0.0), (64, 2 ** -7, 1.0, 0.0),
+                   (64, 2 ** -9, 1.0, 0.0), (16, 2 ** -8, 0.5, 0.37), (8, 0.01, 1.0, 0.37),
+                   (8, 1e-6, 0.75, 0.2)]
+
+    @pytest.mark.parametrize("n,tau,theta,x", EXACT_CASES)
+    def test_default_rule_near_exact(self, n, tau, theta, x):
+        # measured gaps: -2.8e-8 to -7.4e-7 on calibration's ladder, +9.3e-7
+        # and -1.6e-6 off the grid; tau = 1e-6 takes the smooth branch
+        want = green_error_full_exact(n, tau, theta, x)
+        assert green_error_full(n, tau, theta, x) == pytest.approx(want, rel=2e-6)
+
+    @pytest.mark.parametrize("n,tau,theta,x", EXACT_CASES[:5])
+    def test_thrice_refined_rule_matches_exact(self, monkeypatch, n, tau, theta, x):
+        want = green_error_full_exact(n, tau, theta, x)
+        QuadratureSpec().refined(3).install(monkeypatch)
+        assert green_error_full(n, tau, theta, x) == pytest.approx(want, rel=1e-11)
+
+    def test_exact_values_on_calibrations_ladder(self):
+        # what calibration's green_error.csv reads once the rule is exact
+        got = [green_error_full_exact(64, tau, 1.0) for tau in (2 ** -3, 2 ** -5, 2 ** -7)]
+        want = [0.03120607119772082, 0.01727241505299107, 0.008884046583618938]
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestInitialDataErrorFull:
@@ -286,6 +476,23 @@ class TestStrongErrorStudy:
         kwargs = {"T": 0.5, **kwargs}
         with pytest.raises(ValueError, match=message):
             strong_error_study(ladder, pam_model, 1.0, paths=4, seed=0, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"paths": 0}, "paths must be >= 1, got 0"),
+        ({"T": 0.0}, "T must be > 0, got 0.0"),
+        ({"T": -0.5}, "T must be > 0, got -0.5"),
+    ])
+    def test_empty_study_rejected_before_noise(self, pam_model, monkeypatch, kwargs, message):
+        # paths = 0 divided 0 by 0 into NaN errors; T <= 0 gave zero errors
+        def no_noise(*args):
+            raise AssertionError("noise read before the study was checked")
+
+        monkeypatch.setattr(shelab.convergence, "path_streams", no_noise)
+        monkeypatch.setattr(shelab.convergence, "normal_rows", no_noise)
+        kwargs = {"T": 0.5, "paths": 4, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            strong_error_study([(8, 2 ** -6), (8, 2 ** -7), (8, 2 ** -10)], pam_model, 1.0,
+                               seed=0, **kwargs)
 
     def test_rungs_validated(self, pam_model):
         with pytest.raises(ValueError, match="theta out of range"):
