@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -33,18 +34,35 @@ class ConfigError(ValueError):
     pass
 
 
+def _thread_count(text: str, least: int = 0) -> int:
+    """A thread count of at least `least` (--threads: 0 means the default)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
+    return value
+
+
 def _threads(args) -> int:
     if args.threads:
         return args.threads
-    return int(os.environ.get("SHELAB_THREADS", "1"))
+    try:
+        return _thread_count(os.environ.get("SHELAB_THREADS", "1"), least=1)
+    except argparse.ArgumentTypeError as err:
+        raise ConfigError(f"SHELAB_THREADS {err}") from None
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot load config {path}: {err}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, got {cfg!r}")
+    return cfg
 
 
 def _require(cfg: dict, path: str):
@@ -56,26 +74,38 @@ def _require(cfg: dict, path: str):
     return cfg
 
 
+def _section(cfg: dict, path: str, default: dict | None = None) -> dict:
+    """The JSON object at a dotted key path, or `default` when given and the
+    key is missing; a missing key without a default, or a value that is not
+    an object, is a ConfigError naming the key."""
+    head, _, key = path.rpartition(".")
+    parent = _section(cfg, head) if head else cfg
+    value = _require(cfg, path) if default is None else parent.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key '{path}' must be a JSON object, got {value!r}")
+    return value
+
+
 def parse_grid(cfg: dict) -> GridSpec:
     return GridSpec(int(_require(cfg, "grid.n")))
 
 
 def parse_scheme(cfg: dict) -> SchemeSpec:
-    s = _require(cfg, "scheme")
+    s = _section(cfg, "scheme")
     return SchemeSpec(tau=float(_require(cfg, "scheme.tau")), theta=float(s.get("theta", 1.0)),
                       stepper=s.get("stepper", "theta"))
 
 
 def parse_sigma(cfg: dict) -> SigmaSpec:
-    s = cfg["model"].get("sigma", {})
+    s = _section(cfg, "model.sigma", {})
     if s.get("kind", "linear") == "linear":
         return SigmaSpec.linear(float(s.get("slope", 1.0)))
     return SigmaSpec.table([tuple(p) for p in _require(cfg, "model.sigma.points")])
 
 
 def parse_model(cfg: dict) -> ModelSpec:
-    m = _require(cfg, "model")
-    u0 = m.get("u0", {"kind": "constant", "value": 1.0})
+    m = _section(cfg, "model")
+    u0 = _section(cfg, "model.u0", {"kind": "constant", "value": 1.0})
     if u0.get("kind", "constant") == "constant":
         init = InitialData.constant(float(u0.get("value", 1.0)))
     else:
@@ -99,7 +129,7 @@ def _out(args, name: str) -> str:
 
 def cmd_green_check(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    section = cfg.get("green_check", {})
+    section = _section(cfg, "green_check", {})
     lattice = {"ns": section.get("ns", DEFAULT_NS),
                "thetas": section.get("thetas", DEFAULT_THETAS)}
     for key, values in lattice.items():
@@ -134,7 +164,7 @@ def cmd_green_check(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     grid, scheme, model = parse_grid(cfg), parse_scheme(cfg), parse_model(cfg)
-    sec = _require(cfg, "simulate")
+    sec = _section(cfg, "simulate")
     if "record_indices" in sec:
         record = sorted({int(i) for i in sec["record_indices"]}) or [0]
     else:
@@ -159,7 +189,7 @@ def cmd_simulate(args) -> int:
 def cmd_moments(args) -> int:
     cfg = _load_config(args.config)
     grid, scheme, model = parse_grid(cfg), parse_scheme(cfg), parse_model(cfg)
-    sec = _require(cfg, "moments")
+    sec = _section(cfg, "moments")
     mode = sec.get("mode", "exact")
     manifest = _manifest(cfg)
     if mode == "exact":
@@ -194,7 +224,7 @@ def cmd_moments(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    sec = _require(cfg, "sweep")
+    sec = _section(cfg, "sweep")
     lambdas = [float(v) for v in sec.get("lambdas", [])]
     if len(lambdas) < 2:
         raise ConfigError("sweep needs at least two 'lambdas' to fit the lambda^4 law")
@@ -225,7 +255,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_renewal(args) -> int:
     cfg = _load_config(args.config)
-    sec = _require(cfg, "renewal")
+    sec = _section(cfg, "renewal")
     which = sec.get("which", "both")
     if which not in ("continuous", "discrete", "both"):
         raise ConfigError(f"renewal.which must be continuous, discrete or both, got {which!r}")
@@ -250,7 +280,7 @@ def cmd_renewal(args) -> int:
 
 def cmd_convergence(args) -> int:
     cfg = _load_config(args.config)
-    sec = _require(cfg, "convergence")
+    sec = _section(cfg, "convergence")
     kind = sec.get("kind", "strong")
     manifest = _manifest(cfg)
     threads = _threads(args)
@@ -302,7 +332,10 @@ def cmd_convergence(args) -> int:
     raise ConfigError(f"unknown convergence kind {kind!r}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; each parse_args call
+    returns a new Namespace."""
     parser = argparse.ArgumentParser(
         prog="shelab",
         description="stochastic heat equation lab: batch experiments to CSV/SVG")
@@ -313,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=needs_config,
                        help="JSON run configuration")
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=0,
+        p.add_argument("--threads", type=_thread_count, default=0,
                        help="worker threads (default: SHELAB_THREADS or 1)")
 
     p = sub.add_parser("green-check", help="run the Green-function lemma suite")

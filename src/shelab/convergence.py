@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -61,9 +62,15 @@ _T_GAUSS, _FINE_PANELS, _COARSE_PANELS = 8, 20, 40
 _T_SPLIT, _RESOLVE_CAP = 1.0, 4096
 
 
+@cache
 def _gauss(points: int):
+    """Gauss-Legendre nodes and weights mapped to [0, 1], built once per
+    point count; the cached arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(points)
-    return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0,1]
+    rule = 0.5 * (x + 1.0), 0.5 * w
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _alias_terms(t: float, n: int) -> int:

@@ -9,7 +9,8 @@ sum for small times, a spectral sum for large times) that overlap far
 below machine precision at the crossover.  A call evaluates all of its
 spectral-branch times as one matrix product, a (times x modes) decay
 table times the (modes x points) cosine table, and its image-branch times
-one row of points each, so no times x points x terms tensor is built.
+in blocks whose (times x points x images) table holds at most
+_IMAGE_BUDGET entries.
 
 Time broadcasting: every kernel and square integral below takes a scalar
 time or a 1-D array of times.  An array adds a leading time axis to the
@@ -48,6 +49,8 @@ __all__ = [
 IMAGE_TERMS = 6
 SPECTRAL_TERMS = 64
 CROSSOVER_TIME = 0.05
+# Largest (times x points x images) table one image-sum block builds (1 MiB).
+_IMAGE_BUDGET = 2 ** 17
 
 
 class SpectralBasis:
@@ -171,14 +174,18 @@ class AmplificationFactors:
 # ---------------------------------------------------------------------------
 
 def _heat_kernel_image(t, d, terms: int):
-    """Image sum, one row of points per time, so the (points x images)
-    table is the only large temporary."""
+    """Image sum over blocks of times, each block one (times x points x
+    images) table of at most _IMAGE_BUDGET entries (at least one time)."""
     t = np.asarray(t, dtype=float)
     m = np.arange(-terms, terms + 1, dtype=float)
     z2 = np.subtract.outer(np.asarray(d, dtype=float), m) ** 2
+    times = t.reshape((-1,) + (1,) * z2.ndim)
     out = np.empty((t.size,) + z2.shape[:-1])
-    for k, tk in enumerate(t.ravel()):
-        out[k] = np.exp(z2 / (-4.0 * tk)).sum(axis=-1) / np.sqrt(4.0 * np.pi * tk)
+    block = max(1, _IMAGE_BUDGET // z2.size)
+    for k in range(0, t.size, block):
+        tk = times[k:k + block]
+        out[k:k + block] = (np.exp(z2 / (-4.0 * tk)).sum(axis=-1)
+                            / np.sqrt(4.0 * np.pi * tk[..., 0]))
     return out.reshape(t.shape + z2.shape[:-1])
 
 

@@ -36,6 +36,10 @@ GENERATOR_ID = "philox4x64/seedseq+ndtri-v1"
 # Noise cells (float64) that a Monte Carlo driver holds at a time: 8 MiB.
 NOISE_CHUNK_CELLS = 2 ** 20
 
+# Cells of the paths that normal_rows maps in one normals_from_raw call
+# (at least one path): the call's shifted-word temporary is 128 KiB.
+_MAP_CELLS = 2 ** 14
+
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 # numpy's SeedSequence (NEP 19): a pool of four 32-bit words, filled by
@@ -122,8 +126,9 @@ class NoiseSeed:
 
 def normals_from_raw(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Fixed raw-bits -> standard normal map (documented in GENERATOR_ID),
-    written into `out` (float64, raw's shape) when given; `raw` is left
-    unchanged."""
+    written into `out` (float64, raw's shape) when given.  `raw` stays
+    unchanged unless `out` is raw's own memory: the shifted words are a new
+    array, formed before `out` is written."""
     if out is None:
         out = np.empty(raw.shape)
     np.add(raw >> np.uint64(11), 0.5, out=out)
@@ -134,12 +139,18 @@ def normals_from_raw(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 def normal_rows(gens, rows: int, n: int) -> np.ndarray:
     """The next (rows, n) block of each generator's stream, shape
     (paths, rows, n).  Later calls continue every stream, so reading in
-    chunks gives the bits of one long read.  Each path's words are mapped
-    in place into its slice of the one output array, so the only
-    temporaries are one path's raw words."""
+    chunks gives the bits of one long read.  Each path's raw words are
+    copied into its slice of the one output array, viewed as uint64, and
+    mapped there in place, one call per group of paths holding at most
+    _MAP_CELLS cells (at least one path), so the temporaries are one path's
+    raw words and one group's shifted words."""
     out = np.empty((len(gens), rows, n))
-    for g, block in zip(gens, out):
-        normals_from_raw(g.random_raw(rows * n).reshape(rows, n), out=block)
+    raw = out.view(np.uint64)
+    for g, block in zip(gens, raw):
+        block[...] = g.random_raw(rows * n).reshape(rows, n)
+    group = max(1, _MAP_CELLS // max(rows * n, 1))
+    for k in range(0, len(gens), group):
+        normals_from_raw(raw[k:k + group], out=out[k:k + group])
     return out
 
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from shelab.cli import main
+import shelab
+from shelab.cli import build_parser, main
 
 BASE_CONFIG = {
     "seed": 42,
@@ -348,3 +352,86 @@ class TestConvergenceCommand:
         err = capsys.readouterr().err
         assert "at step 1:" in err
         assert "rung (n, tau) = (8, 0.015625)" in err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("simulate", {"simulate": {"steps": 5}}),
+    ("moments", {"moments": {"mode": "exact", "steps": 5}}),
+])
+@pytest.mark.parametrize("model,key", [
+    (3, "model"), ({"u0": 5}, "model.u0"), ({"sigma": "x"}, "model.sigma"),
+])
+def test_section_not_an_object_exit_2(tmp_path, capsys, command, extra, model, key):
+    cfg = write_config(tmp_path, dict(extra, model=model))
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert f"config key '{key}' must be a JSON object" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_config_not_an_object_exit_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+class TestThreads:
+    SWEEP = {"sweep": {"zeta": 2.0, "lambdas": [1.0, 1.5]}}
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_bad_environment_count_named_exit_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("SHELAB_THREADS", value)
+        cfg = write_config(tmp_path, self.SWEEP)
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"SHELAB_THREADS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("value", ["-4", "x"])
+    def test_bad_option_named_exit_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, self.SWEEP)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--config", cfg, "--out-dir", str(tmp_path), "--threads", value])
+        assert exit_info.value.code == 2
+        assert (f"argument --threads: must be an integer >= 0, got {value!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_zero_option_means_the_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SHELAB_THREADS", "2")
+        cfg = write_config(tmp_path, self.SWEEP)
+        for out, threads in (("zero", "0"), ("one", "1")):
+            assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / out),
+                         "--threads", threads]) == 0
+        assert ((tmp_path / "zero" / "sweep.csv").read_bytes()
+                == (tmp_path / "one" / "sweep.csv").read_bytes())
+
+
+class TestOneParserPerProcess:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+        first = build_parser().parse_args(["simulate", "--config", "a.json"])
+        second = build_parser().parse_args(["simulate", "--config", "a.json"])
+        assert first is not second and vars(first) == vars(second)
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, {"green_check": {"ns": [3, 4], "thetas": [1.0]},
+                                      "simulate": {"steps": 10, "record_every": 5}})
+        # green-check defaults to no output directory; simulate, run next
+        # without --out-dir, must still write to "."
+        calls = [["green-check", "--config", cfg], ["simulate", "--config", cfg],
+                 ["green-check", "--config", cfg, "--out-dir", "."],
+                 ["renewal", "--config", cfg]]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shelab.__file__))}
+        fresh, inproc = tmp_path / "fresh", tmp_path / "inproc"
+        fresh.mkdir()
+        inproc.mkdir()
+        fresh_codes = [subprocess.run([sys.executable, "-m", "shelab.cli", *argv], cwd=fresh,
+                                      env=env, capture_output=True).returncode
+                       for argv in calls]
+        monkeypatch.chdir(inproc)
+        assert [main(argv) for argv in calls] == fresh_codes == [0, 0, 0, 2]
+        files = sorted(p.name for p in fresh.iterdir())
+        assert files == ["green_check.csv", "trajectory.csv"]
+        assert sorted(p.name for p in inproc.iterdir()) == files
+        for name in files:
+            assert (inproc / name).read_bytes() == (fresh / name).read_bytes()

@@ -236,6 +236,17 @@ def test_rule_spec_mirrors_module_constants():
                                               for name in RULE_CONSTANTS)
 
 
+def test_gauss_rule_cached_read_only():
+    xi, w = _gauss(8)
+    assert _gauss(8)[0] is xi and _gauss(8)[1] is w
+    assert np.array_equal(xi, 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0))
+    for a in (xi, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+
+
 class TestArrayEvaluationAgainstPerNodeOracle:
     @pytest.mark.parametrize("n,tau,theta,x,quad", [
         (64, 2 ** -3, 1.0, 0.0, {}), (64, 2 ** -7, 1.0, 0.0, {}), (16, 2 ** -8, 0.5, 0.37, {}),

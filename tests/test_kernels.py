@@ -21,6 +21,15 @@ def quad_unit_interval(fn, panels=512, order=8):
     return float(np.sum(fn(nodes.ravel()).reshape(panels, order) * 0.5 * w) / panels)
 
 
+def image_sum_per_time(t, d, terms):
+    """The image sum with one (points x images) table per time: the direct
+    form of the kernels' blocks of times."""
+    m = np.arange(-terms, terms + 1, dtype=float)
+    z2 = np.subtract.outer(np.asarray(d, dtype=float), m) ** 2
+    return np.stack([np.exp(z2 / (-4.0 * tk)).sum(axis=-1) / np.sqrt(4.0 * np.pi * tk)
+                     for tk in t])
+
+
 def broadcast_spectral_sum(t, d, terms):
     """1 + 2 sum_j cos(2 pi j d) e^{-4 pi^2 j^2 t} through a times x points x
     modes tensor: the direct form the kernels' matrix product replaces."""
@@ -89,6 +98,16 @@ class TestHeatKernel:
             image = _heat_kernel_image(t, d, IMAGE_TERMS)
             spectral = _heat_kernel_spectral(t, d, SPECTRAL_TERMS)
             assert abs(image - spectral) < 1e-10
+
+    @pytest.mark.parametrize("d", [0.37, np.linspace(-1.0, 1.0, 2048)])
+    def test_image_blocks_match_per_time_oracle(self, d):
+        from shelab.kernels import _IMAGE_BUDGET, _heat_kernel_image
+        block = max(1, _IMAGE_BUDGET // (np.size(d) * (2 * IMAGE_TERMS + 1)))
+        t = np.geomspace(1e-4, 0.9 * CROSSOVER_TIME, 2 * block + 3)  # three blocks
+        got = _heat_kernel_image(t, d, IMAGE_TERMS)
+        assert got.shape == (t.size,) + np.shape(d)
+        assert np.array_equal(got, image_sum_per_time(t, d, IMAGE_TERMS))
+        assert np.array_equal(heat_kernel(t, d, 0.0), got)
 
     @given(times=st.lists(st.floats(min_value=CROSSOVER_TIME, max_value=50.0),
                           min_size=1, max_size=6),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtri
 
 import shelab.noise
-from shelab.noise import (GENERATOR_ID, NoiseSeed, coarsen_array, coarsen_ladder,
-                          normal_rows, normals_from_raw, path_streams, sample_block)
+from shelab.noise import (GENERATOR_ID, NOISE_CHUNK_CELLS, NoiseSeed, coarsen_array,
+                          coarsen_ladder, normal_rows, normals_from_raw, path_streams,
+                          sample_block)
 
 
 def stacked_normal_rows(gens, rows, n):
@@ -18,6 +20,23 @@ def stacked_normal_rows(gens, rows, n):
         ndtri(((g.random_raw(rows * n) >> np.uint64(11)).astype(np.float64) + 0.5)
               * 2.0 ** -53).reshape(rows, n)
         for g in gens])
+
+
+def per_path_normal_rows(gens, rows, n):
+    """Each path's words read and mapped by one normals_from_raw call."""
+    return np.stack([normals_from_raw(g.random_raw(rows * n)).reshape(rows, n)
+                     for g in gens])
+
+
+def read_peak(gens, rows, n):
+    """tracemalloc peak of one normal_rows read, and its output's bytes."""
+    tracemalloc.start()
+    try:
+        out = normal_rows(gens, rows, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, out.nbytes
 
 
 class TestSampleBlock:
@@ -134,6 +153,44 @@ class TestNormalRows:
             got = normal_rows(gens, rows, n)
             assert got.shape == (paths, rows, n) and got.dtype == np.float64
             assert np.array_equal(got, stacked_normal_rows(oracle, rows, n))
+
+    @pytest.mark.parametrize("rows,n", [(125, 8), (3, 5), (1, 1)])
+    def test_groups_match_per_path_oracle(self, rows, n):
+        k = shelab.noise._MAP_CELLS // (rows * n)  # paths per group
+        assert k >= 2
+        for paths in (1, k - 1, k, k + 1, 3 * k + 2):
+            gens = path_streams(21, "mc", range(paths))
+            oracle = path_streams(21, "mc", range(paths))
+            for _ in range(2):  # the second read continues every stream
+                got = normal_rows(gens, rows, n)
+                assert np.array_equal(got, per_path_normal_rows(oracle, rows, n)), paths
+
+    @pytest.mark.parametrize("rows,n", [(2 ** 11, 9), (3, 2 ** 14 + 3)])
+    def test_paths_above_the_group_size_match_per_path_oracle(self, rows, n):
+        assert rows * n > shelab.noise._MAP_CELLS
+        gens = path_streams(5, "strong", range(3))
+        oracle = path_streams(5, "strong", range(3))
+        for chunk in (rows, 1, rows):
+            got = normal_rows(gens, chunk, n)
+            assert np.array_equal(got, per_path_normal_rows(oracle, chunk, n))
+
+    def test_normals_from_raw_in_raw_memory(self):
+        raw = NoiseSeed(8).bit_generator().random_raw(60).reshape(6, 10)
+        separate = normals_from_raw(raw)
+        got = normals_from_raw(raw, out=raw.view(np.float64))
+        assert np.shares_memory(got, raw)
+        assert np.array_equal(got, separate)
+
+    def test_one_group_read_peaks_near_its_output(self):
+        peak, size = read_peak(path_streams(2, "mc", range(1000)), 125, 8)
+        assert peak <= size + 2 ** 19
+
+    def test_one_path_read_peaks_at_twice_its_output(self):
+        # the raw words and the shifted words of one 8 MiB path; a separate
+        # raw array beside the output peaked at 3x
+        peak, size = read_peak(path_streams(2, "sim", [0]), 2 ** 14, 64)
+        assert size == 8 * NOISE_CHUNK_CELLS
+        assert peak <= 2 * size + 2 ** 19
 
     def test_normals_from_raw_into_out_leaves_raw(self):
         raw = NoiseSeed(8).bit_generator().random_raw(60).reshape(6, 10)
