@@ -186,8 +186,7 @@ class TestNormalRows:
         assert peak <= size + 2 ** 19
 
     def test_one_path_read_peaks_at_twice_its_output(self):
-        # the raw words and the shifted words of one 8 MiB path; a separate
-        # raw array beside the output peaked at 3x
+        # beside the output: the path's raw words, then its shifted words
         peak, size = read_peak(path_streams(2, "sim", [0]), 2 ** 14, 64)
         assert size == 8 * NOISE_CHUNK_CELLS
         assert peak <= 2 * size + 2 ** 19
