@@ -7,9 +7,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from contextlib import suppress
 from functools import cache
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin
 
 import numpy as np
 
@@ -65,58 +69,98 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, path: str):
-    """Value at a dotted key path ("renewal.tau"); a missing key is a ConfigError."""
-    for key in path.split("."):
-        if not isinstance(cfg, dict) or key not in cfg:
-            raise ConfigError(f"config is missing the required key '{path}'")
-        cfg = cfg[key]
-    return cfg
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               dict: "a JSON object"}
 
 
-def _section(cfg: dict, path: str, default: dict | None = None) -> dict:
-    """The JSON object at a dotted key path, or `default` when given and the
-    key is missing; a missing key without a default, or a value that is not
-    an object, is a ConfigError naming the key."""
-    head, _, key = path.rpartition(".")
-    parent = _section(cfg, head) if head else cfg
-    value = _require(cfg, path) if default is None else parent.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key '{path}' must be a JSON object, got {value!r}")
-    return value
+def _describe(kind) -> str:
+    """The words for `kind` in a refusal message."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Literal:
+        return "one of " + ", ".join(map(repr, args))
+    if origin is list:
+        return f"a list, each item {_describe(args[0])}"
+    if origin is tuple:
+        return f"a list [{', '.join(map(_describe, args))}]"
+    return " or ".join(map(_describe, args)) if args else _KIND_NAMES[kind]
+
+
+def _convert(value, kind):
+    """`value` read as `kind`; a value of another kind raises TypeError."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind is float and number and math.isfinite(value):
+        return float(value)
+    if kind in (bool, dict) and isinstance(value, kind):
+        return value
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Literal and isinstance(value, str) and value in args:
+        return value
+    if origin is list and isinstance(value, list):
+        return [_convert(item, args[0]) for item in value]
+    if origin is tuple and isinstance(value, list) and len(value) == len(args):
+        return tuple(map(_convert, value, args))
+    if origin in (Union, UnionType):  # the first kind that reads the value
+        for option in args:
+            with suppress(TypeError, OverflowError):
+                return _convert(value, option)
+    raise TypeError(kind)
+
+
+def _get(cfg: dict, key: str, kind, default=..., least=None):
+    """The value at a dotted key ("renewal.tau") read as `kind`: int, float,
+    bool, dict (a JSON object), Literal[...] (one of those strings), list[K],
+    tuple[K1, K2] (a list of that length), or a union of these.  A missing
+    key gives `default`; without one it is a ConfigError, and so is a value
+    of another kind, a number below `least` or a list shorter than `least`
+    (1 or 2).  A bool is not a number, NaN and +-Infinity are refused, and an
+    integral float such as 8.0 reads as the int 8.  `cfg` is never written."""
+    head, _, name = key.rpartition(".")
+    section = _get(cfg, head, dict, {}) if head else cfg
+    if name not in section:
+        if default is ...:
+            raise ConfigError(f"config is missing the required key '{key}'")
+        return default
+    value = section[name]
+    try:
+        read = _convert(value, kind)
+    except (TypeError, OverflowError):
+        raise ConfigError(f"config key '{key}' must be {_describe(kind)}, "
+                          f"got {value!r}") from None
+    if least is not None and (len(read) if isinstance(read, list) else read) < least:
+        wanted = (f"list at least {('one value', 'two values')[least - 1]}"
+                  if isinstance(read, list) else f"be >= {least}")
+        raise ConfigError(f"config key '{key}' must {wanted}, got {value!r}")
+    return read
 
 
 def parse_grid(cfg: dict) -> GridSpec:
-    return GridSpec(int(_require(cfg, "grid.n")))
+    return GridSpec(_get(cfg, "grid.n", int))
 
 
 def parse_scheme(cfg: dict) -> SchemeSpec:
-    s = _section(cfg, "scheme")
-    return SchemeSpec(tau=float(_require(cfg, "scheme.tau")), theta=float(s.get("theta", 1.0)),
-                      stepper=s.get("stepper", "theta"))
-
-
-def parse_sigma(cfg: dict) -> SigmaSpec:
-    s = _section(cfg, "model.sigma", {})
-    if s.get("kind", "linear") == "linear":
-        return SigmaSpec.linear(float(s.get("slope", 1.0)))
-    return SigmaSpec.table([tuple(p) for p in _require(cfg, "model.sigma.points")])
+    return SchemeSpec(tau=_get(cfg, "scheme.tau", float),
+                      theta=_get(cfg, "scheme.theta", float, 1.0),
+                      stepper=_get(cfg, "scheme.stepper", Literal["theta", "exponential"],
+                                   "theta"))
 
 
 def parse_model(cfg: dict) -> ModelSpec:
-    m = _section(cfg, "model")
-    u0 = _section(cfg, "model.u0", {"kind": "constant", "value": 1.0})
-    if u0.get("kind", "constant") == "constant":
-        init = InitialData.constant(float(u0.get("value", 1.0)))
+    _get(cfg, "model", dict)  # required, although each of its keys has a default
+    if _get(cfg, "model.sigma.kind", Literal["linear", "table"], "linear") == "linear":
+        sigma = SigmaSpec.linear(_get(cfg, "model.sigma.slope", float, 1.0))
     else:
-        init = InitialData.grid_samples([float(v) for v in _require(cfg, "model.u0.values")])
-    return ModelSpec(lam=float(m.get("lambda", 1.0)),
-                     sigma=parse_sigma(cfg),
-                     u0=init)
+        sigma = SigmaSpec.table(_get(cfg, "model.sigma.points", list[tuple[float, float]]))
+    if _get(cfg, "model.u0.kind", Literal["constant", "samples"], "constant") == "constant":
+        u0 = InitialData.constant(_get(cfg, "model.u0.value", float, 1.0))
+    else:
+        u0 = InitialData.grid_samples(_get(cfg, "model.u0.values", list[float]))
+    return ModelSpec(lam=_get(cfg, "model.lambda", float, 1.0), sigma=sigma, u0=u0)
 
 
 def _manifest(cfg: dict) -> RunManifest:
-    return RunManifest(config=cfg, seed=int(cfg.get("seed", 0)))
+    return RunManifest(config=cfg, seed=_get(cfg, "seed", int, 0))
 
 
 def _out(args, name: str) -> str:
@@ -127,17 +171,11 @@ def _out(args, name: str) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_green_check(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    section = _section(cfg, "green_check", {})
-    lattice = {"ns": section.get("ns", DEFAULT_NS),
-               "thetas": section.get("thetas", DEFAULT_THETAS)}
-    for key, values in lattice.items():
-        if not isinstance(values, (list, tuple)):
-            raise ConfigError(f"green_check.{key} must be a list, got {values!r}")
-    pert = 1e-3 if args.inject_fault else 0.0
+def cmd_green_check(args, cfg: dict) -> int:
+    ns = _get(cfg, "green_check.ns", list[int], DEFAULT_NS)
+    thetas = _get(cfg, "green_check.thetas", list[float], DEFAULT_THETAS)
     try:
-        results = lemma_suite(**lattice, eigenvalue_perturbation=pert)
+        results = lemma_suite(ns, thetas, 1e-3 if args.inject_fault else 0.0)
     except ValueError as err:  # a bad lattice; the message starts with its key
         raise ConfigError(f"green_check.{err}") from None
     failed = [r for r in results if not r.passed]
@@ -161,49 +199,37 @@ def cmd_green_check(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_simulate(args, cfg: dict) -> int:
     grid, scheme, model = parse_grid(cfg), parse_scheme(cfg), parse_model(cfg)
-    sec = _section(cfg, "simulate")
-    if "record_indices" in sec:
-        record = sorted({int(i) for i in sec["record_indices"]}) or [0]
-    else:
-        steps = int(_require(cfg, "simulate.steps"))
-        every = int(sec.get("record_every", 1))
-        if steps < 0:
-            raise ConfigError(f"simulate.steps must be >= 0, got {steps}")
-        if every < 1:
-            raise ConfigError(f"simulate.record_every must be >= 1, got {every}")
-        record = list(range(0, steps + 1, every))
-        if record[-1] != steps:
-            record.append(steps)
-    seed = NoiseSeed(int(cfg.get("seed", 0)), path=int(sec.get("path", 0)))
+    record = _get(cfg, "simulate.record_indices", list[int], None)
+    if record is None:
+        steps = _get(cfg, "simulate.steps", int, least=0)
+        record = [*range(0, steps, _get(cfg, "simulate.record_every", int, 1, least=1)), steps]
+    record = sorted(set(record)) or [0]
+    seed = NoiseSeed(_get(cfg, "seed", int, 0), path=_get(cfg, "simulate.path", int, 0))
     states = simulate(grid, scheme, model, seed, record)
-    manifest = _manifest(cfg)
     cols = ["t"] + [f"x_{j}" for j in range(grid.n)]
     rows = [(scheme.t(i), *map(float, u)) for i, u in zip(record, states)]
-    write_csv(_out(args, "trajectory.csv"), cols, rows, manifest)
+    write_csv(_out(args, "trajectory.csv"), cols, rows, _manifest(cfg))
     return EXIT_OK
 
 
-def cmd_moments(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_moments(args, cfg: dict) -> int:
     grid, scheme, model = parse_grid(cfg), parse_scheme(cfg), parse_model(cfg)
-    sec = _section(cfg, "moments")
-    mode = sec.get("mode", "exact")
+    exact = _get(cfg, "moments.mode", Literal["exact", "mc"], "exact") == "exact"
+    probe = _get(cfg, "moments.probe", Literal["min"] | int, "min" if exact else 0)
+    window = _get(cfg, "moments.fit", bool | tuple[float, float], False)
     manifest = _manifest(cfg)
-    if mode == "exact":
-        steps = int(_require(cfg, "moments.steps"))
-        every = int(sec.get("record_every", 1))
-        moments = exact_second_moment_recursion(grid, scheme, model, steps,
-                                                record_every=every)
-        series = second_moment_series(moments, scheme.tau, probe=sec.get("probe", "min"))
+    if exact:
+        moments = exact_second_moment_recursion(
+            grid, scheme, model, _get(cfg, "moments.steps", int),
+            record_every=_get(cfg, "moments.record_every", int, 1))
+        series = second_moment_series(moments, scheme.tau, probe=probe)
         rows = [(float(t), float(v), 0.0) for t, v in zip(series.times, series.values)]
-    elif mode == "mc":
-        times = [float(t) for t in _require(cfg, "moments.times")]
-        series = mc_moment(grid, scheme, model, float(sec.get("p", 2)),
-                           sec.get("probe", 0), times, int(_require(cfg, "moments.paths")),
-                           int(cfg.get("seed", 0)))
+    else:
+        series = mc_moment(grid, scheme, model, _get(cfg, "moments.p", float, 2.0), probe,
+                           _get(cfg, "moments.times", list[float]),
+                           _get(cfg, "moments.paths", int), _get(cfg, "seed", int, 0))
         rows = [(float(t), float(v), float(e))
                 for t, v, e in zip(series.times, series.values, series.stderr)]
         if series.horizon_reached and not rows:
@@ -211,28 +237,23 @@ def cmd_moments(args) -> int:
         if series.horizon_reached:
             print(f"warning: blow-up horizon reached at t={float(series.times[-1])!r}; "
                   "series truncated", file=sys.stderr)
-    else:
-        raise ConfigError(f"unknown moments mode {mode!r}")
+    # true fits the default window, [lo, hi] that window
+    fit = window and fit_growth(series, None if window is True else window)
     write_csv(_out(args, "moments.csv"), ["t", "moment", "stderr"], rows, manifest)
-    if sec.get("fit"):
-        fit = fit_growth(series, tuple(sec["fit"]) if isinstance(sec["fit"], list) else None)
+    if fit:
         write_csv(_out(args, "moments_fit.csv"),
                   ["gamma", "ci_halfwidth", "r_squared", "window_lo", "window_hi"],
                   [(fit.gamma, fit.ci_halfwidth, fit.r_squared, *fit.window)], manifest)
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    sec = _section(cfg, "sweep")
-    lambdas = [float(v) for v in sec.get("lambdas", [])]
-    if len(lambdas) < 2:
-        raise ConfigError("sweep needs at least two 'lambdas' to fit the lambda^4 law")
+def cmd_sweep(args, cfg: dict) -> int:
     try:
-        result = lambda_scaling_sweep(zeta=float(sec.get("zeta", 1.0)), lambdas=lambdas,
-                                      theta=float(sec.get("theta", 1.0)),
-                                      sigma_slope=float(sec.get("sigma_slope", 1.0)),
-                                      gate_safety=float(sec.get("gate_safety", 0.5)),
+        result = lambda_scaling_sweep(zeta=_get(cfg, "sweep.zeta", float, 1.0),
+                                      lambdas=_get(cfg, "sweep.lambdas", list[float], least=2),
+                                      theta=_get(cfg, "sweep.theta", float, 1.0),
+                                      sigma_slope=_get(cfg, "sweep.sigma_slope", float, 1.0),
+                                      gate_safety=_get(cfg, "sweep.gate_safety", float, 0.5),
                                       threads=_threads(args))
     except ValueError as err:  # a bad zeta or slope names its key first
         if str(err).startswith(("zeta ", "sigma_slope ")):
@@ -253,83 +274,61 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_renewal(args) -> int:
-    cfg = _load_config(args.config)
-    sec = _section(cfg, "renewal")
-    which = sec.get("which", "both")
-    if which not in ("continuous", "discrete", "both"):
-        raise ConfigError(f"renewal.which must be continuous, discrete or both, got {which!r}")
-    lam = float(_require(cfg, "renewal.lambda"))
-    j0 = float(sec.get("j0", 1.0))
-    n = int(_require(cfg, "renewal.n"))
+def cmd_renewal(args, cfg: dict) -> int:
+    which = _get(cfg, "renewal.which", Literal["continuous", "discrete", "both"], "both")
+    lam, j0, n = (_get(cfg, "renewal.lambda", float), _get(cfg, "renewal.j0", float, 1.0),
+                  _get(cfg, "renewal.n", int))
     rows = []
-    if which in ("continuous", "both"):
-        root = continuous_mu(lam, j0, n, zeta=sec.get("zeta"))
+    if which != "discrete":
+        root = continuous_mu(lam, j0, n, zeta=_get(cfg, "renewal.zeta", float, None))
         rows.append((lam, n, 0.0, root.mu, root.mass_error, root.implied_rate))
-    if which in ("discrete", "both"):
-        tau = float(_require(cfg, "renewal.tau"))
-        zeta = float(_require(cfg, "renewal.zeta"))
-        root = discrete_mu(lam, j0, n, tau, zeta)
+    if which != "continuous":
+        tau = _get(cfg, "renewal.tau", float)
+        root = discrete_mu(lam, j0, n, tau, _get(cfg, "renewal.zeta", float))
         rows.append((lam, n, tau, root.mu, root.mass_error, root.implied_rate))
-    manifest = _manifest(cfg)
     write_csv(_out(args, "renewal.csv"),
               ["lambda", "n", "tau", "mu", "mass_error", "implied_rate"],
-              rows, manifest)
+              rows, _manifest(cfg))
     return EXIT_OK
 
 
-def cmd_convergence(args) -> int:
-    cfg = _load_config(args.config)
-    sec = _section(cfg, "convergence")
-    kind = sec.get("kind", "strong")
-    manifest = _manifest(cfg)
-    threads = _threads(args)
-    if kind == "green-semi":
-        ns = [int(v) for v in sec.get("ns", [8, 16, 32, 64])]
-        if not ns:
-            raise ConfigError("convergence.ns must list at least one grid size")
-        errs = pmap(lambda n: green_error_semi(n, x=float(sec.get("x", 0.0))),
-                    ns, threads)
-        rows = [(n, e, 0.0) for n, e in zip(ns, errs)]
-        write_csv(_out(args, "green_error.csv"), ["n", "error", "stderr"], rows, manifest)
+def cmd_convergence(args, cfg: dict) -> int:
+    kind = _get(cfg, "convergence.kind", Literal["green-semi", "green-full", "strong"],
+                "strong")
+    manifest, threads = _manifest(cfg), _threads(args)
+    if kind != "strong":
+        x = _get(cfg, "convergence.x", float, 0.0)
+        if kind == "green-semi":
+            var, xs = "n", _get(cfg, "convergence.ns", list[int], [8, 16, 32, 64], least=1)
+            errs = pmap(lambda n: green_error_semi(n, x=x), xs, threads)
+        else:
+            n = _get(cfg, "convergence.n", int, 64)
+            theta = _get(cfg, "convergence.theta", float, 1.0)
+            var, xs = "tau", _get(cfg, "convergence.taus", list[float], least=1)
+            errs = pmap(lambda tau: green_error_full(n, tau, theta, x=x), xs, threads)
+        write_csv(_out(args, "green_error.csv"), [var, "error", "stderr"],
+                  [(v, e, 0.0) for v, e in zip(xs, errs)], manifest)
         svg_plot(_out(args, "green_error.svg"),
-                 [("semi", [float(n) for n in ns], errs)], manifest,
-                 title="kernel error integral vs n", logx=True, logy=True)
+                 [(kind.removeprefix("green-"), [float(v) for v in xs], errs)], manifest,
+                 title=f"kernel error integral vs {var}", logx=True, logy=True)
         return EXIT_OK
-    if kind == "green-full":
-        n = int(sec.get("n", 64))
-        theta = float(sec.get("theta", 1.0))
-        taus = [float(v) for v in _require(cfg, "convergence.taus")]
-        if not taus:
-            raise ConfigError("convergence.taus must list at least one time step")
-        errs = pmap(lambda tau: green_error_full(n, tau, theta,
-                                                 x=float(sec.get("x", 0.0))),
-                    taus, threads)
-        rows = [(tau, e, 0.0) for tau, e in zip(taus, errs)]
-        write_csv(_out(args, "green_error.csv"), ["tau", "error", "stderr"], rows, manifest)
-        svg_plot(_out(args, "green_error.svg"), [("full", taus, errs)], manifest,
-                 title="kernel error integral vs tau", logx=True, logy=True)
-        return EXIT_OK
-    if kind == "strong":
-        model = parse_model(cfg)
-        ladder = [(int(n), float(t)) for n, t in _require(cfg, "convergence.ladder")]
-        curve = strong_error_study(ladder, model, theta=float(sec.get("theta", 1.0)),
-                                   T=float(_require(cfg, "convergence.T")),
-                                   paths=int(_require(cfg, "convergence.paths")),
-                                   seed=int(cfg.get("seed", 0)),
-                                   probe_x=float(sec.get("probe_x", 0.0)))
-        rows = [(n, tau, float(e), 0.0)
-                for (n, tau), e in zip(curve.resolutions, curve.errors)]
-        write_csv(_out(args, "strong_error.csv"), ["n", "tau", "error", "stderr"],
-                  rows, manifest)
-        xs = [tau for _, tau in curve.resolutions] if curve.mode == "temporal" \
-            else [float(n) for n, _ in curve.resolutions]
-        svg_plot(_out(args, "strong_error.svg"),
-                 [(curve.mode, xs, list(curve.errors))], manifest,
-                 title=f"strong error ({curve.mode})", logx=True, logy=True,
-                 annotation=f"order={curve.fitted_order:.3f} +/- {curve.ci:.3f}")
-        return EXIT_OK
-    raise ConfigError(f"unknown convergence kind {kind!r}")
+    model = parse_model(cfg)
+    curve = strong_error_study(_get(cfg, "convergence.ladder", list[tuple[int, float]]), model,
+                               theta=_get(cfg, "convergence.theta", float, 1.0),
+                               T=_get(cfg, "convergence.T", float),
+                               paths=_get(cfg, "convergence.paths", int),
+                               seed=_get(cfg, "seed", int, 0),
+                               probe_x=_get(cfg, "convergence.probe_x", float, 0.0))
+    rows = [(n, tau, float(e), 0.0) for (n, tau), e in zip(curve.resolutions, curve.errors)]
+    write_csv(_out(args, "strong_error.csv"), ["n", "tau", "error", "stderr"],
+              rows, manifest)
+    xs = [tau for _, tau in curve.resolutions] if curve.mode == "temporal" \
+        else [float(n) for n, _ in curve.resolutions]
+    svg_plot(_out(args, "strong_error.svg"),
+             [(curve.mode, xs, list(curve.errors))], manifest,
+             title=f"strong error ({curve.mode})", logx=True, logy=True,
+             annotation=f"order={curve.fitted_order:.3f} +/- {curve.ci:.3f}")
+    return EXIT_OK
 
 
 @cache
@@ -351,11 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("green-check", help="run the Green-function lemma suite")
     common(p, needs_config=False)
-    p.set_defaults(out_dir=None)  # table goes to stdout unless a dir is named
+    p.set_defaults(fn=cmd_green_check, out_dir=None)  # table to stdout unless a dir is named
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--inject-fault", action="store_true",
                    help="perturb an eigenvalue; the suite must fail")
-    p.set_defaults(fn=cmd_green_check)
     for name, fn in (("simulate", cmd_simulate), ("moments", cmd_moments),
                      ("sweep", cmd_sweep), ("renewal", cmd_renewal),
                      ("convergence", cmd_convergence)):
@@ -368,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _load_config(args.config) if args.config else {})
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         print("usage: see README for the JSON schema", file=sys.stderr)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import shelab
+from shelab import cli
 from shelab.cli import build_parser, main
 
 BASE_CONFIG = {
@@ -171,6 +172,26 @@ class TestMoments:
                      "--out-dir", str(tmp_path)]) == 2
 
 
+    @pytest.mark.parametrize("fit,window", [(True, (0.01, 0.05)), ([0.02, 0.04], (0.02, 0.04)),
+                                            (False, None)])
+    def test_fit_window(self, tmp_path, fit, window):
+        # true fits the default window [0.2 t_last, t_last]
+        cfg = write_config(tmp_path, {"moments": {"mode": "exact", "steps": 50, "fit": fit}})
+        assert main(["moments", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        if window is None:
+            assert not (tmp_path / "moments_fit.csv").exists()
+            return
+        lines = read_csv(tmp_path / "moments_fit.csv")
+        assert lines[1] == "gamma,ci_halfwidth,r_squared,window_lo,window_hi"
+        gamma, _, _, lo, hi = map(float, lines[2].split(","))
+        assert (lo, hi) == pytest.approx(window, rel=1e-12)
+        t, moment = np.loadtxt(tmp_path / "moments.csv", delimiter=",", skiprows=2,
+                               usecols=(0, 1), unpack=True)
+        inside = (t >= lo) & (t <= hi)
+        assert gamma == pytest.approx(np.polyfit(t[inside], np.log(moment[inside]), 1)[0],
+                                      rel=1e-9)
+
+
 class TestSweep:
     def test_table_fit_and_plot(self, tmp_path):
         cfg = write_config(tmp_path, {"sweep": {"zeta": 1.0, "lambdas": [1.0, 1.5],
@@ -262,6 +283,72 @@ def test_missing_required_key_exit_2(tmp_path, capsys, command, extra, key):
     assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.csv"))
+
+
+def _model(**parts):
+    return {"model": dict(BASE_CONFIG["model"], **parts)}
+
+
+@pytest.mark.parametrize("command,extra,key", [
+    ("simulate", {"grid": {"n": 8.9}, "simulate": {"steps": 5}}, "grid.n"),
+    ("simulate", {"simulate": {"steps": 10.7}}, "simulate.steps"),
+    ("simulate", {"seed": 1.7, "simulate": {"steps": 5}}, "seed"),
+    ("simulate", {"grid": {"n": True}, "simulate": {"steps": 5}}, "grid.n"),
+    ("simulate", {"simulate": {"steps": [5]}}, "simulate.steps"),
+    ("simulate", {"grid": {"n": "x"}, "simulate": {"steps": 5}}, "grid.n"),
+    ("sweep", {"sweep": {"lambdas": "12"}}, "sweep.lambdas"),
+    ("simulate", {"simulate": {"record_indices": "53"}}, "simulate.record_indices"),
+    ("simulate", {"grid": {"n": 4}, "simulate": {"steps": 5},
+                  **_model(u0={"kind": "samples", "values": "1234"})}, "model.u0.values"),
+    ("simulate", {"simulate": {"steps": 5},
+                  **_model(sigma={"kind": "quadratic", "points": [[0, 0], [1, 1]]})},
+     "model.sigma.kind"),
+    ("simulate", {"simulate": {"steps": 5},
+                  **_model(u0={"kind": "gaussian", "values": [1.0] * 8})}, "model.u0.kind"),
+    ("moments", {"moments": {"mode": "exact", "steps": 50, "fit": ["a", "b"]}}, "moments.fit"),
+    ("simulate", {"simulate": {"steps": 5}, **_model(sigma={"kind": "table", "points": [1, 2]})},
+     "model.sigma.points"),
+    ("renewal", {"renewal": {"lambda": 1.0, "n": 4, "zeta": "1", "which": "continuous"}},
+     "renewal.zeta"),
+    ("renewal", {"renewal": {"lambda": 1.0, "n": 4.7, "which": "continuous"}}, "renewal.n"),
+    ("moments", {"moments": {"mode": "mc", "times": [0.001], "paths": 10.9}}, "moments.paths"),
+    ("simulate", {"scheme": {"tau": 0.001, "theta": "1"}, "simulate": {"steps": 5}},
+     "scheme.theta"),
+    ("simulate", {"scheme": {"tau": float("nan")}, "simulate": {"steps": 5}}, "scheme.tau"),
+    ("simulate", {"simulate": {"steps": 5}, **_model(**{"lambda": float("inf")})},
+     "model.lambda"),
+    ("simulate", {"scheme": {"tau": 0.001, "stepper": "euler"}, "simulate": {"steps": 5}},
+     "scheme.stepper"),
+    ("moments", {"moments": {"mode": "exakt", "steps": 5}}, "moments.mode"),
+    ("convergence", {"convergence": {"kind": "weak"}}, "convergence.kind"),
+    ("convergence", {"convergence": {"kind": "strong", "T": 0.0625, "paths": 2,
+                                     "ladder": [[8.5, 0.015625], [8, 0.0078125]]}},
+     "convergence.ladder"),
+])
+def test_mistyped_value_exit_2_naming_key(tmp_path, capsys, command, extra, key):
+    cfg = write_config(tmp_path, extra)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_integral_float_reads_as_int_and_config_is_not_written(tmp_path, monkeypatch):
+    loaded = []
+    load = cli._load_config
+    monkeypatch.setattr(cli, "_load_config", lambda path: loaded.append(load(path)) or loaded[-1])
+    lines = {}
+    for name, n in (("int", 8), ("float", 8.0)):
+        cfg = write_config(tmp_path, {"grid": {"n": n},
+                                      "simulate": {"steps": 10, "record_every": 5}},
+                           name=f"{name}.json")
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / name)]) == 0
+        assert json.dumps(loaded[-1]) == (tmp_path / f"{name}.json").read_text()
+        lines[name] = read_csv(tmp_path / name / "trajectory.csv")
+    assert lines["int"][1:] == lines["float"][1:]
+    # the manifest hashes the raw config, so only the hash differs
+    int_header, float_header = lines["int"][0].split(), lines["float"][0].split()
+    assert int_header[2] != float_header[2] and int_header[3:] == float_header[3:]
 
 
 class TestGreenCheck:
