@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from contextlib import suppress
 from functools import cache
@@ -36,6 +37,16 @@ EXIT_BLOWUP = 3
 
 class ConfigError(ValueError):
     pass
+
+
+class _Config(dict):
+    """A loaded config that remembers the dotted key of every value read
+    from it by the key's last name, so that a library refusal whose clause
+    opens with that name ("n < 3", "zeta must be ...") names its key."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = {}
 
 
 def _thread_count(text: str, least: int = 0) -> int:
@@ -115,7 +126,8 @@ def _get(cfg: dict, key: str, kind, default=..., least=None):
     key gives `default`; without one it is a ConfigError, and so is a value
     of another kind, a number below `least` or a list shorter than `least`
     (1 or 2).  A bool is not a number, NaN and +-Infinity are refused, and an
-    integral float such as 8.0 reads as the int 8.  `cfg` is never written."""
+    integral float such as 8.0 reads as the int 8.  `cfg` is never written
+    but for a `_Config`'s `read`, where the key of each value present is noted."""
     head, _, name = key.rpartition(".")
     section = _get(cfg, head, dict, {}) if head else cfg
     if name not in section:
@@ -123,6 +135,8 @@ def _get(cfg: dict, key: str, kind, default=..., least=None):
             raise ConfigError(f"config is missing the required key '{key}'")
         return default
     value = section[name]
+    if isinstance(cfg, _Config) and kind is not dict:  # a section's name opens no refusal
+        cfg.read[name] = key
     try:
         read = _convert(value, kind)
     except (TypeError, OverflowError):
@@ -174,10 +188,7 @@ def _out(args, name: str) -> str:
 def cmd_green_check(args, cfg: dict) -> int:
     ns = _get(cfg, "green_check.ns", list[int], DEFAULT_NS)
     thetas = _get(cfg, "green_check.thetas", list[float], DEFAULT_THETAS)
-    try:
-        results = lemma_suite(ns, thetas, 1e-3 if args.inject_fault else 0.0)
-    except ValueError as err:  # a bad lattice; the message starts with its key
-        raise ConfigError(f"green_check.{err}") from None
+    results = lemma_suite(ns, thetas, 1e-3 if args.inject_fault else 0.0)
     failed = [r for r in results if not r.passed]
     if args.json:
         payload = [{"name": r.name, "passed": r.passed,
@@ -248,17 +259,12 @@ def cmd_moments(args, cfg: dict) -> int:
 
 
 def cmd_sweep(args, cfg: dict) -> int:
-    try:
-        result = lambda_scaling_sweep(zeta=_get(cfg, "sweep.zeta", float, 1.0),
-                                      lambdas=_get(cfg, "sweep.lambdas", list[float], least=2),
-                                      theta=_get(cfg, "sweep.theta", float, 1.0),
-                                      sigma_slope=_get(cfg, "sweep.sigma_slope", float, 1.0),
-                                      gate_safety=_get(cfg, "sweep.gate_safety", float, 0.5),
-                                      threads=_threads(args))
-    except ValueError as err:  # a bad zeta or slope names its key first
-        if str(err).startswith(("zeta ", "sigma_slope ")):
-            raise ConfigError(f"sweep.{err}") from None
-        raise
+    result = lambda_scaling_sweep(zeta=_get(cfg, "sweep.zeta", float, 1.0),
+                                  lambdas=_get(cfg, "sweep.lambdas", list[float], least=2),
+                                  theta=_get(cfg, "sweep.theta", float, 1.0),
+                                  sigma_slope=_get(cfg, "sweep.sigma_slope", float, 1.0),
+                                  gate_safety=_get(cfg, "sweep.gate_safety", float, 0.5),
+                                  threads=_threads(args))
     manifest = _manifest(cfg)
     write_csv(_out(args, "sweep.csv"),
               ["lambda", "n", "tau", "gamma2", "ci_halfwidth", "gate_ok"],
@@ -365,14 +371,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cfg = _Config()
     try:
-        return args.fn(args, _load_config(args.config) if args.config else {})
-    except ConfigError as err:
+        cfg.update(_load_config(args.config) if args.config else {})
+        return args.fn(args, cfg)
+    except ValueError as err:  # the reader's refusal (ConfigError) or the library's
+        # a clause of the message ("n < 3: ...", "; zeta must be ...") that
+        # opens with the last name of a key read names that key
+        openers = {clause.split(" ", 1)[0] for clause in re.split(r"[:;] ", str(err))}
+        keys = [key for name, key in cfg.read.items() if name in openers]
+        if keys:
+            err = f"config key{'s' * (len(keys) > 1)} {', '.join(map(repr, keys))}: {err}"
+        elif not isinstance(err, ConfigError):
+            print(f"invalid configuration: {err}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"config error: {err}", file=sys.stderr)
         print("usage: see README for the JSON schema", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as err:
-        print(f"invalid configuration: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowupError as err:
         print(f"blow-up: {err}", file=sys.stderr)

@@ -31,7 +31,7 @@ from .model import (GridSpec, ModelSpec, SchemeSpec, _floor_quantize,
 from .moments import ols
 # normals_from_raw is also bound here because perfbench's tracer test patches
 # and restores it in this module's namespace.
-from .noise import (NOISE_CHUNK_CELLS, coarsen_ladder, normal_rows,  # noqa: F401
+from .noise import (coarsen_ladder, noise_reads, normal_rows,  # noqa: F401
                     normals_from_raw, path_streams)
 from .solver import BlowupError, StepOperator
 
@@ -215,16 +215,17 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     ladder: list of (n, tau) pairs ordered coarse -> fine; the last entry is
     the reference.  Every rung's (n, tau) must nest into the reference by
     integer factors, not only powers of two: fine noise, read in whole chunks
-    (lcm of the time factors) up to NOISE_CHUNK_CELLS with its coarse copies,
-    one read alive at a time, is coarsened to every rung by
+    (lcm of the time factors) by noise.noise_reads, counting its coarse
+    copies, one read alive at a time, is coarsened to every rung by
     noise.coarsen_ladder, which chains the power-of-two rungs through one
     halving tree and coarsens other factors straight from the fine block, so
-    each rung's noise is bit-exactly coarsen_array of the fine noise.  The rungs advance one chunk at a time,
-    so the earliest blow-up is the one reported.  All rung errors are
-    reported; only rungs separated from the reference by at least
-    `fit_separation` in the refined coordinate enter the order fit (a
-    too-close reference deflates the coupled error: with slow orders the
-    errors of rung and reference stay comparable and positively correlated).
+    each rung's noise is bit-exactly coarsen_array of the fine noise.  The
+    rungs advance one chunk at a time, so the earliest blow-up is the one
+    reported.  All rung errors are reported; only rungs separated from the
+    reference by at least `fit_separation` in the refined coordinate enter
+    the order fit (a too-close reference deflates the coupled error: with
+    slow orders the errors of rung and reference stay comparable and
+    positively correlated).
     Every rung must pass validate_run_config, and the ladder must refine one
     axis with at least two rungs to fit; both are checked before any noise is
     drawn (ValueError), as are paths >= 1 and T > 0.  A blow-up is re-raised
@@ -277,37 +278,34 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     if mask.sum() < 2:
         raise ValueError("fewer than two rungs are separated enough to fit an order")
 
-    def advance(gens, states, start, rows):
-        """Read the next `rows` fine steps of every path, coarsen them to
-        every rung and step the rungs one chunk at a time, rung by rung.  The
-        noise is local, so it dies on return: a study holds one read."""
-        coarse = coarsen_ladder(normal_rows(gens, rows, n_f), factors)
-        for step in range(0, rows, chunk):
+    def advance(gens, states, read):
+        """Read the fine steps `read` of every path, coarsen them to every
+        rung and step the rungs one chunk at a time, rung by rung.  The noise
+        is local, so it dies on return: a study holds one read."""
+        coarse = coarsen_ladder(normal_rows(gens, len(read), n_f), factors)
+        for step in range(0, len(read), chunk):
             for r, ((_, tf), block) in enumerate(zip(factors, coarse)):
                 for s in range(step // tf, (step + chunk) // tf):
                     try:
                         states[r] = ops[r].apply(states[r], block[:, s, :])
                     except BlowupError as err:
-                        raise BlowupError(start // tf + s + 1, err.magnitude,
+                        raise BlowupError(read.start // tf + s + 1, err.magnitude,
                                           rung=ladder[r]) from None
 
     sq_err = np.zeros(len(rungs))
-    done = 0
-    while done < paths:
+    for done in range(0, paths, 100):
         count = min(100, paths - done)
         # whole chunks per read; fine block and coarse copies in budget
-        step_cells = count * sum((chunk // tf) * (n_f // sf) for sf, tf in factors)
-        read = chunk * max(1, NOISE_CHUNK_CELLS // step_cells)
+        chunk_cells = count * sum((chunk // tf) * (n_f // sf) for sf, tf in factors)
         gens = path_streams(seed, "strong", range(done, done + count))
         states = [np.tile(model.u0.values(GridSpec(nr)), (count, 1))
                   for (nr, _) in ladder]
-        for start in range(0, m_f, read):
-            advance(gens, states, start, min(read, m_f - start))
+        for read in noise_reads(m_f, chunk_cells, chunk):
+            advance(gens, states, read)
         ref = states[-1][:, probes[-1]]
         for r in range(len(rungs)):
             d = states[r][:, probes[r]] - ref
             sq_err[r] += float(np.dot(d, d))
-        done += count
     errors = np.sqrt(sq_err / paths)
     slope, ci, _, _ = ols(np.log(coords[mask]), np.log(errors[mask]))
     return ErrorCurve(resolutions=list(rungs), errors=errors,

@@ -50,7 +50,7 @@ class GridSpec:
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"grid size must be a positive integer, got {self.n!r}")
+            raise ValueError(f"n (the grid size) must be a positive integer, got {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class SchemeSpec:
 
     def __post_init__(self):
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise ValueError(f"time step must be positive and finite, got {self.tau!r}")
+            raise ValueError(f"tau (the time step) must be positive and finite, got {self.tau!r}")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
         if self.stepper not in ("theta", "exponential"):
@@ -170,7 +170,7 @@ class ModelSpec:
 
     def __post_init__(self):
         if not (self.lam >= 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"noise level must be nonnegative, got {self.lam!r}")
+            raise ValueError(f"lambda (the noise level) must be nonnegative, got {self.lam!r}")
 
 
 def validate_run_config(grid: GridSpec, scheme: SchemeSpec,

@@ -26,13 +26,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import special
 
 from .model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec,
                     validate_run_config)
-from .noise import NOISE_CHUNK_CELLS, normal_rows, path_streams
+from .noise import path_streams
 from .kernels import AmplificationFactors, spectral_basis
 from .solver import BlowupError, StepOperator
 from .stability import positivity_time_full, sharp_gate
@@ -157,7 +158,7 @@ def _snap_indices(times, tau: float) -> list[int]:
     for t in times:
         i = int(round(t / tau))
         if abs(i * tau - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not aligned to the step grid tau={tau}")
+            raise ValueError(f"times must be aligned to the step grid tau={tau}, got {t}")
         out.append(i)
     return out
 
@@ -169,20 +170,19 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     `p` may be a single order or a list (shared paths); `probe` is a grid
     index or "min".  Path k reads the "mc" stream of (seed, k), keyed with
     its batch by one `path_streams` call.  Paths run in batches of about 4e6
-    noise cells, a rule that fixes only the order in which batches merge: a
-    batch holds at most NOISE_CHUNK_CELLS noise cells, read in the fewest
-    even chunks of whole steps, and the records of a chunk are tallied before
-    the next one is read.  The standard errors come from each batch's
-    sum of squared deviations, merged across batches by the pairwise update
-    of Chan, Golub and LeVeque, so weak noise does not cancel them away.  On
-    blow-up the series is truncated at the last record before the horizon
-    and flagged.
+    noise cells, a rule that fixes only the order in which batches merge.  A
+    batch steps through StepOperator.walk, which holds one chunk of its
+    noise at a time, and each record is tallied as soon as it is reached.
+    The standard errors come from each batch's sum of squared deviations,
+    merged across batches by the pairwise update of Chan, Golub and LeVeque,
+    so weak noise does not cancel them away.  On blow-up the series is
+    truncated at the last record that every path reached, and flagged.
     """
     p_list = [float(q) for q in (p if isinstance(p, (list, tuple)) else [p])]
     if any(q < 1 for q in p_list):
-        raise ValueError("moment order must be >= 1")
+        raise ValueError(f"p (the moment order) must be >= 1, got {p!r}")
     if paths < 2:
-        raise ValueError("need at least 2 paths")
+        raise ValueError(f"paths must be >= 2, got {paths}")
     validate_run_config(grid, scheme)
     index = _probe_index(probe, grid.n)
     if len(times) == 0 or min(times) < 0:
@@ -196,85 +196,49 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     s1 = np.zeros((len(record_set), len(p_list)))  # sums
     m2 = np.zeros_like(s1)  # sums of squared deviations from the mean
     counts = np.zeros(len(record_set))
-    horizon = steps + 1
 
-    def probe(states):
-        if index is not None:
-            return np.abs(states[:, index])
-        # grid minimum taken across columns: contiguous rows of paths
-        # instead of one short reduction per path
-        cols = states.T.copy()
-        np.abs(cols, out=cols)
-        return cols.min(axis=0)
-
-    def tally(recorded, bases):
-        """Fold |u| at the probe at the recorded steps (one row of a batch's
-        paths each) into the sums, merging each record's squared deviations
-        pairwise, and empty both lists.  Each record row is folded on its
-        own, so tallying a batch in parts gives the same bits."""
-        if not recorded:
-            return
-        base, rows = np.stack(bases), np.array([pos[i] for i in recorded])
-        recorded.clear()
-        bases.clear()
-        na, nb = counts[rows], base.shape[1]
-        seen = na > 0
+    def tally(i, states):
+        """Fold |u| at the probe over a batch's paths at record i into the
+        sums, merging the record's squared deviations pairwise."""
+        # the grid minimum is taken across columns, contiguous rows of
+        # paths, instead of by one short reduction per path
+        base = (np.abs(states[:, index]) if index is not None
+                else np.abs(states.T, order="C").min(axis=0))
+        r, na, nb = pos[i], counts[pos[i]], len(base)
         for k, q in enumerate(p_list):
             sample = base ** q
-            total = sample.sum(axis=1)
+            total = sample.sum()
             mean = total / nb
-            sample -= mean[:, None]
+            sample -= mean
             sample *= sample
-            dev = sample.sum(axis=1)
-            delta = mean[seen] - s1[rows[seen], k] / na[seen]
-            dev[seen] += delta * delta * na[seen] * nb / (na[seen] + nb)
-            s1[rows, k] += total
-            m2[rows, k] += dev
-        counts[rows] += nb
+            dev = sample.sum()
+            if na > 0:
+                delta = mean - s1[r, k] / na
+                dev += delta * delta * na * nb / (na + nb)
+            s1[r, k] += total
+            m2[r, k] += dev
+        counts[r] += nb
 
-    start = 0
-    while start < paths:
+    for start in range(0, paths, batch_paths):
         count = min(batch_paths, paths - start)
         gens = path_streams(seed, "mc", range(start, start + count))
         states = np.tile(model.u0.values(grid), (count, 1))
-        recorded = [0] if 0 in pos else []
-        bases = [probe(states)] if recorded else []
-        limit = min(steps, horizon - 1)
-        cap = max(1, NOISE_CHUNK_CELLS // (count * grid.n))
-        rows = -(-limit // max(1, -(-limit // cap)))  # fewest even chunks of <= cap rows
-        xi = None
-        for i in range(limit):
-            if i % rows == 0:
-                del xi  # hold one chunk at a time, and no records beside it
-                tally(recorded, bases)
-                xi = normal_rows(gens, min(rows, limit - i), grid.n)
-            try:
-                states = op.apply(states, xi[:, i % rows, :])
-            except BlowupError:
-                horizon = min(horizon, i + 1)
-                break
-            if (i + 1) in pos:
-                recorded.append(i + 1)
-                bases.append(probe(states))
-        del xi
-        tally(recorded, bases)
-        start += count
-    kept = [i for i in record_set if i < horizon and counts[pos[i]] == paths]
-    truncated = len(kept) < len(record_set)
+        try:
+            for i, states in enumerate(chain([states], op.walk(states, gens, steps))):
+                if i in pos:
+                    tally(i, states)
+        except BlowupError as err:
+            steps = err.step_index - 1  # later batches stop before the horizon
+    kept = int(np.sum(counts == paths))  # the records every path reached: a prefix
     results = []
     for k, q in enumerate(p_list):
-        vals = np.array([s1[pos[i], k] / paths for i in kept])
-        errs = np.sqrt(np.array([m2[pos[i], k] for i in kept]) / (paths * (paths - 1)))
-        good = np.isfinite(vals)
-        if not good.all():  # per-sample overflow at high p: truncate there
-            stop = int(np.argmin(good))
-            vals, errs = vals[:stop], errs[:stop]
-            times_kept = np.array(kept[:stop]) * scheme.tau
-            truncated = True
-        else:
-            times_kept = np.array(kept) * scheme.tau
-        results.append(MomentSeries(times=times_kept, values=vals, p=q, stderr=errs,
-                                    horizon_reached=truncated))
+        vals = s1[:kept, k] / paths
+        errs = np.sqrt(m2[:kept, k] / (paths * (paths - 1)))
+        good = np.isfinite(vals)  # per-sample overflow at high p: truncate there
+        stop = kept if good.all() else int(np.argmin(good))
+        results.append(MomentSeries(times=np.array(record_set[:stop]) * scheme.tau,
+                                    values=vals[:stop], p=q, stderr=errs[:stop],
+                                    horizon_reached=stop < len(record_set)))
     return results if isinstance(p, (list, tuple)) else results[0]
 
 
@@ -313,7 +277,7 @@ def fit_growth(series: MomentSeries, window: tuple | None = None) -> GrowthFit:
     ta, tb = window
     mask = (t >= ta) & (t <= tb)
     if mask.sum() < 5:
-        raise ValueError(f"need >= 5 points in the fit window, got {int(mask.sum())}")
+        raise ValueError(f"fit window [{ta:g}, {tb:g}]: need >= 5 points, got {int(mask.sum())}")
     if np.any(v[mask] <= 0.0):
         raise ValueError("nonpositive values in the fit window")
     slope, ci, se, r2 = ols(t[mask], np.log(v[mask]))

@@ -10,9 +10,10 @@ other, and by the inverse-CDF normal transform ``ndtri((raw >> 11 + 0.5) *
 paths come from one vectorised pass of SeedSequence's fixed hash (NEP 19,
 :func:`path_streams`), bit for bit.  Every path reads its stream
 through :func:`normal_rows`, one row per fine time step, so chunk and batch
-sizes never change a bit of a path's noise.  Coarse noise for the grids of
-a ladder is aggregated from the fine block through one shared halving tree
-(:func:`coarsen_ladder`).
+sizes never change a bit of a path's noise; :func:`noise_reads` is the one
+rule for how many rows a Monte Carlo driver reads at a time.  Coarse noise
+for the grids of a ladder is aggregated from the fine block through one
+shared halving tree (:func:`coarsen_ladder`).
 
 The scheme's stochastic increment at (t_i, x_j) is realized downstream as
 lambda * sqrt(n tau) * sigma(u) * xi[i, j]: the Brownian-sheet cell
@@ -28,8 +29,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
-__all__ = ["GENERATOR_ID", "NOISE_CHUNK_CELLS", "NoiseSeed", "path_streams", "normal_rows",
-           "sample_block", "coarsen_array", "coarsen_ladder"]
+__all__ = ["GENERATOR_ID", "NOISE_CHUNK_CELLS", "NoiseSeed", "path_streams", "noise_reads",
+           "normal_rows", "sample_block", "coarsen_array", "coarsen_ladder"]
 
 GENERATOR_ID = "philox4x64/seedseq+ndtri-v1"
 
@@ -134,6 +135,18 @@ def normals_from_raw(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     np.add(raw >> np.uint64(11), 0.5, out=out)
     out *= 2.0 ** -53
     return ndtri(out, out=out)
+
+
+def noise_reads(steps: int, unit_cells: int, unit: int = 1) -> list[range]:
+    """The row ranges, in order, of the reads that cover rows 0..steps-1 of
+    noise (`steps` a multiple of `unit`): the fewest reads of whole units of
+    `unit_cells` cells each that hold at most NOISE_CHUNK_CELLS cells (one
+    unit per read when a unit alone holds more), their sizes differing by at
+    most one unit."""
+    units = steps // unit
+    count = -(-units // max(1, NOISE_CHUNK_CELLS // max(unit_cells, 1)))
+    ends = [unit * (units * k // max(count, 1)) for k in range(count + 1)]
+    return [range(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def normal_rows(gens, rows: int, n: int) -> np.ndarray:

@@ -108,8 +108,9 @@ def continuous_mu(lam: float, j0: float, n: int, zeta: float | None = None) -> R
     The lower bound mu >= 8 pi zeta / (J0^2 + 8 pi zeta) is checked with the
     supplied zeta, defaulting to the largest admissible one, n / lambda^2.
     """
-    if not (lam > 0.0 and j0 > 0.0 and n > 0):
-        raise ValueError("continuous_mu needs lambda, J0, n > 0")
+    for name, value in (("lambda", lam), ("j0", j0), ("n", n)):
+        if not value > 0:
+            raise ValueError(f"continuous_mu: {name} must be > 0, got {value!r}")
     b = lam ** 2 * j0 ** 2 / math.sqrt(32.0 * math.pi)
     c = 2.0 * n * n * math.pi
 

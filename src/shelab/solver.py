@@ -22,11 +22,13 @@ step far below the step under study ("semi-discrete reference").
 """
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .kernels import AmplificationFactors, spectral_basis
 from .model import GridSpec, ModelSpec, SchemeSpec, validate_run_config
-from .noise import NOISE_CHUNK_CELLS, NoiseSeed, normal_rows
+from .noise import NoiseSeed, noise_reads, normal_rows
 
 __all__ = [
     "DENSE_MAX_N",
@@ -120,6 +122,21 @@ class StepOperator:
             raise BlowupError(-1, magnitude)
         return out
 
+    def walk(self, u: np.ndarray, gens, steps: int):
+        """Yield the states after each of `steps` steps from u, a state (n,)
+        for one generator or a batch (paths, n), one path per generator.
+        Each path's stream is read in the chunks of noise.noise_reads, one
+        chunk alive at a time; a blow-up raises BlowupError naming its step."""
+        for read in noise_reads(steps, len(gens) * self.n):
+            xi = normal_rows(gens, len(read), self.n)
+            for k, i in enumerate(read):
+                try:
+                    u = self.apply(u, xi[:, k].reshape(u.shape))
+                except BlowupError as err:
+                    raise BlowupError(i + 1, err.magnitude) from None
+                yield u
+            del xi  # hold one chunk at a time
+
 
 def simulate(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, seed: NoiseSeed,
              record_indices) -> np.ndarray:
@@ -128,26 +145,15 @@ def simulate(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, seed: NoiseSe
     time order.
 
     Deterministic given (seed, stream); raises BlowupError with the reached
-    horizon when the state exceeds the growth monitor.  The path's noise is
-    read in chunks of at most NOISE_CHUNK_CELLS cells.
+    horizon when the state exceeds the growth monitor.  The path is stepped
+    by StepOperator.walk, which reads its noise in chunks, and only the
+    requested states are kept.
     """
     validate_run_config(grid, scheme)
     record = sorted(set(int(i) for i in record_indices)) or [0]
     if record[0] < 0:
         raise ValueError("record indices must be nonnegative")
-    op = StepOperator(grid.n, scheme, model)
     u = model.u0.values(grid)
+    walk = StepOperator(grid.n, scheme, model).walk(u, [seed.bit_generator()], record[-1])
     want = set(record)
-    states = [u] if 0 in want else []
-    gens, rows = [seed.bit_generator()], max(1, NOISE_CHUNK_CELLS // grid.n)
-    for i in range(record[-1]):
-        if i % rows == 0:
-            xi = None  # hold one chunk at a time
-            xi = normal_rows(gens, min(rows, record[-1] - i), grid.n)[0]
-        try:
-            u = op.apply(u, xi[i % rows])
-        except BlowupError as err:
-            raise BlowupError(i + 1, err.magnitude) from None
-        if i + 1 in want:
-            states.append(u)
-    return np.stack(states)
+    return np.stack([s for i, s in enumerate(chain([u], walk)) if i in want])

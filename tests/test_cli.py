@@ -333,6 +333,30 @@ def test_mistyped_value_exit_2_naming_key(tmp_path, capsys, command, extra, key)
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command,extra,key", [
+    ("renewal", {"renewal": {"lambda": 1.0, "n": 0, "which": "continuous"}}, "renewal.n"),
+    ("moments", {"moments": {"mode": "exact", "steps": 30, "fit": [0.02, 0.021]}},
+     "moments.fit"),
+    ("simulate", {"grid": {"n": 2}, "simulate": {"steps": 5}}, "grid.n"),
+    ("simulate", {"scheme": {"tau": 0.001, "theta": 1.5}, "simulate": {"steps": 5}},
+     "scheme.theta"),
+    ("moments", {"moments": {"mode": "mc", "times": [0.001], "paths": 1}}, "moments.paths"),
+    ("moments", {"moments": {"mode": "mc", "times": [0.001], "paths": 4, "p": 0.5}},
+     "moments.p"),
+    ("moments", {"moments": {"mode": "mc", "times": [0.0015], "paths": 4}}, "moments.times"),
+    ("simulate", {"grid": {"n": 0}, "simulate": {"steps": 5}}, "grid.n"),
+    ("simulate", {"scheme": {"tau": 0.0}, "simulate": {"steps": 5}}, "scheme.tau"),
+    ("simulate", {"simulate": {"steps": 5}, **_model(**{"lambda": -1.0})}, "model.lambda"),
+])
+def test_library_range_refusal_exit_2_naming_key(tmp_path, capsys, command, extra, key):
+    # the range stays the library's; the CLI names the key whose value it refused
+    cfg = write_config(tmp_path, extra)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_integral_float_reads_as_int_and_config_is_not_written(tmp_path, monkeypatch):
     loaded = []
     load = cli._load_config

@@ -8,11 +8,10 @@ from scipy.optimize import brentq
 
 from shelab.kernels import SpectralBasis
 from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
-from shelab.moments import (NOISE_CHUNK_CELLS, MomentSeries,
-                            exact_second_moment_recursion, fit_growth,
+from shelab.moments import (MomentSeries, exact_second_moment_recursion, fit_growth,
                             intermittency_report, lambda_scaling_sweep,
                             mc_moment, second_moment_series)
-from shelab.noise import NoiseSeed, sample_block
+from shelab.noise import NOISE_CHUNK_CELLS, NoiseSeed, sample_block
 from shelab.solver import DENSE_MAX_N, BlowupError, StepOperator
 from shelab.stability import positivity_time_full
 
@@ -476,11 +475,11 @@ class TestMcMoment:
 
     def test_noise_held_in_one_chunk(self):
         # pam-hierarchy's sizes and records: 4 chunks of 125 steps (7.6 MiB
-        # each) instead of the whole (1000, 500, 8) block (30.5 MiB), and a
-        # chunk's 63 records (0.5 MiB) tallied before the next read; stacking
-        # all 251 beside the last chunk peaked at 10.4 MiB.  Slack: one
-        # chunk's records plus 1 MiB for the streams, states and stepping
-        # temporaries.
+        # each) instead of the whole (1000, 500, 8) block (30.5 MiB), and
+        # each record tallied when it is reached; stacking all 251 records
+        # beside the last chunk peaked at 10.4 MiB, and a chunk's 63 records
+        # beside it at 8.9 MiB.  Slack: 1 MiB for the streams, states and
+        # stepping temporaries.
         grid, scheme, model = make(8, 1e-3, 1.0, 1.0)
         times = [i * 1e-3 for i in range(0, 501, 2)]
         tracemalloc.start()
@@ -489,7 +488,7 @@ class TestMcMoment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= NOISE_CHUNK_CELLS * 8 + 63 * 1000 * 8 + 2 ** 20
+        assert peak <= 1000 * 125 * 8 * 8 + 2 ** 20
 
     def test_blowup_truncates_with_flag(self):
         grid = GridSpec(4)

@@ -9,8 +9,8 @@ from scipy.special import ndtri
 
 import shelab.noise
 from shelab.noise import (GENERATOR_ID, NOISE_CHUNK_CELLS, NoiseSeed, coarsen_array,
-                          coarsen_ladder, normal_rows, normals_from_raw, path_streams,
-                          sample_block)
+                          coarsen_ladder, noise_reads, normal_rows, normals_from_raw,
+                          path_streams, sample_block)
 
 
 def stacked_normal_rows(gens, rows, n):
@@ -37,6 +37,32 @@ def read_peak(gens, rows, n):
     finally:
         tracemalloc.stop()
     return peak, out.nbytes
+
+
+class TestNoiseReads:
+    @settings(max_examples=300, deadline=None)
+    @given(units=st.integers(0, 3000), unit=st.integers(1, 64),
+           unit_cells=st.one_of(st.integers(1, 4096), st.integers(1, 4 * NOISE_CHUNK_CELLS)))
+    @example(units=0, unit=1, unit_cells=8)
+    @example(units=5, unit=3, unit_cells=NOISE_CHUNK_CELLS)
+    @example(units=5, unit=3, unit_cells=NOISE_CHUNK_CELLS + 1)
+    def test_one_read_rule(self, units, unit, unit_cells):
+        steps = units * unit
+        reads = noise_reads(steps, unit_cells, unit)
+        # the reads cover the steps exactly, in order, in whole units
+        ends = [0] + [r.stop for r in reads]
+        assert [r.start for r in reads] == ends[:-1] and ends[-1] == steps
+        assert all(r.step == 1 and len(r) > 0 and len(r) % unit == 0 for r in reads)
+        # as few reads as the budget allows: one read fewer cannot hold them
+        most = NOISE_CHUNK_CELLS // unit_cells or 1  # units in one read
+        assert (len(reads) - 1) * most < units or not reads
+        # read sizes differ by at most one unit
+        sizes = [len(r) for r in reads]
+        assert not sizes or max(sizes) - min(sizes) <= unit
+        # a read exceeds the budget only when one unit alone does
+        for size in sizes:
+            assert (size // unit * unit_cells <= NOISE_CHUNK_CELLS
+                    or (size == unit and unit_cells > NOISE_CHUNK_CELLS))
 
 
 class TestSampleBlock:

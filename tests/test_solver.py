@@ -8,7 +8,7 @@ from scipy.linalg import circulant
 
 from shelab.kernels import AmplificationFactors, spectral_basis
 from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
-import shelab.solver
+import shelab.noise
 from shelab.noise import NOISE_CHUNK_CELLS, NoiseSeed, sample_block
 from shelab.solver import (DENSE_MAX_N, BlowupError, StepOperator, discrete_laplacian,
                            simulate)
@@ -197,7 +197,7 @@ class TestSimulate:
         assert a.shape == b.shape == (6, 8)
 
     def test_chunked_noise_continues_the_stream(self, pam_model, monkeypatch):
-        # chunks of 3 steps (3, 3, 3, 1) give the bits of one whole read
+        # chunks of at most 3 steps (3, 3, 2, 2) give the bits of one whole read
         grid, scheme, seed = GridSpec(8), SchemeSpec(tau=1e-3, theta=1.0), NoiseSeed(9)
         op = StepOperator(grid.n, scheme, pam_model)
         u, want = pam_model.u0.values(grid), []
@@ -205,8 +205,27 @@ class TestSimulate:
             u = op.apply(u, xi)
             if i in (3, 4, 10):
                 want.append(u)
-        monkeypatch.setattr(shelab.solver, "NOISE_CHUNK_CELLS", 3 * grid.n)
+        monkeypatch.setattr(shelab.noise, "NOISE_CHUNK_CELLS", 3 * grid.n)
         assert np.array_equal(simulate(grid, scheme, pam_model, seed, [3, 4, 10]), want)
+
+    def test_blowup_in_a_later_chunk_names_its_step(self, monkeypatch):
+        # chunks of at most 3 steps: the step named is the one at which
+        # stepping the whole block blows up
+        grid, scheme, seed = GridSpec(4), SchemeSpec(tau=0.1, theta=1.0), NoiseSeed(2)
+        model = ModelSpec(lam=1e30, sigma=SigmaSpec.linear(1.0), u0=InitialData.constant(1.0))
+        op = StepOperator(grid.n, scheme, model)
+        u, horizon = model.u0.values(grid), None
+        for i, xi in enumerate(sample_block(seed, 20, grid.n), start=1):
+            try:
+                u = op.apply(u, xi)
+            except BlowupError:
+                horizon = i
+                break
+        assert horizon is not None and horizon > 3
+        monkeypatch.setattr(shelab.noise, "NOISE_CHUNK_CELLS", 3 * grid.n)
+        with pytest.raises(BlowupError) as err:
+            simulate(grid, scheme, model, seed, [20])
+        assert err.value.step_index == horizon
 
     def test_noise_held_in_one_chunk(self, pam_model):
         # 4096 steps at n = 1024 are four chunks of 8 MiB; one read of the
