@@ -25,7 +25,7 @@ from .model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
 from .moments import (exact_second_moment_recursion, fit_growth,
                       lambda_scaling_sweep, mc_moment, pmap, second_moment_series)
 from .noise import NoiseSeed
-from .output import RunManifest, svg_plot, write_csv
+from .output import manifest_line, svg_plot, write_csv
 from .renewal import continuous_mu, discrete_mu
 from .solver import BlowupError, simulate
 
@@ -173,8 +173,8 @@ def parse_model(cfg: dict) -> ModelSpec:
     return ModelSpec(lam=_get(cfg, "model.lambda", float, 1.0), sigma=sigma, u0=u0)
 
 
-def _manifest(cfg: dict) -> RunManifest:
-    return RunManifest(config=cfg, seed=_get(cfg, "seed", int, 0))
+def _manifest(cfg: dict) -> str:
+    return manifest_line(cfg, _get(cfg, "seed", int, 0))
 
 
 def _out(args, name: str) -> str:
@@ -220,7 +220,7 @@ def cmd_simulate(args, cfg: dict) -> int:
     seed = NoiseSeed(_get(cfg, "seed", int, 0), path=_get(cfg, "simulate.path", int, 0))
     states = simulate(grid, scheme, model, seed, record)
     cols = ["t"] + [f"x_{j}" for j in range(grid.n)]
-    rows = [(scheme.t(i), *map(float, u)) for i, u in zip(record, states)]
+    rows = [(i * scheme.tau, *map(float, u)) for i, u in zip(record, states)]
     write_csv(_out(args, "trajectory.csv"), cols, rows, _manifest(cfg))
     return EXIT_OK
 
@@ -243,11 +243,10 @@ def cmd_moments(args, cfg: dict) -> int:
                            _get(cfg, "moments.paths", int), _get(cfg, "seed", int, 0))
         rows = [(float(t), float(v), float(e))
                 for t, v, e in zip(series.times, series.values, series.stderr)]
-        if series.horizon_reached and not rows:
-            raise BlowupError(0, float("inf"))
-        if series.horizon_reached:
-            print(f"warning: blow-up horizon reached at t={float(series.times[-1])!r}; "
-                  "series truncated", file=sys.stderr)
+        if series.horizon_reached:  # a moment may overflow at the first record
+            at = f"t={float(series.times[-1])!r}" if rows else "the first record"
+            print(f"warning: blow-up horizon reached at {at}; series truncated",
+                  file=sys.stderr)
     # true fits the default window, [lo, hi] that window
     fit = window and fit_growth(series, None if window is True else window)
     write_csv(_out(args, "moments.csv"), ["t", "moment", "stderr"], rows, manifest)
@@ -272,10 +271,8 @@ def cmd_sweep(args, cfg: dict) -> int:
     write_csv(_out(args, "sweep_fit.csv"), ["loglog_slope", "slope_ci", "zeta"],
               [(result.slope, result.slope_ci, result.zeta)], manifest)
     good = [p for p in result.points if np.isfinite(p.gamma2)]
-    svg_plot(_out(args, "sweep.svg"),
-             [("gamma2(lambda)", [p.lam for p in good], [p.gamma2 for p in good])],
-             manifest, title="second-moment growth rate vs noise level",
-             logx=True, logy=True,
+    svg_plot(_out(args, "sweep.svg"), "gamma2(lambda)", [p.lam for p in good],
+             [p.gamma2 for p in good], manifest, "second-moment growth rate vs noise level",
              annotation=f"slope={result.slope:.3f} +/- {result.slope_ci:.3f}")
     return EXIT_OK
 
@@ -314,9 +311,8 @@ def cmd_convergence(args, cfg: dict) -> int:
             errs = pmap(lambda tau: green_error_full(n, tau, theta, x=x), xs, threads)
         write_csv(_out(args, "green_error.csv"), [var, "error", "stderr"],
                   [(v, e, 0.0) for v, e in zip(xs, errs)], manifest)
-        svg_plot(_out(args, "green_error.svg"),
-                 [(kind.removeprefix("green-"), [float(v) for v in xs], errs)], manifest,
-                 title=f"kernel error integral vs {var}", logx=True, logy=True)
+        svg_plot(_out(args, "green_error.svg"), kind.removeprefix("green-"), xs, errs,
+                 manifest, f"kernel error integral vs {var}")
         return EXIT_OK
     model = parse_model(cfg)
     curve = strong_error_study(_get(cfg, "convergence.ladder", list[tuple[int, float]]), model,
@@ -330,9 +326,8 @@ def cmd_convergence(args, cfg: dict) -> int:
               rows, manifest)
     xs = [tau for _, tau in curve.resolutions] if curve.mode == "temporal" \
         else [float(n) for n, _ in curve.resolutions]
-    svg_plot(_out(args, "strong_error.svg"),
-             [(curve.mode, xs, list(curve.errors))], manifest,
-             title=f"strong error ({curve.mode})", logx=True, logy=True,
+    svg_plot(_out(args, "strong_error.svg"), curve.mode, xs, curve.errors, manifest,
+             f"strong error ({curve.mode})",
              annotation=f"order={curve.fitted_order:.3f} +/- {curve.ci:.3f}")
     return EXIT_OK
 

@@ -69,9 +69,6 @@ class SchemeSpec:
         if self.stepper not in ("theta", "exponential"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
 
-    def t(self, i: int) -> float:
-        return i * self.tau
-
 
 @dataclass(frozen=True)
 class SigmaSpec:
@@ -100,9 +97,9 @@ class SigmaSpec:
         if self.kind != "table":
             raise ValueError(f"unknown sigma kind {self.kind!r}")
         if len(self.points) < 2:
-            raise ValueError("table sigma needs at least two samples")
+            raise ValueError("points (the sigma table) must hold at least two samples")
         if np.any(np.diff([p[0] for p in self.points]) <= 0):
-            raise ValueError("table sample abscissae must be strictly increasing")
+            raise ValueError("points (the sigma table) must have strictly increasing x")
 
     def __call__(self, x):
         """sigma(x) as a new float array, never a view of x: callers such as
@@ -135,14 +132,14 @@ class InitialData:
     @staticmethod
     def constant(value: float) -> "InitialData":
         if not value > 0.0:
-            raise ValueError("constant initial data u0 must be positive")
+            raise ValueError(f"value (the constant u0) must be positive, got {value!r}")
         return InitialData(kind="constant", value=float(value))
 
     @staticmethod
     def grid_samples(samples: Sequence[float]) -> "InitialData":
         arr = tuple(float(s) for s in samples)
         if any(s < 0.0 for s in arr):
-            raise ValueError("initial samples u0 must be nonnegative")
+            raise ValueError("values (the initial samples u0) must be nonnegative")
         return InitialData(kind="samples", samples=arr)
 
     def __post_init__(self):
@@ -155,8 +152,8 @@ class InitialData:
         if self.kind == "constant":
             return np.full(grid.n, self.value)
         if len(self.samples) != grid.n:
-            raise ValueError(
-                f"initial samples have length {len(self.samples)}, grid has {grid.n}")
+            raise ValueError("values (the initial samples u0) must be one per grid point: "
+                             f"{grid.n} expected, got {len(self.samples)}")
         return np.array(self.samples, dtype=float)
 
 

@@ -175,8 +175,11 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
     noise at a time, and each record is tallied as soon as it is reached.
     The standard errors come from each batch's sum of squared deviations,
     merged across batches by the pairwise update of Chan, Golub and LeVeque,
-    so weak noise does not cancel them away.  On blow-up the series is
-    truncated at the last record that every path reached, and flagged.
+    so weak noise does not cancel them away.  On blow-up each order's series
+    is truncated at the last record that every path reached and whose value
+    and standard error are finite (a high power of |u| near the horizon
+    overflows), and flagged; when no record was reached by every path, the
+    blow-up is raised.
     """
     p_list = [float(q) for q in (p if isinstance(p, (list, tuple)) else [p])]
     if any(q < 1 for q in p_list):
@@ -205,18 +208,20 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
         base = (np.abs(states[:, index]) if index is not None
                 else np.abs(states.T, order="C").min(axis=0))
         r, na, nb = pos[i], counts[pos[i]], len(base)
-        for k, q in enumerate(p_list):
-            sample = base ** q
-            total = sample.sum()
-            mean = total / nb
-            sample -= mean
-            sample *= sample
-            dev = sample.sum()
-            if na > 0:
-                delta = mean - s1[r, k] / na
-                dev += delta * delta * na * nb / (na + nb)
-            s1[r, k] += total
-            m2[r, k] += dev
+        # near the horizon a high power overflows to inf or nan, cut below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, q in enumerate(p_list):
+                sample = base ** q
+                total = sample.sum()
+                mean = total / nb
+                sample -= mean
+                sample *= sample
+                dev = sample.sum()
+                if na > 0:
+                    delta = mean - s1[r, k] / na
+                    dev += delta * delta * na * nb / (na + nb)
+                s1[r, k] += total
+                m2[r, k] += dev
         counts[r] += nb
 
     for start in range(0, paths, batch_paths):
@@ -228,13 +233,15 @@ def mc_moment(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec, p, probe,
                 if i in pos:
                     tally(i, states)
         except BlowupError as err:
-            steps = err.step_index - 1  # later batches stop before the horizon
+            blowup, steps = err, err.step_index - 1  # later batches stop before it
     kept = int(np.sum(counts == paths))  # the records every path reached: a prefix
+    if not kept:
+        raise blowup
     results = []
     for k, q in enumerate(p_list):
         vals = s1[:kept, k] / paths
         errs = np.sqrt(m2[:kept, k] / (paths * (paths - 1)))
-        good = np.isfinite(vals)  # per-sample overflow at high p: truncate there
+        good = np.isfinite(vals) & np.isfinite(errs)
         stop = kept if good.all() else int(np.argmin(good))
         results.append(MomentSeries(times=np.array(record_set[:stop]) * scheme.tau,
                                     values=vals[:stop], p=q, stderr=errs[:stop],

@@ -156,6 +156,32 @@ class TestMoments:
         err = capsys.readouterr().err
         assert "horizon reached at t=0.0;" in err and "np." not in err
 
+    def test_moment_overflow_at_first_record_warns(self, tmp_path, capsys):
+        # |u0|^4 = 1e400 overflows before any step: no row is kept, and no
+        # blow-up step is made up
+        cfg = write_config(tmp_path, {**_model(u0={"kind": "constant", "value": 1e100}),
+                                      "moments": {"mode": "mc", "p": 4, "times": [0, 0.001],
+                                                  "paths": 10}})
+        assert main(["moments", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert "horizon reached at the first record;" in capsys.readouterr().err
+        assert read_csv(tmp_path / "moments.csv")[1:] == ["t,moment,stderr"]
+
+    @pytest.mark.parametrize("times,code", [([k * 0.01 for k in range(41)], 0),
+                                            ([0.39, 0.4], 3)])
+    def test_mc_mode_near_horizon(self, tmp_path, capsys, times, code):
+        # a path first passes the limit at step 366: the p = 4 series keeps
+        # only finite rows, and with no record before it the run names that step
+        cfg = write_config(tmp_path, {"seed": 5, **_model(**{"lambda": 40.0}), "moments": {
+            "mode": "mc", "p": 4, "probe": "min", "times": times, "paths": 1000}})
+        assert main(["moments", "--config", cfg, "--out-dir", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "at step 366: |u| = 1.37e+150" in err
+            assert not (tmp_path / "moments.csv").exists()
+        else:
+            rows = [line.split(",") for line in read_csv(tmp_path / "moments.csv")[2:]]
+            assert rows and np.isfinite(np.array(rows, dtype=float)).all()
+
     def test_non_contractive_step_exit_2(self, tmp_path, capsys):
         # admitted, but r1 r2 rounds to 1 on the nonconstant modes
         cfg = write_config(tmp_path, {"grid": {"n": 3},
@@ -347,6 +373,18 @@ def test_mistyped_value_exit_2_naming_key(tmp_path, capsys, command, extra, key)
     ("simulate", {"grid": {"n": 0}, "simulate": {"steps": 5}}, "grid.n"),
     ("simulate", {"scheme": {"tau": 0.0}, "simulate": {"steps": 5}}, "scheme.tau"),
     ("simulate", {"simulate": {"steps": 5}, **_model(**{"lambda": -1.0})}, "model.lambda"),
+    ("simulate", {"simulate": {"steps": 5}, **_model(u0={"kind": "constant", "value": -1.0})},
+     "model.u0.value"),
+    ("simulate", {"simulate": {"steps": 5}, **_model(u0={"kind": "samples", "values": [1.0] * 3})},
+     "model.u0.values"),
+    ("simulate", {"simulate": {"steps": 5},
+                  **_model(u0={"kind": "samples", "values": [1.0] * 7 + [-1.0]})},
+     "model.u0.values"),
+    ("simulate", {"simulate": {"steps": 5}, **_model(sigma={"kind": "table", "points": [[0, 1]]})},
+     "model.sigma.points"),
+    ("simulate", {"simulate": {"steps": 5},
+                  **_model(sigma={"kind": "table", "points": [[1, 1], [0, 0]]})},
+     "model.sigma.points"),
 ])
 def test_library_range_refusal_exit_2_naming_key(tmp_path, capsys, command, extra, key):
     # the range stays the library's; the CLI names the key whose value it refused

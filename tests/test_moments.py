@@ -499,6 +499,25 @@ class TestMcMoment:
         assert series.horizon_reached
         assert series.times[-1] < 0.5
 
+    def test_overflow_near_horizon_keeps_only_finite_records(self):
+        # a path blows up at step 366; |u|^p near the limit overflows before
+        # that, and each order is cut at its first record whose value or
+        # stderr is not finite, without a RuntimeWarning
+        grid, scheme, model = make(8, 1e-3, 1.0, 40.0)
+        times = [k * 0.01 for k in range(41)]
+        got = mc_moment(grid, scheme, model, [1, 2, 4], "min", times, 1000, seed=5)
+        for series in got:
+            assert series.horizon_reached and len(series.times) > 0
+            assert np.isfinite(series.values).all() and np.isfinite(series.stderr).all()
+        lengths = [len(series.times) for series in got]
+        assert lengths == sorted(lengths, reverse=True)
+
+    def test_no_record_reached_raises_the_blowup(self):
+        grid, scheme, model = make(8, 1e-3, 1.0, 40.0)
+        with pytest.raises(BlowupError, match="at step 366: ") as err:
+            mc_moment(grid, scheme, model, 2, "min", [0.39, 0.4], 1000, seed=5)
+        assert err.value.magnitude > 1e150
+
 
 class TestFitGrowth:
     def test_pure_exponential(self):

@@ -23,10 +23,9 @@ def test_public_exports_resolve(name):
 
 def test_version_matches_manifest_stamp():
     import shelab
-    from shelab.output import RunManifest
+    from shelab.output import manifest_line
 
-    manifest = RunManifest(config={}, seed=0)
-    assert shelab.__version__ in manifest.header_line()
+    assert shelab.__version__ in manifest_line({}, 0)
 
 
 def fresh_import_all(after: str, before: str = "") -> list[str]:
