@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (AmplificationFactors, SpectralBasis,
-                      full_green, full_green_square_integral, heat_kernel,
-                      heat_kernel_square_integral, semi_green,
-                      semi_green_square_integral)
+from .kernels import (AmplificationFactors, full_green, full_green_square_integral,
+                      heat_kernel, heat_kernel_square_integral, semi_green,
+                      semi_green_square_integral, spectral_basis)
 from .model import SchemeSpec
 from .solver import discrete_laplacian
 
@@ -68,15 +67,6 @@ class CheckResult:
 
 def _result(name: str) -> CheckResult:
     return CheckResult(name=name, passed=True, worst_margin=float("inf"))
-
-
-def _make_basis(n: int, eigenvalue_perturbation: float) -> SpectralBasis:
-    basis = SpectralBasis(n)
-    if eigenvalue_perturbation:
-        basis.eigenvalues = basis.eigenvalues.copy()
-        basis.eigenvalues[1] *= 1.0 + eigenvalue_perturbation
-        basis.eigenvalues[n - 1] *= 1.0 + eigenvalue_perturbation
-    return basis
 
 
 def _y_nodes():
@@ -132,8 +122,7 @@ def _check_lattice(ns, thetas) -> list[int]:
     return [int(n) for n in ns]
 
 
-def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS,
-                eigenvalue_perturbation: float = 0.0) -> list[CheckResult]:
+def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS) -> list[CheckResult]:
     """Every check over the whole of T_GRID per lattice point; raises
     ValueError for an empty lattice, an n that is not an integer >= 3 or a
     theta outside [0, 1]."""
@@ -179,7 +168,7 @@ def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS,
     results["continuous-square-upper"].merge_all(upper - sq, at)
 
     for n in ns:
-        basis = _make_basis(n, eigenvalue_perturbation)
+        basis = spectral_basis(n)
         cells = (np.arange(n) + 0.5) / n
 
         # eigenpairs against the second-difference stencil

@@ -16,8 +16,6 @@ from functools import cache
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin
 
-import numpy as np
-
 from . import __version__
 from .checks import DEFAULT_NS, DEFAULT_THETAS, lemma_suite
 from .convergence import green_error_full, green_error_semi, strong_error_study
@@ -188,7 +186,7 @@ def _out(args, name: str) -> str:
 def cmd_green_check(args, cfg: dict) -> int:
     ns = _get(cfg, "green_check.ns", list[int], DEFAULT_NS)
     thetas = _get(cfg, "green_check.thetas", list[float], DEFAULT_THETAS)
-    results = lemma_suite(ns, thetas, 1e-3 if args.inject_fault else 0.0)
+    results = lemma_suite(ns, thetas)
     failed = [r for r in results if not r.passed]
     if args.json:
         payload = [{"name": r.name, "passed": r.passed,
@@ -262,7 +260,6 @@ def cmd_sweep(args, cfg: dict) -> int:
                                   lambdas=_get(cfg, "sweep.lambdas", list[float], least=2),
                                   theta=_get(cfg, "sweep.theta", float, 1.0),
                                   sigma_slope=_get(cfg, "sweep.sigma_slope", float, 1.0),
-                                  gate_safety=_get(cfg, "sweep.gate_safety", float, 0.5),
                                   threads=_threads(args))
     manifest = _manifest(cfg)
     write_csv(_out(args, "sweep.csv"),
@@ -270,9 +267,9 @@ def cmd_sweep(args, cfg: dict) -> int:
               list(result.rows()), manifest)
     write_csv(_out(args, "sweep_fit.csv"), ["loglog_slope", "slope_ci", "zeta"],
               [(result.slope, result.slope_ci, result.zeta)], manifest)
-    good = [p for p in result.points if np.isfinite(p.gamma2)]
-    svg_plot(_out(args, "sweep.svg"), "gamma2(lambda)", [p.lam for p in good],
-             [p.gamma2 for p in good], manifest, "second-moment growth rate vs noise level",
+    svg_plot(_out(args, "sweep.svg"), "gamma2(lambda)", [p.lam for p in result.points],
+             [p.gamma2 for p in result.points], manifest,
+             "second-moment growth rate vs noise level",
              annotation=f"slope={result.slope:.3f} +/- {result.slope_ci:.3f}")
     return EXIT_OK
 
@@ -319,8 +316,7 @@ def cmd_convergence(args, cfg: dict) -> int:
                                theta=_get(cfg, "convergence.theta", float, 1.0),
                                T=_get(cfg, "convergence.T", float),
                                paths=_get(cfg, "convergence.paths", int),
-                               seed=_get(cfg, "seed", int, 0),
-                               probe_x=_get(cfg, "convergence.probe_x", float, 0.0))
+                               seed=_get(cfg, "seed", int, 0))
     rows = [(n, tau, float(e), 0.0) for (n, tau), e in zip(curve.resolutions, curve.errors)]
     write_csv(_out(args, "strong_error.csv"), ["n", "tau", "error", "stderr"],
               rows, manifest)
@@ -353,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, needs_config=False)
     p.set_defaults(fn=cmd_green_check, out_dir=None)  # table to stdout unless a dir is named
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--inject-fault", action="store_true",
-                   help="perturb an eigenvalue; the suite must fail")
     for name, fn in (("simulate", cmd_simulate), ("moments", cmd_moments),
                      ("sweep", cmd_sweep), ("renewal", cmd_renewal),
                      ("convergence", cmd_convergence)):

@@ -182,7 +182,7 @@ def green_error_full(n: int, tau: float, theta: float, x: float = 0.0) -> float:
     scheme = SchemeSpec(tau=tau, theta=theta)
     validate_run_config(GridSpec(n), scheme, "step-size regime inadmissible")
     basis = spectral_basis(n)
-    factors = AmplificationFactors(basis, scheme)
+    factors = AmplificationFactors(basis, scheme).require_stable()
     prof = basis.modes(x)
 
     def d_of_t(t):
@@ -206,11 +206,11 @@ def green_error_full(n: int, tau: float, theta: float, x: float = 0.0) -> float:
 
 
 def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
-                       paths: int, seed: int, probe_x: float = 0.0,
-                       fit_separation: float = 4.0) -> ErrorCurve:
-    """Root-mean-square error at time T and a shared probe point for every
-    ladder rung against the finest rung, all driven by one Brownian sheet:
-    path k reads the "strong" stream of (seed, k), in batches of 100 paths.
+                       paths: int, seed: int, fit_separation: float = 4.0) -> ErrorCurve:
+    """Root-mean-square error at time T and x = 0 (grid index 0 of every
+    rung) for every ladder rung against the finest rung, all driven by one
+    Brownian sheet: path k reads the "strong" stream of (seed, k), in
+    batches of 100 paths.
 
     ladder: list of (n, tau) pairs ordered coarse -> fine; the last entry is
     the reference.  Every rung's (n, tau) must nest into the reference by
@@ -251,16 +251,11 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
     chunk = math.lcm(*(tf for _, tf in factors))  # a coarsest step when the factors nest
     if m_f % chunk:
         raise ValueError("T must cover a whole number of coarsest steps")
-    ops, probes = [], []
+    ops = []
     for (n_r, tau_r) in ladder:
         scheme = SchemeSpec(tau=tau_r, theta=theta)
         validate_run_config(GridSpec(n_r), scheme, f"invalid rung ({n_r}, {tau_r})")
-        op = StepOperator(n_r, scheme, model)
-        ops.append(op)
-        idx = probe_x * n_r
-        if abs(idx - round(idx)) > 1e-9:
-            raise ValueError(f"probe {probe_x} is not a grid point of n={n_r}")
-        probes.append(int(round(idx)) % n_r)
+        ops.append(StepOperator(n_r, scheme, model))
     ns = {n for n, _ in rungs}
     taus = {t for _, t in rungs}
     if len(taus) > 1 and len(ns) == 1:
@@ -302,9 +297,9 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
                   for (nr, _) in ladder]
         for read in noise_reads(m_f, chunk_cells, chunk):
             advance(gens, states, read)
-        ref = states[-1][:, probes[-1]]
+        ref = states[-1][:, 0]
         for r in range(len(rungs)):
-            d = states[r][:, probes[r]] - ref
+            d = states[r][:, 0] - ref
             sq_err[r] += float(np.dot(d, d))
     errors = np.sqrt(sq_err / paths)
     slope, ci, _, _ = ols(np.log(coords[mask]), np.log(errors[mask]))

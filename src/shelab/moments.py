@@ -300,7 +300,6 @@ class SweepPoint:
     gamma2: float
     ci_halfwidth: float
     gate_ok: bool
-    flags: tuple = ()
 
 
 @dataclass
@@ -315,26 +314,15 @@ class SweepResult:
             yield (p.lam, p.n, p.tau, p.gamma2, p.ci_halfwidth, p.gate_ok)
 
 
-def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float,
-                 gate_safety: float) -> SweepPoint:
+def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float) -> SweepPoint:
     j0 = abs(sigma_slope)
     n = max(3, int(math.ceil(zeta * lam ** 2)))
-    tau = gate_safety / sharp_gate(n, 1.0, j0, lam, zeta)[0]  # the sum is linear in tau
+    tau = 0.5 / sharp_gate(n, 1.0, j0, lam, zeta)[0]  # half the gate: the sum is linear in tau
     scheme = SchemeSpec(tau=tau, theta=theta)
     model = ModelSpec(lam=lam, sigma=SigmaSpec.linear(sigma_slope),
                       u0=InitialData.constant(1.0))
     grid = GridSpec(n)
-    flags = []
     gate_ok = not sharp_gate(n, tau, j0, lam, zeta)[1]
-    if not gate_ok:
-        flags.append("sharp-regime gate violated")
-    try:
-        validate_run_config(grid, scheme)
-    except ValueError as err:
-        if "stability regime violated" not in str(err):
-            raise  # a theta or tau out of range is an error, not a flagged point
-        flags.append("stability violated")
-        return SweepPoint(lam, n, tau, float("nan"), float("nan"), gate_ok, tuple(flags))
     t_pos = positivity_time_full(n, tau, theta)
     gamma_guess = math.log1p(lam ** 2 * j0 ** 2 * tau) / tau
     horizon = t_pos + 3.0 / gamma_guess  # three e-folds past the positivity time
@@ -345,32 +333,35 @@ def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float,
     series = second_moment_series(moments, tau, probe="min")
     window = (max(t_pos, 0.2 * horizon), horizon)
     fit = fit_growth(series, window)
-    return SweepPoint(lam, n, tau, fit.gamma, fit.ci_halfwidth, gate_ok, tuple(flags))
+    return SweepPoint(lam, n, tau, fit.gamma, fit.ci_halfwidth, gate_ok)
 
 
 def lambda_scaling_sweep(zeta: float, lambdas, theta: float = 1.0,
-                         sigma_slope: float = 1.0, gate_safety: float = 0.5,
-                         threads: int = 1) -> SweepResult:
+                         sigma_slope: float = 1.0, threads: int = 1) -> SweepResult:
     """Fitted gamma_2 against lambda with n = max(3, ceil(zeta lambda^2)) and
-    tau chosen to pass the sharp-regime gate; regime violations are flagged
-    per point, and fewer than two finite gamma_2 raise ValueError.  Points
-    run on a worker pool when threads > 1; results aggregate in input order.
-    zeta must be finite and positive, sigma_slope finite and nonzero.  u0 = 1:
-    a constant u0 scales every moment matrix by u0^2 and leaves gamma_2."""
+    tau at half the sharp-regime gate, so every point lies inside the gate
+    (gate_ok) and, with n^2 tau < 1/(32 pi) < 1/2, inside the theta < 1/2
+    stability bound.  Points run on a worker pool when threads > 1; results
+    aggregate in input order.  zeta must be finite and positive, sigma_slope
+    finite and nonzero, and the lambdas at least two, each > 0 with
+    zeta lambda^2 finite.  u0 = 1: a constant u0 scales every moment matrix
+    by u0^2 and leaves gamma_2."""
     if not (math.isfinite(zeta) and zeta > 0.0):
         raise ValueError(f"zeta must be finite and > 0, got {zeta!r}")
     if not (math.isfinite(sigma_slope) and sigma_slope != 0.0):
         raise ValueError(f"sigma_slope must be finite and nonzero, got {sigma_slope!r}")
+    lambdas = list(lambdas)
+    bad = [lam for lam in lambdas if not (lam > 0.0 and math.isfinite(zeta * lam * lam))]
+    if bad:
+        raise ValueError(f"lambdas must be > 0 with zeta*lambda^2 finite, got {bad}")
+    if len(lambdas) < 2:
+        raise ValueError(f"lambdas: the lambda^4 fit needs two points, got {len(lambdas)}")
 
     def point(lam):
-        return _sweep_point(zeta, lam, theta, sigma_slope, gate_safety)
+        return _sweep_point(zeta, lam, theta, sigma_slope)
 
     points = pmap(point, lambdas, threads)
-    good = [p for p in points if np.isfinite(p.gamma2)]
-    if len(good) < 2:
-        raise ValueError(f"the lambda^4 fit needs two points with finite gamma_2, got "
-                         f"{len(good)} of {len(points)}; flags: {[p.flags for p in points]}")
-    slope, ci, _, _ = ols(np.log([p.lam for p in good]), np.log([p.gamma2 for p in good]))
+    slope, ci, _, _ = ols(np.log([p.lam for p in points]), np.log([p.gamma2 for p in points]))
     return SweepResult(points=points, slope=slope, slope_ci=ci, zeta=zeta)
 
 
@@ -390,8 +381,8 @@ def intermittency_report(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec,
     gamma_2 > 0, gamma_p finite over the horizon, and p -> gamma_p / p
     nondecreasing within confidence intervals."""
     allowed = {2, 4, 6}
-    if not set(int(p) for p in p_list) <= allowed:
-        raise ValueError(f"p_list must be a subset of {sorted(allowed)}")
+    if not set(p_list) <= allowed:  # 2.0 == 2 is in it; 2.5 is not
+        raise ValueError(f"p_list must be a subset of {sorted(allowed)}, got {list(p_list)}")
     p_list = sorted(set(int(p) for p in p_list))
     t_pos = positivity_time_full(grid.n, scheme.tau, scheme.theta, scheme.stepper)
     times = [i * scheme.tau for i in range(0, horizon_steps + 1,

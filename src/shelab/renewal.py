@@ -151,10 +151,14 @@ def sqrt_exp_series(a: float) -> float:
 
 def discrete_mu(lam: float, j0: float, n: int, tau: float, zeta: float) -> RenewalRoot:
     """Root of the discrete mass equation on (eps, 1) with
-    eps = 16 pi zeta / (J0^2 + 32 pi zeta); requires the sharp-regime gate.
+    eps = 16 pi zeta / (J0^2 + 32 pi zeta); requires lambda, J0, n, tau and
+    zeta > 0 and the sharp-regime gate.
 
     The mass of g~ is b~ (h~(mu) + 1/b~), so its error at the root is
     |b~ h~(mu)|."""
+    for name, value in (("lambda", lam), ("j0", j0), ("n", n), ("tau", tau), ("zeta", zeta)):
+        if not value > 0:
+            raise ValueError(f"discrete_mu: {name} must be > 0, got {value!r}")
     violations = sharp_gate(n, tau, j0, lam, zeta)[1]
     if violations:
         raise GateViolation("; ".join(violations))

@@ -3,6 +3,8 @@ import math
 import pytest
 from scipy.optimize import brentq
 
+from shelab import checks
+from shelab.kernels import SpectralBasis
 from shelab.model import InitialData, ModelSpec, SigmaSpec
 
 
@@ -16,6 +18,17 @@ def pam_model():
 def quiet_model():
     """Noise switched off: deterministic heat equation oracle."""
     return ModelSpec(lam=0.0, sigma=SigmaSpec.linear(1.0), u0=InitialData.constant(1.0))
+
+
+def perturb_eigenvalues(monkeypatch, perturbation: float) -> None:
+    """Make the lemma suite see the eigenvalues 1 and n - 1 of every grid
+    scaled by 1 + perturbation: a fault its eigenpair check must catch."""
+    def perturbed(n: int) -> SpectralBasis:
+        basis = SpectralBasis(n)
+        basis.eigenvalues[[1, n - 1]] *= 1.0 + perturbation
+        return basis
+
+    monkeypatch.setattr(checks, "spectral_basis", perturbed)
 
 
 def const_sigma(c: float) -> SigmaSpec:

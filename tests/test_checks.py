@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from shelab.checks import CheckResult, lemma_suite
 from shelab.kernels import heat_kernel
 
+from conftest import perturb_eigenvalues
+
 
 def test_reduced_lattice_passes():
     results = lemma_suite(ns=(3, 4, 8), thetas=(0.0, 0.5, 1.0))
@@ -15,8 +17,9 @@ def test_reduced_lattice_passes():
     assert not failed, failed
 
 
-def test_fault_injection_names_failing_check():
-    results = lemma_suite(ns=(8,), thetas=(1.0,), eigenvalue_perturbation=1e-3)
+def test_fault_injection_names_failing_check(monkeypatch):
+    perturb_eigenvalues(monkeypatch, 1e-3)
+    results = lemma_suite(ns=(8,), thetas=(1.0,))
     failed = {r.name for r in results if not r.passed}
     assert "eigenpair-consistency" in failed
 
@@ -34,8 +37,10 @@ SUITE_CHECKS = [
 
 @pytest.mark.parametrize("perturbation,failing", [(0.0, set()),
                                                   (1e-3, {"eigenpair-consistency"})])
-def test_default_lattice_verdicts(perturbation, failing):
-    results = lemma_suite(eigenvalue_perturbation=perturbation)
+def test_default_lattice_verdicts(monkeypatch, perturbation, failing):
+    if perturbation:
+        perturb_eigenvalues(monkeypatch, perturbation)
+    results = lemma_suite()
     assert [r.name for r in results] == SUITE_CHECKS
     assert {r.name: r.passed for r in results} == {c: c not in failing for c in SUITE_CHECKS}
 

@@ -10,6 +10,8 @@ import shelab
 from shelab import cli
 from shelab.cli import build_parser, main
 
+from conftest import perturb_eigenvalues
+
 BASE_CONFIG = {
     "seed": 42,
     "grid": {"n": 8},
@@ -385,6 +387,14 @@ def test_mistyped_value_exit_2_naming_key(tmp_path, capsys, command, extra, key)
     ("simulate", {"simulate": {"steps": 5},
                   **_model(sigma={"kind": "table", "points": [[1, 1], [0, 0]]})},
      "model.sigma.points"),
+    # the sweep ended in a ZeroDivisionError and an OverflowError traceback
+    ("sweep", {"sweep": {"lambdas": [0.0, 1.0]}}, "sweep.lambdas"),
+    ("sweep", {"sweep": {"lambdas": [1.0, 1e200]}}, "sweep.lambdas"),
+    ("sweep", {"sweep": {"lambdas": [-1.0, 1.0]}}, "sweep.lambdas"),
+    *[("renewal", {"renewal": {"lambda": 1.0, "j0": 1.0, "n": 4, "tau": 1e-3, "zeta": 1.0,
+                               "which": "discrete", key: value}}, f"renewal.{key}")
+      for key, value in (("lambda", 0.0), ("j0", 0.0), ("n", 0), ("tau", -1e-3),
+                         ("zeta", -1.0))],
 ])
 def test_library_range_refusal_exit_2_naming_key(tmp_path, capsys, command, extra, key):
     # the range stays the library's; the CLI names the key whose value it refused
@@ -421,8 +431,9 @@ class TestGreenCheck:
         assert out["passed"] is True
         assert any(c["name"] == "full-grid-lower-refined" for c in out["checks"])
 
-    def test_fault_injection_exit_1(self, capsys):
-        rc = main(["green-check", "--inject-fault"])
+    def test_fault_injection_exit_1(self, capsys, monkeypatch):
+        perturb_eigenvalues(monkeypatch, 1e-3)
+        rc = main(["green-check"])
         assert rc == 1
         assert "eigenpair-consistency" in capsys.readouterr().out
 
@@ -471,6 +482,15 @@ class TestConvergenceCommand:
         lines = read_csv(tmp_path / "strong_error.csv")
         assert lines[1] == "n,tau,error,stderr"
         assert len(lines) == 2 + 3
+
+    def test_green_full_non_contractive_step_exit_2(self, tmp_path, capsys):
+        # the row 1e-18,inf,0.0 was written with exit 0
+        cfg = write_config(tmp_path, {"convergence": {"kind": "green-full", "n": 3,
+                                                      "theta": 1.0, "taus": [1e-18]}})
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert "|r1*r2| = 1 >= 1 at mode j=1" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_strong_unstable_rung_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"convergence": {

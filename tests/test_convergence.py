@@ -369,6 +369,12 @@ class TestGreenErrorFull:
         with pytest.raises(ValueError, match="inadmissible"):
             green_error_full(10, 0.01, 0.0)
 
+    def test_non_contractive_step_refused(self):
+        # admitted, but r1 r2 rounds to 1 on the nonconstant modes: the
+        # integral was inf
+        with pytest.raises(ValueError, match=r"\|r1\*r2\| = 1 >= 1 at mode j=1"):
+            green_error_full(3, 1e-18, 1.0)
+
     def test_resolved_vs_smooth_branch(self, monkeypatch):
         # forcing the smooth substitution must agree with the staircase-
         # resolving branch once the staircase is fine

@@ -550,7 +550,7 @@ class TestSweep:
         result = lambda_scaling_sweep(zeta=1.0, lambdas=[1.0, 1.5], theta=1.0)
         assert len(result.points) == 2
         for p in result.points:
-            assert p.gate_ok and not p.flags
+            assert p.gate_ok
             assert p.n >= 3 and p.gamma2 > 0.0
         assert np.isfinite(result.slope)
 
@@ -562,9 +562,9 @@ class TestSweep:
         assert [p.gamma2 for p in result.points] == [p.gamma2 for p in listed.points]
         assert result.slope == listed.slope
 
-    @pytest.mark.parametrize("lambdas,usable", [([1.0], "1 of 1"), ([], "0 of 0")])
+    @pytest.mark.parametrize("lambdas,usable", [([1.0], "got 1"), ([], "got 0")])
     def test_fewer_than_two_points_rejected(self, lambdas, usable):
-        with pytest.raises(ValueError, match=usable):
+        with pytest.raises(ValueError, match=f"^lambdas: .*two points, {usable}$"):
             lambda_scaling_sweep(zeta=1.0, lambdas=lambdas, theta=1.0)
 
     @pytest.mark.parametrize("key,value", [("zeta", 0.0), ("zeta", -2.0), ("zeta", math.nan),
@@ -574,10 +574,22 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"^{key} must be"):
             lambda_scaling_sweep(lambdas=[1.0, 1.5], **{"zeta": 1.0, key: value})
 
-    def test_all_points_flagged_rejected(self):
-        # theta = 0 at n^2 tau ~ 2 violates the explicit stability bound
-        with pytest.raises(ValueError, match="0 of 2.*stability violated"):
-            lambda_scaling_sweep(zeta=1.0, lambdas=[1.0, 1.5], theta=0.0, gate_safety=100.0)
+    def test_points_inside_both_regimes(self):
+        # tau at half the sharp gate gives n^2 tau < 1/(32 pi), inside the
+        # explicit stability bound n^2 tau < 1/(2 - 4 theta) as well
+        for theta in (0.0, 0.25):
+            result = lambda_scaling_sweep(zeta=1.0, lambdas=[1.0, 1.5, 2.0], theta=theta)
+            for p in result.points:
+                assert p.gate_ok and np.isfinite(p.gamma2) and p.gamma2 > 0.0, p
+                assert p.n ** 2 * p.tau < 1.0 / (32.0 * math.pi)
+            assert 2.0 <= result.slope <= 2.3, (theta, result.slope)
+
+    @pytest.mark.parametrize("lambdas", [[0.0, 1.0], [-1.0, 1.0], [1.0, 1e200],
+                                         [1.0, math.nan]])
+    def test_bad_lambdas_rejected(self, lambdas):
+        # 0 divided by zero, 1e200 overflowed in lam ** 2
+        with pytest.raises(ValueError, match="^lambdas must be > 0"):
+            lambda_scaling_sweep(zeta=1.0, lambdas=lambdas)
 
     def test_gamma2_exceeds_printed_lower_bound(self):
         result = lambda_scaling_sweep(zeta=1.0, lambdas=[1.0, 2.0], theta=1.0)
@@ -601,6 +613,15 @@ class TestIntermittencyReport:
         with pytest.raises(ValueError, match="subset"):
             intermittency_report(GridSpec(4), SchemeSpec(tau=0.01, theta=1.0),
                                  pam_model, [2, 3], 10, 8, seed=0)
+
+    def test_fractional_p_refused(self, quiet_model):
+        # int(p) fitted p = 2.5 and 4.9 as 2 and 4
+        with pytest.raises(ValueError, match=r"subset of \[2, 4, 6\], got \[2.5, 4.9\]"):
+            intermittency_report(GridSpec(4), SchemeSpec(tau=0.01, theta=1.0),
+                                 quiet_model, [2.5, 4.9], 10, 8, seed=0)
+        rep = intermittency_report(GridSpec(4), SchemeSpec(tau=0.01, theta=1.0),
+                                   quiet_model, [2.0, 4.0], 100, 8, seed=0)
+        assert sorted(rep.fits) == [2, 4]
 
     def test_zero_noise_rates_vanish(self, quiet_model):
         rep = intermittency_report(GridSpec(4), SchemeSpec(tau=0.01, theta=1.0),

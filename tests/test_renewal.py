@@ -151,6 +151,15 @@ class TestSeries:
 
 
 class TestDiscreteRoot:
+    @pytest.mark.parametrize("name,value", [("lambda", 0.0), ("j0", 0.0), ("n", 0),
+                                            ("tau", -1e-3), ("zeta", -1.0), ("zeta", 0.0)])
+    def test_nonpositive_input_refused(self, name, value):
+        # lambda or j0 = 0 reached the series as "a > 0", tau < 0 a math
+        # domain error, and zeta = -1 returned a root against a meaningless bound
+        args = {"lambda": 1.0, "j0": 1.0, "n": 4, "tau": 1e-3, "zeta": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^discrete_mu: {name} must be > 0, got {value!r}$"):
+            discrete_mu(*args.values())
+
     def test_gate_violations(self):
         with pytest.raises(GateViolation, match="gate"):
             discrete_mu(1.0, 1.0, 4, 0.1, 1.0)
