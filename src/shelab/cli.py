@@ -12,6 +12,7 @@ import os
 import re
 import sys
 from contextlib import suppress
+from dataclasses import asdict, astuple
 from functools import cache
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin
@@ -171,44 +172,30 @@ def parse_model(cfg: dict) -> ModelSpec:
     return ModelSpec(lam=_get(cfg, "model.lambda", float, 1.0), sigma=sigma, u0=u0)
 
 
-def _manifest(cfg: dict) -> str:
-    return manifest_line(cfg, _get(cfg, "seed", int, 0))
-
-
-def _out(args, name: str) -> str:
-    return os.path.join(args.out_dir, name)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (exit code, {file name: CSV (columns, rows) or SVG (label,
+# xs, ys, title, annotation)}), which main stamps and writes
 # ---------------------------------------------------------------------------
 
-def cmd_green_check(args, cfg: dict) -> int:
+def cmd_green_check(args, cfg: dict) -> tuple[int, dict]:
     ns = _get(cfg, "green_check.ns", list[int], DEFAULT_NS)
     thetas = _get(cfg, "green_check.thetas", list[float], DEFAULT_THETAS)
     results = lemma_suite(ns, thetas)
     failed = [r for r in results if not r.passed]
     if args.json:
-        payload = [{"name": r.name, "passed": r.passed,
-                    "worst_margin": r.worst_margin, "detail": r.detail}
-                   for r in results]
-        print(json.dumps({"passed": not failed, "checks": payload}, indent=2))
+        print(json.dumps({"passed": not failed, "checks": list(map(asdict, results))}, indent=2))
     else:
         width = max(len(r.name) for r in results)
         for r in results:
             status = "ok  " if r.passed else "FAIL"
             print(f"{status} {r.name:<{width}} margin={r.worst_margin:.3e} {r.detail}")
         print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    if args.out_dir:
-        manifest = _manifest(cfg)
-        write_csv(_out(args, "green_check.csv"),
-                  ["check", "passed", "worst_margin", "detail"],
-                  [(r.name, int(r.passed), r.worst_margin, r.detail.replace(",", ";"))
-                   for r in results], manifest)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    rows = [(r.name, int(r.passed), r.worst_margin, r.detail.replace(",", ";")) for r in results]
+    return (EXIT_CHECK_FAILED if failed else EXIT_OK,
+            {"green_check.csv": (["check", "passed", "worst_margin", "detail"], rows)})
 
 
-def cmd_simulate(args, cfg: dict) -> int:
+def cmd_simulate(args, cfg: dict) -> tuple[int, dict]:
     grid, scheme, model = parse_grid(cfg), parse_scheme(cfg), parse_model(cfg)
     record = _get(cfg, "simulate.record_indices", list[int], None)
     if record is None:
@@ -219,16 +206,14 @@ def cmd_simulate(args, cfg: dict) -> int:
     states = simulate(grid, scheme, model, seed, record)
     cols = ["t"] + [f"x_{j}" for j in range(grid.n)]
     rows = [(i * scheme.tau, *map(float, u)) for i, u in zip(record, states)]
-    write_csv(_out(args, "trajectory.csv"), cols, rows, _manifest(cfg))
-    return EXIT_OK
+    return EXIT_OK, {"trajectory.csv": (cols, rows)}
 
 
-def cmd_moments(args, cfg: dict) -> int:
+def cmd_moments(args, cfg: dict) -> tuple[int, dict]:
     grid, scheme, model = parse_grid(cfg), parse_scheme(cfg), parse_model(cfg)
     exact = _get(cfg, "moments.mode", Literal["exact", "mc"], "exact") == "exact"
     probe = _get(cfg, "moments.probe", Literal["min"] | int, "min" if exact else 0)
     window = _get(cfg, "moments.fit", bool | tuple[float, float], False)
-    manifest = _manifest(cfg)
     if exact:
         moments = exact_second_moment_recursion(
             grid, scheme, model, _get(cfg, "moments.steps", int),
@@ -245,36 +230,33 @@ def cmd_moments(args, cfg: dict) -> int:
             at = f"t={float(series.times[-1])!r}" if rows else "the first record"
             print(f"warning: blow-up horizon reached at {at}; series truncated",
                   file=sys.stderr)
-    # true fits the default window, [lo, hi] that window
-    fit = window and fit_growth(series, None if window is True else window)
-    write_csv(_out(args, "moments.csv"), ["t", "moment", "stderr"], rows, manifest)
-    if fit:
-        write_csv(_out(args, "moments_fit.csv"),
-                  ["gamma", "ci_halfwidth", "r_squared", "window_lo", "window_hi"],
-                  [(fit.gamma, fit.ci_halfwidth, fit.r_squared, *fit.window)], manifest)
-    return EXIT_OK
+    artifacts = {"moments.csv": (["t", "moment", "stderr"], rows)}
+    if window:  # true fits the default window, [lo, hi] that window
+        fit = fit_growth(series, None if window is True else window)
+        artifacts["moments_fit.csv"] = (
+            ["gamma", "ci_halfwidth", "r_squared", "window_lo", "window_hi"],
+            [(fit.gamma, fit.ci_halfwidth, fit.r_squared, *fit.window)])
+    return EXIT_OK, artifacts
 
 
-def cmd_sweep(args, cfg: dict) -> int:
+def cmd_sweep(args, cfg: dict) -> tuple[int, dict]:
     result = lambda_scaling_sweep(zeta=_get(cfg, "sweep.zeta", float, 1.0),
                                   lambdas=_get(cfg, "sweep.lambdas", list[float], least=2),
                                   theta=_get(cfg, "sweep.theta", float, 1.0),
                                   sigma_slope=_get(cfg, "sweep.sigma_slope", float, 1.0),
                                   threads=_threads(args))
-    manifest = _manifest(cfg)
-    write_csv(_out(args, "sweep.csv"),
-              ["lambda", "n", "tau", "gamma2", "ci_halfwidth", "gate_ok"],
-              list(result.rows()), manifest)
-    write_csv(_out(args, "sweep_fit.csv"), ["loglog_slope", "slope_ci", "zeta"],
-              [(result.slope, result.slope_ci, result.zeta)], manifest)
-    svg_plot(_out(args, "sweep.svg"), "gamma2(lambda)", [p.lam for p in result.points],
-             [p.gamma2 for p in result.points], manifest,
-             "second-moment growth rate vs noise level",
-             annotation=f"slope={result.slope:.3f} +/- {result.slope_ci:.3f}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "sweep.csv": (["lambda", "n", "tau", "gamma2", "ci_halfwidth", "gate_ok"],
+                      list(map(astuple, result.points))),
+        "sweep_fit.csv": (["loglog_slope", "slope_ci", "zeta"],
+                          [(result.slope, result.slope_ci, result.zeta)]),
+        "sweep.svg": ("gamma2(lambda)", [p.lam for p in result.points],
+                      [p.gamma2 for p in result.points],
+                      "second-moment growth rate vs noise level",
+                      f"slope={result.slope:.3f} +/- {result.slope_ci:.3f}")}
 
 
-def cmd_renewal(args, cfg: dict) -> int:
+def cmd_renewal(args, cfg: dict) -> tuple[int, dict]:
     which = _get(cfg, "renewal.which", Literal["continuous", "discrete", "both"], "both")
     lam, j0, n = (_get(cfg, "renewal.lambda", float), _get(cfg, "renewal.j0", float, 1.0),
                   _get(cfg, "renewal.n", int))
@@ -286,16 +268,14 @@ def cmd_renewal(args, cfg: dict) -> int:
         tau = _get(cfg, "renewal.tau", float)
         root = discrete_mu(lam, j0, n, tau, _get(cfg, "renewal.zeta", float))
         rows.append((lam, n, tau, root.mu, root.mass_error, root.implied_rate))
-    write_csv(_out(args, "renewal.csv"),
-              ["lambda", "n", "tau", "mu", "mass_error", "implied_rate"],
-              rows, _manifest(cfg))
-    return EXIT_OK
+    return EXIT_OK, {"renewal.csv": (["lambda", "n", "tau", "mu", "mass_error", "implied_rate"],
+                                     rows)}
 
 
-def cmd_convergence(args, cfg: dict) -> int:
+def cmd_convergence(args, cfg: dict) -> tuple[int, dict]:
     kind = _get(cfg, "convergence.kind", Literal["green-semi", "green-full", "strong"],
                 "strong")
-    manifest, threads = _manifest(cfg), _threads(args)
+    threads = _threads(args)
     if kind != "strong":
         x = _get(cfg, "convergence.x", float, 0.0)
         if kind == "green-semi":
@@ -306,11 +286,10 @@ def cmd_convergence(args, cfg: dict) -> int:
             theta = _get(cfg, "convergence.theta", float, 1.0)
             var, xs = "tau", _get(cfg, "convergence.taus", list[float], least=1)
             errs = pmap(lambda tau: green_error_full(n, tau, theta, x=x), xs, threads)
-        write_csv(_out(args, "green_error.csv"), [var, "error", "stderr"],
-                  [(v, e, 0.0) for v, e in zip(xs, errs)], manifest)
-        svg_plot(_out(args, "green_error.svg"), kind.removeprefix("green-"), xs, errs,
-                 manifest, f"kernel error integral vs {var}")
-        return EXIT_OK
+        return EXIT_OK, {
+            "green_error.csv": ([var, "error", "stderr"], [(v, e, 0.0) for v, e in zip(xs, errs)]),
+            "green_error.svg": (kind.removeprefix("green-"), xs, errs,
+                                f"kernel error integral vs {var}", "")}
     model = parse_model(cfg)
     curve = strong_error_study(_get(cfg, "convergence.ladder", list[tuple[int, float]]), model,
                                theta=_get(cfg, "convergence.theta", float, 1.0),
@@ -318,14 +297,12 @@ def cmd_convergence(args, cfg: dict) -> int:
                                paths=_get(cfg, "convergence.paths", int),
                                seed=_get(cfg, "seed", int, 0))
     rows = [(n, tau, float(e), 0.0) for (n, tau), e in zip(curve.resolutions, curve.errors)]
-    write_csv(_out(args, "strong_error.csv"), ["n", "tau", "error", "stderr"],
-              rows, manifest)
     xs = [tau for _, tau in curve.resolutions] if curve.mode == "temporal" \
         else [float(n) for n, _ in curve.resolutions]
-    svg_plot(_out(args, "strong_error.svg"), curve.mode, xs, curve.errors, manifest,
-             f"strong error ({curve.mode})",
-             annotation=f"order={curve.fitted_order:.3f} +/- {curve.ci:.3f}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "strong_error.csv": (["n", "tau", "error", "stderr"], rows),
+        "strong_error.svg": (curve.mode, xs, curve.errors, f"strong error ({curve.mode})",
+                             f"order={curve.fitted_order:.3f} +/- {curve.ci:.3f}")}
 
 
 @cache
@@ -363,7 +340,17 @@ def main(argv=None) -> int:
     cfg = _Config()
     try:
         cfg.update(_load_config(args.config) if args.config else {})
-        return args.fn(args, cfg)
+        code, artifacts = args.fn(args, cfg)
+        if args.out_dir:  # green-check writes only to a named directory
+            manifest = manifest_line(cfg, _get(cfg, "seed", int, 0))
+            for name, table in artifacts.items():
+                path = os.path.join(args.out_dir, name)
+                if name.endswith(".svg"):
+                    label, xs, ys, title, annotation = table
+                    svg_plot(path, label, xs, ys, manifest, title, annotation)
+                else:
+                    write_csv(path, *table, manifest)
+        return code
     except ValueError as err:  # the reader's refusal (ConfigError) or the library's
         # a clause of the message ("n < 3: ...", "; zeta must be ...") that
         # opens with the last name of a key read names that key

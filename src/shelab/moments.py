@@ -309,10 +309,6 @@ class SweepResult:
     slope_ci: float
     zeta: float
 
-    def rows(self):
-        for p in self.points:
-            yield (p.lam, p.n, p.tau, p.gamma2, p.ci_halfwidth, p.gate_ok)
-
 
 def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float) -> SweepPoint:
     j0 = abs(sigma_slope)
@@ -342,18 +338,19 @@ def lambda_scaling_sweep(zeta: float, lambdas, theta: float = 1.0,
     tau at half the sharp-regime gate, so every point lies inside the gate
     (gate_ok) and, with n^2 tau < 1/(32 pi) < 1/2, inside the theta < 1/2
     stability bound.  Points run on a worker pool when threads > 1; results
-    aggregate in input order.  zeta must be finite and positive, sigma_slope
-    finite and nonzero, and the lambdas at least two, each > 0 with
-    zeta lambda^2 finite.  u0 = 1: a constant u0 scales every moment matrix
-    by u0^2 and leaves gamma_2."""
-    if not (math.isfinite(zeta) and zeta > 0.0):
-        raise ValueError(f"zeta must be finite and > 0, got {zeta!r}")
-    if not (math.isfinite(sigma_slope) and sigma_slope != 0.0):
-        raise ValueError(f"sigma_slope must be finite and nonzero, got {sigma_slope!r}")
+    aggregate in input order.  zeta > 0 with zeta^2 in (0, inf), sigma_slope
+    nonzero with sigma_slope^4 finite and two or more lambdas, each > 0 with
+    (zeta lambda^2)^2 finite: the gate takes these powers.  u0 = 1: a
+    constant u0 scales every moment matrix by u0^2 and leaves gamma_2."""
+    if not (zeta > 0.0 and 0.0 < zeta * zeta < math.inf):
+        raise ValueError(f"zeta must be > 0 with zeta^2 in (0, inf), got {zeta!r}")
+    if not (sigma_slope != 0.0 and math.isfinite(math.prod([sigma_slope] * 4))):
+        raise ValueError(f"sigma_slope must be nonzero, sigma_slope^4 finite, got {sigma_slope!r}")
     lambdas = list(lambdas)
-    bad = [lam for lam in lambdas if not (lam > 0.0 and math.isfinite(zeta * lam * lam))]
+    bad = [lam for lam in lambdas
+           if not (lam > 0.0 and math.isfinite(math.prod([zeta, lam, lam] * 2)))]
     if bad:
-        raise ValueError(f"lambdas must be > 0 with zeta*lambda^2 finite, got {bad}")
+        raise ValueError(f"lambdas must be > 0 with (zeta*lambda^2)^2 finite, got {bad}")
     if len(lambdas) < 2:
         raise ValueError(f"lambdas: the lambda^4 fit needs two points, got {len(lambdas)}")
 

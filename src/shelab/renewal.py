@@ -102,15 +102,23 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
 
 
+def _check_inputs(where: str, inputs, squared) -> None:
+    """Refuse an input <= 0, or one in `squared` whose square is 0 or inf."""
+    for name, value in inputs:
+        if not value > 0:
+            raise ValueError(f"{where}: {name} must be > 0, got {value!r}")
+        if name in squared and not 0.0 < value * value < math.inf:
+            raise ValueError(f"{where}: {name} = {value!r} has the square {value * value!r}")
+
+
 def continuous_mu(lam: float, j0: float, n: int, zeta: float | None = None) -> RenewalRoot:
     """Root of the continuous mass equation on (0, 1), mass error |h(mu)|.
 
     The lower bound mu >= 8 pi zeta / (J0^2 + 8 pi zeta) is checked with the
-    supplied zeta, defaulting to the largest admissible one, n / lambda^2.
+    supplied zeta > 0, defaulting to the largest admissible one, n / lambda^2.
     """
-    for name, value in (("lambda", lam), ("j0", j0), ("n", n)):
-        if not value > 0:
-            raise ValueError(f"continuous_mu: {name} must be > 0, got {value!r}")
+    _check_inputs("continuous_mu", [("lambda", lam), ("j0", j0), ("n", n)]
+                  + ([] if zeta is None else [("zeta", zeta)]), squared=("lambda", "j0"))
     b = lam ** 2 * j0 ** 2 / math.sqrt(32.0 * math.pi)
     c = 2.0 * n * n * math.pi
 
@@ -156,9 +164,8 @@ def discrete_mu(lam: float, j0: float, n: int, tau: float, zeta: float) -> Renew
 
     The mass of g~ is b~ (h~(mu) + 1/b~), so its error at the root is
     |b~ h~(mu)|."""
-    for name, value in (("lambda", lam), ("j0", j0), ("n", n), ("tau", tau), ("zeta", zeta)):
-        if not value > 0:
-            raise ValueError(f"discrete_mu: {name} must be > 0, got {value!r}")
+    _check_inputs("discrete_mu", [("lambda", lam), ("j0", j0), ("n", n), ("tau", tau),
+                                  ("zeta", zeta)], squared=("lambda", "j0", "zeta"))
     violations = sharp_gate(n, tau, j0, lam, zeta)[1]
     if violations:
         raise GateViolation("; ".join(violations))

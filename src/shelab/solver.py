@@ -61,10 +61,10 @@ class BlowupError(RuntimeError):
             f"|u| = {magnitude:.3g} exceeds {BLOWUP_LIMIT:.0e}{where}")
 
 
-def discrete_laplacian(values: np.ndarray, n: int | None = None) -> np.ndarray:
+def discrete_laplacian(values: np.ndarray) -> np.ndarray:
     """Periodic second difference times n^2; annihilates constants exactly."""
     v = np.asarray(values, dtype=float)
-    n = v.shape[-1] if n is None else n
+    n = v.shape[-1]
     return n * n * (np.roll(v, -1, axis=-1) - 2.0 * v + np.roll(v, 1, axis=-1))
 
 
@@ -84,6 +84,7 @@ class StepOperator:
         self.model = model
         basis = spectral_basis(self.n)
         factors = AmplificationFactors(basis, scheme).require_stable()
+        validate_run_config(GridSpec(self.n), scheme)  # the paper's rule, stricter on odd n
         self.r2_is_one = bool(np.all(factors.r2 == 1.0))
         self.dense = self.n <= DENSE_MAX_N
         if self.dense:

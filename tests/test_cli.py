@@ -9,6 +9,7 @@ import pytest
 import shelab
 from shelab import cli
 from shelab.cli import build_parser, main
+from shelab.output import manifest_line
 
 from conftest import perturb_eigenvalues
 
@@ -395,6 +396,17 @@ def test_mistyped_value_exit_2_naming_key(tmp_path, capsys, command, extra, key)
                                "which": "discrete", key: value}}, f"renewal.{key}")
       for key, value in (("lambda", 0.0), ("j0", 0.0), ("n", 0), ("tau", -1e-3),
                          ("zeta", -1.0))],
+    # continuous zeta <= 0 wrote a row; the others ended in an OverflowError or
+    # a ZeroDivisionError traceback with exit 1
+    *[("renewal", {"renewal": {"lambda": 1.0, "j0": 1.0, "n": 4, "tau": 1e-3, "zeta": 1.0,
+                               "which": which, key: value}}, f"renewal.{key}")
+      for which, key, value in (("continuous", "zeta", -1.0), ("continuous", "zeta", 0.0),
+                                ("continuous", "lambda", 1e200), ("discrete", "lambda", 1e200),
+                                ("both", "lambda", 1e200), ("continuous", "j0", 1e200),
+                                ("discrete", "zeta", 1e-300))],
+    ("sweep", {"sweep": {"zeta": 1e-300, "lambdas": [1.0, 1.5]}}, "sweep.zeta"),
+    ("sweep", {"sweep": {"lambdas": [1.0, 1e100]}}, "sweep.lambdas"),
+    ("sweep", {"sweep": {"lambdas": [1.0, 1.5], "sigma_slope": 1e100}}, "sweep.sigma_slope"),
 ])
 def test_library_range_refusal_exit_2_naming_key(tmp_path, capsys, command, extra, key):
     # the range stays the library's; the CLI names the key whose value it refused
@@ -403,6 +415,39 @@ def test_library_range_refusal_exit_2_naming_key(tmp_path, capsys, command, extr
     assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command,extra,files", [
+    ("green-check", {"green_check": {"ns": [3, 4], "thetas": [1.0]}}, {"green_check.csv"}),
+    ("simulate", {"simulate": {"steps": 5}}, {"trajectory.csv"}),
+    ("moments", {"moments": {"steps": 50, "fit": True}}, {"moments.csv", "moments_fit.csv"}),
+    ("moments", {"moments": {"mode": "mc", "times": [0.0, 0.002], "paths": 4}}, {"moments.csv"}),
+    ("sweep", {"sweep": {"zeta": 1.0, "lambdas": [1.0, 1.5]}},
+     {"sweep.csv", "sweep_fit.csv", "sweep.svg"}),
+    ("renewal", {"renewal": {"lambda": 1.0, "n": 4, "tau": 1e-3, "zeta": 1.0}}, {"renewal.csv"}),
+    ("convergence", {"convergence": {"kind": "green-semi", "ns": [8, 16]}},
+     {"green_error.csv", "green_error.svg"}),
+    ("convergence", {"convergence": {"kind": "strong", "T": 0.0625, "paths": 4,
+                                     "ladder": [[8, 2.0 ** -6], [8, 2.0 ** -7], [8, 2.0 ** -12]]}},
+     {"strong_error.csv", "strong_error.svg"}),
+])
+def test_each_command_writes_its_files_under_one_manifest(tmp_path, monkeypatch, command, extra,
+                                                          files):
+    cfg = write_config(tmp_path, extra)
+    monkeypatch.chdir(tmp_path)
+    if command == "green-check":  # without --out-dir the table goes to stdout only
+        assert main([command, "--config", cfg]) == 0
+        assert os.listdir(tmp_path) == ["run.json"]
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 0
+    assert set(os.listdir(out)) == files
+    manifest = manifest_line(json.loads((tmp_path / "run.json").read_text()), 42)
+    for name in files:
+        first, second = (out / name).read_text().splitlines()[:2]
+        if name.endswith(".svg"):
+            assert second == f"<!-- {manifest[2:]} -->"
+        else:
+            assert first == manifest
 
 
 def test_integral_float_reads_as_int_and_config_is_not_written(tmp_path, monkeypatch):

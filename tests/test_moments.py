@@ -569,7 +569,11 @@ class TestSweep:
 
     @pytest.mark.parametrize("key,value", [("zeta", 0.0), ("zeta", -2.0), ("zeta", math.nan),
                                            ("zeta", math.inf), ("sigma_slope", 0.0),
-                                           ("sigma_slope", math.nan)])
+                                           ("sigma_slope", math.nan),
+                                           # zeta^2 = 0 divided by zero in the gate; zeta^2
+                                           # and sigma_slope^4 overflowed
+                                           ("zeta", 1e-300), ("zeta", 1e200),
+                                           ("sigma_slope", 1e100)])
     def test_bad_zeta_or_slope_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             lambda_scaling_sweep(lambdas=[1.0, 1.5], **{"zeta": 1.0, key: value})
@@ -585,9 +589,9 @@ class TestSweep:
             assert 2.0 <= result.slope <= 2.3, (theta, result.slope)
 
     @pytest.mark.parametrize("lambdas", [[0.0, 1.0], [-1.0, 1.0], [1.0, 1e200],
-                                         [1.0, math.nan]])
+                                         [1.0, math.nan], [1.0, 1e100]])
     def test_bad_lambdas_rejected(self, lambdas):
-        # 0 divided by zero, 1e200 overflowed in lam ** 2
+        # 0 divided by zero, 1e200 overflowed in lam ** 2, 1e100 in the gate's n^2
         with pytest.raises(ValueError, match="^lambdas must be > 0"):
             lambda_scaling_sweep(zeta=1.0, lambdas=lambdas)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -111,6 +112,12 @@ class TestContinuousRoot:
         with pytest.raises(ValueError):
             continuous_mu(0.0, 1.0, 4)
 
+    @pytest.mark.parametrize("zeta", [0.0, -1.0])
+    def test_nonpositive_zeta_refused(self, zeta):
+        # zeta = 0 returned lower_bound_ok against the bound 0
+        with pytest.raises(ValueError, match=f"^continuous_mu: zeta must be > 0, got {zeta!r}$"):
+            continuous_mu(1.0, 1.0, 4, zeta=zeta)
+
     @pytest.mark.parametrize("lam,n,zeta", [(1.0, 4, None)] + [
         (lam, max(1, math.ceil(zeta * lam ** 2)), zeta)
         for zeta in (0.5, 1.0, 2.0) for lam in (1.0, 2.0, 3.0)])
@@ -121,6 +128,22 @@ class TestContinuousRoot:
         # Brent stops with the root within xtol + 4 eps mu of mu, and
         # 0 < h' < 1 / mu^2, so |h(mu)| is bounded by their product
         assert root.mass_error <= (1e-13 + 4.0 * math.ulp(1.0) * root.mu) / root.mu ** 2
+
+
+@pytest.mark.parametrize("root,name,value", [
+    (continuous_mu, "lambda", 1e200), (continuous_mu, "j0", 1e200),
+    (continuous_mu, "lambda", 1e-200), (discrete_mu, "lambda", 1e200),
+    (discrete_mu, "j0", 1e200), (discrete_mu, "j0", 1e-200), (discrete_mu, "zeta", 1e-300),
+    (discrete_mu, "zeta", 1e200)])
+def test_input_whose_square_is_zero_or_inf_refused(root, name, value):
+    # the squares in b, b~ and the sharp gate overflowed (OverflowError) or
+    # underflowed to 0 (ZeroDivisionError, or no bracket for Brent)
+    args = {"lambda": 1.0, "j0": 1.0, "n": 4, "tau": 1e-3, "zeta": 1.0, name: value}
+    if root is continuous_mu:
+        del args["tau"], args["zeta"]
+    message = f"{root.__name__}: {name} = {value!r} has the square {value * value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        root(*args.values())
 
 
 class TestSeries:

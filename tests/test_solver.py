@@ -73,6 +73,15 @@ class TestThetaStep:
                 np.ones(10), np.zeros(10))
 
 
+    @pytest.mark.parametrize("n,coupling", [(7, 0.51), (9, 0.505)])
+    def test_paper_rule_enforced_where_the_step_contracts(self, pam_model, n, coupling):
+        # on odd grids |r1 r2| < 1 off mode 0, but theta = 0 needs n^2 tau < 1/2
+        scheme = SchemeSpec(tau=coupling / n ** 2, theta=0.0)
+        assert np.abs(AmplificationFactors(spectral_basis(n), scheme).r12[1:]).max() < 1.0
+        with pytest.raises(ValueError, match="stability regime violated"):
+            StepOperator(n, scheme, pam_model)
+
+
 def _rfft_step(n, tau, theta, stepper, lam, u, xi):
     # oracle: the mode factors act on the rfft coefficients (sigma(u) = u)
     lam_j = spectral_basis(n).eigenvalues[: n // 2 + 1]
