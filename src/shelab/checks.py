@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (AmplificationFactors, full_green, full_green_square_integral,
-                      heat_kernel, heat_kernel_square_integral, semi_green,
-                      semi_green_square_integral, spectral_basis)
+from .kernels import (TABLE_BYTES, AmplificationFactors, full_green,
+                      full_green_square_integral, heat_kernel, heat_kernel_square_integral,
+                      semi_green, semi_green_square_integral, spectral_basis)
 from .model import SchemeSpec
 from .solver import discrete_laplacian
 
@@ -112,9 +112,9 @@ def _check_lattice(ns, thetas) -> list[int]:
     if len(thetas) == 0:
         raise ValueError("thetas must name at least one theta")
     bad = [n for n in ns if isinstance(n, bool) or not isinstance(n, numbers.Real)
-           or not float(n).is_integer() or n < 3]
+           or not float(n).is_integer() or not (3 <= n and 16 * n * n <= TABLE_BYTES)]
     if bad:
-        raise ValueError(f"ns must be integers >= 3, got {bad}")
+        raise ValueError(f"ns must be integers in [3, 4096] (16 n^2 <= TABLE_BYTES), got {bad}")
     bad = [th for th in thetas
            if isinstance(th, bool) or not isinstance(th, numbers.Real) or not 0.0 <= th <= 1.0]
     if bad:

@@ -226,10 +226,9 @@ def cmd_moments(args, cfg: dict) -> tuple[int, dict]:
                            _get(cfg, "moments.paths", int), _get(cfg, "seed", int, 0))
         rows = [(float(t), float(v), float(e))
                 for t, v, e in zip(series.times, series.values, series.stderr)]
-        if series.horizon_reached:  # a moment may overflow at the first record
-            at = f"t={float(series.times[-1])!r}" if rows else "the first record"
-            print(f"warning: blow-up horizon reached at {at}; series truncated",
-                  file=sys.stderr)
+    if series.horizon_reached:  # a moment may overflow at the first record
+        at = f"t={float(series.times[-1])!r}" if rows else "the first record"
+        print(f"warning: blow-up horizon reached at {at}; series truncated", file=sys.stderr)
     artifacts = {"moments.csv": (["t", "moment", "stderr"], rows)}
     if window:  # true fits the default window, [lo, hi] that window
         fit = fit_growth(series, None if window is True else window)

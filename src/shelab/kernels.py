@@ -51,6 +51,9 @@ SPECTRAL_TERMS = 64
 CROSSOVER_TIME = 0.05
 # Largest (times x points x images) table one image-sum block builds (1 MiB).
 _IMAGE_BUDGET = 2 ** 17
+# Memory budget in bytes of one n x n complex128 table (16 n^2 bytes): 256 MiB,
+# so n <= 4096.  The sweep and the lemma suite refuse larger grids up front.
+TABLE_BYTES = 2 ** 28
 
 
 class SpectralBasis:
@@ -109,10 +112,13 @@ class SpectralBasis:
 
     def circulant(self, coeff: np.ndarray) -> np.ndarray:
         """The symmetric n x n Green matrix with Fourier eigenvalues coeff
-        (even in j): entry (q, l) = grid_values(coeff)[(q - l) mod n] / n;
-        a leading batch axis of coeff gives a stack of matrices."""
+        (even in j): entry (q, l) = grid_values(coeff)[(q - l) mod n] / n."""
         d = np.arange(self.n)
         return np.take(self._even_rows(coeff), d[None, :] - d[:, None], axis=-1, mode="wrap")
+
+    def circulant_diagonal(self, coeff: np.ndarray) -> np.ndarray:
+        """circulant(coeff).diagonal() bit for bit, one row per row of coeff."""
+        return np.repeat(self._even_rows(coeff)[..., :1], self.n, axis=-1)
 
 
 @lru_cache(maxsize=128)

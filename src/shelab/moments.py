@@ -6,11 +6,11 @@ lambda^2 n tau per cell,
 
     M_{i+1} = B M_i B^T + lambda^2 n tau c^2 * R1 diag(M_i)_{jj} R1^T.
 
-The matrices recorded at steps 0, k * record_every and the last step come
-back as one (records, n, n) array beside the int array of those steps
-(`MomentMatrices`).  For constant u0 every M_i is circulant, its Fourier
-eigenvalues evolve by mu_{i+1} = A mu_i with
-A = diag(b^2) + lambda^2 tau c^2 r1^2 1^T, and all recorded matrices come
+Callers read E u_q^2 only, so the diagonals at steps 0, k * record_every
+and the last step come back as one (records, n) array beside the int array
+of those steps (`MomentDiagonals`).  For constant u0 every M_i is
+circulant, its Fourier eigenvalues evolve by mu_{i+1} = A mu_i with
+A = diag(b^2) + lambda^2 tau c^2 r1^2 1^T, and all recorded diagonals come
 in closed form from one eigendecomposition of the symmetric conjugate
 diag(r1)^{-1} A diag(r1).  Other initial data step the recursion as
 M_{i+1} = B M_i B + R1 D_i R1, D_i the noise diagonal, with the dense
@@ -34,12 +34,12 @@ from scipy import special
 from .model import (GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec,
                     validate_run_config)
 from .noise import path_streams
-from .kernels import AmplificationFactors, spectral_basis
+from .kernels import TABLE_BYTES, AmplificationFactors, spectral_basis
 from .solver import BlowupError, StepOperator
 from .stability import positivity_time_full, sharp_gate
 
 __all__ = [
-    "MomentMatrices",
+    "MomentDiagonals",
     "MomentSeries",
     "GrowthFit",
     "SweepPoint",
@@ -55,12 +55,12 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class MomentMatrices:
-    """Second-moment matrices M_{jk} = E[u_j u_k]: matrices[r] (symmetric
-    PSD, one (records, n, n) array) at the step index steps[r]."""
+class MomentDiagonals:
+    """Second moments E[u_q^2], the diagonal of M_{jk} = E[u_j u_k]:
+    diagonals[r] (one (records, n) array) at the step index steps[r]."""
 
     steps: np.ndarray
-    matrices: np.ndarray
+    diagonals: np.ndarray
 
 
 @dataclass
@@ -86,7 +86,7 @@ class GrowthFit:
 
 def _constant_data_moments(r1: np.ndarray, b: np.ndarray, gain: float, i0: float,
                            steps: np.ndarray) -> np.ndarray:
-    """The (records, n, n) moment matrices at the step indices for u0 = i0.
+    """The (records, n) moment diagonals at the step indices for u0 = i0.
 
     Every M_k is circulant; its eigenvalues mu_k = A^k mu_0 with
     A = diag(b^2) + (gain/n) r1^2 1^T.  diag(r1) (r1 > 0) conjugates A to
@@ -96,13 +96,15 @@ def _constant_data_moments(r1: np.ndarray, b: np.ndarray, gain: float, i0: float
     n = len(r1)
     w, v = np.linalg.eigh(np.diag(b * b) + (gain / n) * np.outer(r1, r1))
     z = v[0] * (n * i0 * i0 / r1[0])
-    return spectral_basis(n).circulant((np.power(w, steps[:, None]) * z) @ v.T * r1)
+    return spectral_basis(n).circulant_diagonal((np.power(w, steps[:, None]) * z) @ v.T * r1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # second_moment_series cuts inf and nan
 def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: ModelSpec,
-                                  steps: int, record_every: int = 1) -> MomentMatrices:
-    """Exact (up to roundoff) second-moment matrices for linear sigma at
-    steps 0, k * record_every and `steps`; for constant u0 in closed form."""
+                                  steps: int, record_every: int = 1) -> MomentDiagonals:
+    """Exact (up to roundoff) second moments E u_q^2 for linear sigma at
+    steps 0, k * record_every and `steps` (inf or nan past the float range);
+    for constant u0 in closed form."""
     if not model.sigma.is_linear:
         raise ValueError("exact recursion supports linear sigma only; use Monte Carlo")
     validate_run_config(grid, scheme)
@@ -117,21 +119,20 @@ def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: Mod
     factors = AmplificationFactors(basis, scheme).require_stable()
     if np.all(u0 == u0[0]):
         out = _constant_data_moments(factors.r1, factors.r12, gain, float(u0[0]), record)
-        out[0] = np.outer(u0, u0)
-        return MomentMatrices(steps=record, matrices=out)
-    out = np.empty((len(record), grid.n, grid.n))
-    b, g = basis.circulant(factors.r12), basis.circulant(factors.r1)  # R1 R2 and R1
-    m = np.outer(u0, u0)
-    out[0] = m
-    r = 1
-    for i in range(1, steps + 1):
-        # noise feeds on the pre-step moments
-        m = b @ m @ b + (g * (gain * np.diag(m))) @ g
-        m = (m + m.T) / 2.0
-        if i == record[r]:
-            out[r] = m
-            r += 1
-    return MomentMatrices(steps=record, matrices=out)
+    else:
+        out = np.empty((len(record), grid.n))
+        b, g = basis.circulant(factors.r12), basis.circulant(factors.r1)  # R1 R2 and R1
+        m = np.outer(u0, u0)
+        r = 1
+        for i in range(1, steps + 1):
+            # noise feeds on the pre-step moments
+            m = b @ m @ b + (g * (gain * np.diag(m))) @ g
+            m = (m + m.T) / 2.0
+            if i == record[r]:
+                out[r] = np.diag(m)
+                r += 1
+    out[0] = u0 * u0
+    return MomentDiagonals(steps=record, diagonals=out)
 
 
 def _probe_index(probe, n: int) -> int | None:
@@ -144,13 +145,17 @@ def _probe_index(probe, n: int) -> int | None:
     return int(probe)
 
 
-def second_moment_series(moments: MomentMatrices, tau: float, probe="min") -> MomentSeries:
-    """Diagonal of the recursion as a moment series at a probe point or the
-    grid infimum (min over grid points, matching the lower-bound theorems)."""
-    index = _probe_index(probe, moments.matrices.shape[1])
-    diagonals = moments.matrices.diagonal(axis1=1, axis2=2)
+def second_moment_series(moments: MomentDiagonals, tau: float, probe="min") -> MomentSeries:
+    """The recursion's moments as a series at a probe point or the grid
+    infimum (min over grid points, matching the lower-bound theorems), cut
+    before its first value past the float range and then horizon_reached."""
+    diagonals = moments.diagonals
+    index = _probe_index(probe, diagonals.shape[1])
     values = diagonals.min(axis=1) if index is None else diagonals[:, index].copy()
-    return MomentSeries(times=moments.steps * tau, values=values, p=2.0)
+    finite = np.isfinite(values)
+    stop = len(values) if finite.all() else int(np.argmin(finite))
+    return MomentSeries(times=moments.steps[:stop] * tau, values=values[:stop], p=2.0,
+                        horizon_reached=stop < len(values))
 
 
 def _snap_indices(times, tau: float) -> list[int]:
@@ -280,7 +285,7 @@ def fit_growth(series: MomentSeries, window: tuple | None = None) -> GrowthFit:
     t = np.asarray(series.times, dtype=float)
     v = np.asarray(series.values, dtype=float)
     if window is None:
-        window = (0.2 * t[-1], t[-1])
+        window = (0.2 * t[-1], t[-1]) if len(t) else (0.0, 0.0)
     ta, tb = window
     mask = (t >= ta) & (t <= tb)
     if mask.sum() < 5:
@@ -310,14 +315,34 @@ class SweepResult:
     zeta: float
 
 
+# Most steps a sweep point may take to its positivity tail: positivity_time_full
+# scans back from the tail, so its time grows with it.
+SWEEP_STEPS = 10 ** 8
+
+
+def _sweep_grid(zeta: float, lam: float, theta: float, j0: float) -> tuple[GridSpec, SchemeSpec]:
+    """n = max(3, ceil(zeta lambda^2)) and tau at half the sharp gate (its sum
+    is linear in tau), refused past SWEEP_STEPS steps to the positivity tail
+    or past 2^62, the int64 step indices, to three e-folds of growth."""
+    n = max(3, int(math.ceil(zeta * lam ** 2)))
+    tau = 0.5 / sharp_gate(n, 1.0, j0, lam, zeta)[0]
+    grid, scheme = GridSpec(n), SchemeSpec(tau=tau, theta=theta)
+    validate_run_config(grid, scheme)
+    tail = np.abs(AmplificationFactors(spectral_basis(n), scheme).r12[1:])
+    if not (np.sum(tail ** SWEEP_STEPS) <= 0.5
+            and 3.0 < 2.0 ** 62 * math.log1p(lam ** 2 * j0 ** 2 * scheme.tau)):
+        raise ValueError(f"lambdas: lambda = {lam!r} needs more than SWEEP_STEPS = 1e8 steps "
+                         "to its positivity tail or 2^62 to three e-folds; sigma_slope sets "
+                         f"the step size and the growth with it, |sigma_slope| = {j0!r}")
+    return grid, scheme
+
+
 def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float) -> SweepPoint:
     j0 = abs(sigma_slope)
-    n = max(3, int(math.ceil(zeta * lam ** 2)))
-    tau = 0.5 / sharp_gate(n, 1.0, j0, lam, zeta)[0]  # half the gate: the sum is linear in tau
-    scheme = SchemeSpec(tau=tau, theta=theta)
+    grid, scheme = _sweep_grid(zeta, lam, theta, j0)
+    n, tau = grid.n, scheme.tau
     model = ModelSpec(lam=lam, sigma=SigmaSpec.linear(sigma_slope),
                       u0=InitialData.constant(1.0))
-    grid = GridSpec(n)
     gate_ok = not sharp_gate(n, tau, j0, lam, zeta)[1]
     t_pos = positivity_time_full(n, tau, theta)
     gamma_guess = math.log1p(lam ** 2 * j0 ** 2 * tau) / tau
@@ -327,6 +352,9 @@ def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float) -> S
     moments = exact_second_moment_recursion(grid, scheme, model, steps,
                                             record_every=record_every)
     series = second_moment_series(moments, tau, probe="min")
+    if series.horizon_reached:
+        raise ValueError(f"lambdas: the second moment at lambda = {lam!r} leaves the float range "
+                         f"after t = {series.times[-1]:.6g}, before its horizon {horizon:.6g}")
     window = (max(t_pos, 0.2 * horizon), horizon)
     fit = fit_growth(series, window)
     return SweepPoint(lam, n, tau, fit.gamma, fit.ci_halfwidth, gate_ok)
@@ -339,20 +367,25 @@ def lambda_scaling_sweep(zeta: float, lambdas, theta: float = 1.0,
     (gate_ok) and, with n^2 tau < 1/(32 pi) < 1/2, inside the theta < 1/2
     stability bound.  Points run on a worker pool when threads > 1; results
     aggregate in input order.  zeta > 0 with zeta^2 in (0, inf), sigma_slope
-    nonzero with sigma_slope^4 finite and two or more lambdas, each > 0 with
-    (zeta lambda^2)^2 finite: the gate takes these powers.  u0 = 1: a
-    constant u0 scales every moment matrix by u0^2 and leaves gamma_2."""
+    nonzero with sigma_slope^4 finite (the gate takes these powers) and two
+    or more lambdas, each > 0 with n's table of 16 n^2 bytes in TABLE_BYTES
+    and within the step budgets of _sweep_grid, are checked before any point
+    runs; a point whose moments leave the float range is refused.  u0 = 1:
+    a constant u0 scales every moment by u0^2 and leaves gamma_2."""
     if not (zeta > 0.0 and 0.0 < zeta * zeta < math.inf):
         raise ValueError(f"zeta must be > 0 with zeta^2 in (0, inf), got {zeta!r}")
     if not (sigma_slope != 0.0 and math.isfinite(math.prod([sigma_slope] * 4))):
         raise ValueError(f"sigma_slope must be nonzero, sigma_slope^4 finite, got {sigma_slope!r}")
     lambdas = list(lambdas)
     bad = [lam for lam in lambdas
-           if not (lam > 0.0 and math.isfinite(math.prod([zeta, lam, lam] * 2)))]
+           if not (lam > 0.0 and math.prod([4.0, zeta, lam, lam] * 2) <= TABLE_BYTES)]
     if bad:
-        raise ValueError(f"lambdas must be > 0 with (zeta*lambda^2)^2 finite, got {bad}")
+        raise ValueError("lambdas must be > 0 with the table of n = ceil(zeta*lambda^2), "
+                         f"16 n^2 bytes, within TABLE_BYTES = {TABLE_BYTES}, got {bad}")
     if len(lambdas) < 2:
         raise ValueError(f"lambdas: the lambda^4 fit needs two points, got {len(lambdas)}")
+    for lam in lambdas:
+        _sweep_grid(zeta, lam, theta, abs(sigma_slope))
 
     def point(lam):
         return _sweep_point(zeta, lam, theta, sigma_slope)

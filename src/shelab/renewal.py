@@ -102,13 +102,18 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
 
 
-def _check_inputs(where: str, inputs, squared) -> None:
-    """Refuse an input <= 0, or one in `squared` whose square is 0 or inf."""
-    for name, value in inputs:
+def _check_inputs(where: str, inputs) -> None:
+    """Refuse an input (name, value, power) <= 0, one of power 2 or 4 whose
+    square is 0 or inf, or one of power 4 whose fourth power is inf: b, b~
+    and the sharp gate take these powers."""
+    for name, value, power in inputs:
         if not value > 0:
             raise ValueError(f"{where}: {name} must be > 0, got {value!r}")
-        if name in squared and not 0.0 < value * value < math.inf:
-            raise ValueError(f"{where}: {name} = {value!r} has the square {value * value!r}")
+        square = float(value) * float(value)
+        if power > 1 and not 0.0 < square < math.inf:
+            raise ValueError(f"{where}: {name} = {value!r} has the square {square!r}")
+        if power > 2 and not square * square < math.inf:
+            raise ValueError(f"{where}: {name} = {value!r} has the fourth power inf")
 
 
 def continuous_mu(lam: float, j0: float, n: int, zeta: float | None = None) -> RenewalRoot:
@@ -117,8 +122,8 @@ def continuous_mu(lam: float, j0: float, n: int, zeta: float | None = None) -> R
     The lower bound mu >= 8 pi zeta / (J0^2 + 8 pi zeta) is checked with the
     supplied zeta > 0, defaulting to the largest admissible one, n / lambda^2.
     """
-    _check_inputs("continuous_mu", [("lambda", lam), ("j0", j0), ("n", n)]
-                  + ([] if zeta is None else [("zeta", zeta)]), squared=("lambda", "j0"))
+    _check_inputs("continuous_mu", [("lambda", lam, 2), ("j0", j0, 2), ("n", n, 2)]
+                  + ([] if zeta is None else [("zeta", zeta, 1)]))
     b = lam ** 2 * j0 ** 2 / math.sqrt(32.0 * math.pi)
     c = 2.0 * n * n * math.pi
 
@@ -164,8 +169,8 @@ def discrete_mu(lam: float, j0: float, n: int, tau: float, zeta: float) -> Renew
 
     The mass of g~ is b~ (h~(mu) + 1/b~), so its error at the root is
     |b~ h~(mu)|."""
-    _check_inputs("discrete_mu", [("lambda", lam), ("j0", j0), ("n", n), ("tau", tau),
-                                  ("zeta", zeta)], squared=("lambda", "j0", "zeta"))
+    _check_inputs("discrete_mu", [("lambda", lam, 2), ("j0", j0, 4), ("n", n, 2),
+                                  ("tau", tau, 1), ("zeta", zeta, 2)])
     violations = sharp_gate(n, tau, j0, lam, zeta)[1]
     if violations:
         raise GateViolation("; ".join(violations))

@@ -85,7 +85,7 @@ def test_criterion_3_oracle_equivalence():
     times = [i * 1e-3 for i in range(10, 101, 10)]
     series = mc_moment(grid, scheme, model, 2, 0, times, 20_000, seed=2024)
     mats = exact_second_moment_recursion(grid, scheme, model, 100, record_every=10)
-    exact = dict(zip(mats.steps.tolist(), mats.matrices[:, 0, 0]))
+    exact = dict(zip(mats.steps.tolist(), mats.diagonals[:, 0]))
     zs = []
     for t, v, e in zip(series.times, series.values, series.stderr):
         z = abs(v - exact[round(t / 1e-3)]) / e

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -185,6 +186,19 @@ class TestMoments:
             rows = [line.split(",") for line in read_csv(tmp_path / "moments.csv")[2:]]
             assert rows and np.isfinite(np.array(rows, dtype=float)).all()
 
+    @pytest.mark.parametrize("u0,lam,at,rows", [(1e200, 1.0, "the first record", 0),
+                                                (1e150, 30.0, "t=0.01;", 11)])
+    def test_exact_mode_past_float_range_warns(self, tmp_path, capsys, u0, lam, at, rows):
+        # inf at t = 0 and nan after it were written with exit 0; the exact
+        # series now stops at its last finite record, as the Monte Carlo one does
+        cfg = write_config(tmp_path, {
+            "grid": {"n": 5}, **_model(**{"lambda": lam}, u0={"kind": "constant", "value": u0}),
+            "moments": {"mode": "exact", "steps": 40}})
+        assert main(["moments", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert f"horizon reached at {at}" in capsys.readouterr().err
+        table = [line.split(",") for line in read_csv(tmp_path / "moments.csv")[2:]]
+        assert len(table) == rows and np.isfinite(np.array(table, dtype=float)).all()
+
     def test_non_contractive_step_exit_2(self, tmp_path, capsys):
         # admitted, but r1 r2 rounds to 1 on the nonconstant modes
         cfg = write_config(tmp_path, {"grid": {"n": 3},
@@ -256,6 +270,22 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert f"sweep.{key}" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+
+    def test_lambda_16_under_3_gb_address_space(self, tmp_path):
+        # the (2004, 512, 512) recorded matrices asked for 3.91 GiB: exit 1
+        # with an _ArrayMemoryError; the diagonals peak near 100 MiB
+        cfg = write_config(tmp_path, {"sweep": {"zeta": 2.0, "lambdas": [1.0, 16.0]}})
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 * 10 ** 9,) * 2); "
+                "from shelab.cli import main; sys.exit(main(sys.argv[1:]))")
+        # one BLAS thread: each thread reserves its own buffers and stack
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shelab.__file__)),
+               "OPENBLAS_NUM_THREADS": "1"}
+        run = subprocess.run([sys.executable, "-c", code, "sweep", "--config", cfg, "--out-dir",
+                              str(tmp_path)], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        gammas = [float(line.split(",")[3]) for line in read_csv(tmp_path / "sweep.csv")[2:]]
+        assert len(gammas) == 2 and all(map(math.isfinite, gammas))
 
 
 class TestRenewal:
@@ -407,6 +437,29 @@ def test_mistyped_value_exit_2_naming_key(tmp_path, capsys, command, extra, key)
     ("sweep", {"sweep": {"zeta": 1e-300, "lambdas": [1.0, 1.5]}}, "sweep.zeta"),
     ("sweep", {"sweep": {"lambdas": [1.0, 1e100]}}, "sweep.lambdas"),
     ("sweep", {"sweep": {"lambdas": [1.0, 1.5], "sigma_slope": 1e100}}, "sweep.sigma_slope"),
+    # an OverflowError traceback at j0 ** 4 and at n * n in the sharp gate
+    ("renewal", {"renewal": {"which": "discrete", "lambda": 1e30, "j0": 1e150, "n": 8,
+                             "zeta": 7.8e-8, "tau": 3.52}}, "renewal.j0"),
+    ("renewal", {"renewal": {"which": "discrete", "lambda": 1.0, "n": 1e200, "zeta": 1.0,
+                             "tau": 1e-3}}, "renewal.n"),
+    # a ZeroDivisionError, a TypeError from a 2.6e22-step record array, a
+    # positivity scan of a 4.7e9-step tail, and gamma_2 = nan written with exit 0
+    ("sweep", {"sweep": {"zeta": 1.435, "lambdas": [3, 2, 2, 2], "theta": 0.75,
+                         "sigma_slope": 1e-300}}, "sweep.sigma_slope"),
+    ("sweep", {"sweep": {"zeta": 6.96e-6, "lambdas": [0.5, 5.6e-4], "theta": 1.0 - 1e-16,
+                         "sigma_slope": 5.79e-7}}, "sweep.lambdas"),
+    ("sweep", {"sweep": {"zeta": 2.0, "lambdas": [1.0, 0.5, 2.8e-8], "theta": 0.25,
+                         "sigma_slope": 1000.0}}, "sweep.lambdas"),
+    ("sweep", {"sweep": {"zeta": 0.5, "lambdas": [3, 3, 2], "theta": 1e-300,
+                         "sigma_slope": 51.65}}, "sweep.lambdas"),
+    # numpy asked for 149 GiB (n = 2e10) and for 74.5 GiB (an n x n table)
+    ("sweep", {"sweep": {"zeta": 2.0, "lambdas": [1.0, 1e5]}}, "sweep.lambdas"),
+    ("green-check", {"green_check": {"ns": [100000]}}, "green_check.ns"),
+    # fitting a series cut before its first record raised IndexError
+    *[("moments", {**_model(u0={"kind": "constant", "value": u0}),
+                   "moments": {**mode, "fit": True}}, "moments.fit")
+      for u0, mode in ((1e200, {"mode": "exact", "steps": 20}),
+                       (1e100, {"mode": "mc", "p": 4, "times": [0, 0.001], "paths": 10}))],
 ])
 def test_library_range_refusal_exit_2_naming_key(tmp_path, capsys, command, extra, key):
     # the range stays the library's; the CLI names the key whose value it refused

@@ -71,6 +71,14 @@ class TestSpectralBasis:
         modes = basis._grid_modes(np.arange(n))  # modes[j, q] = e_j(q/n)
         assert np.allclose(modes @ mat, coeff[:, None] * modes, rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 33, 64, 97])
+    def test_circulant_diagonal_is_bit_identical(self, n):
+        # the exact moments' closed form reads diagonals without the matrix
+        basis = spectral_basis(n)
+        rows = np.random.default_rng(n).standard_normal((5, n))
+        for row, diagonal in zip(rows, basis.circulant_diagonal(rows)):
+            assert np.array_equal(diagonal, np.diag(basis.circulant(row)))
+
     @pytest.mark.parametrize("n", [64, 128, 256])
     @pytest.mark.parametrize("scheme", [SchemeSpec(tau=1e-3, theta=1.0),
                                         SchemeSpec(tau=1e-3, theta=1.0, stepper="exponential"),

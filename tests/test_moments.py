@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 
 from shelab.kernels import SpectralBasis
 from shelab.model import GridSpec, InitialData, ModelSpec, SchemeSpec, SigmaSpec
-from shelab.moments import (MomentSeries, exact_second_moment_recursion, fit_growth,
-                            intermittency_report, lambda_scaling_sweep,
+from shelab.moments import (MomentSeries, _sweep_point, exact_second_moment_recursion,
+                            fit_growth, intermittency_report, lambda_scaling_sweep,
                             mc_moment, second_moment_series)
 from shelab.noise import NOISE_CHUNK_CELLS, NoiseSeed, sample_block
 from shelab.solver import DENSE_MAX_N, BlowupError, StepOperator
@@ -35,9 +35,22 @@ def assert_symmetric_psd(m, tol: float = 1e-10):
         raise AssertionError(f"moment matrix lost PSD: min eig {w.min():.3g}")
 
 
-def diagonals(moments):
-    """(records, n) diagonals of the recorded moment matrices."""
-    return moments.matrices.diagonal(axis1=1, axis2=2)
+def moment_matrices(grid, scheme, model, steps, record_every=1):
+    """Full-matrix oracle: the (records, n, n) second-moment matrices at the
+    steps the library records, from M_{i+1} = B M_i B + gain R1 diag(M_i) R1
+    stepped with dense circulants B = R1 R2 and R1."""
+    n = grid.n
+    r1, r2 = _mode_factors(n, scheme.tau, scheme.theta, scheme.stepper)
+    lag = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    g1, g2 = np.fft.ifft(r1 * r2).real[lag], np.fft.ifft(r1).real[lag]
+    gain = model.lam ** 2 * n * scheme.tau * model.sigma.slope ** 2
+    m = np.outer(model.u0.values(grid), model.u0.values(grid))
+    record, out = {*range(0, steps + 1, record_every), steps}, [m]
+    for i in range(1, steps + 1):
+        m = g1 @ m @ g1 + (g2 * (gain * np.diag(m))) @ g2
+        if i in record:
+            out.append(m)
+    return np.array(out)
 
 
 def make(n, tau, theta, lam, slope=1.0, i0=1.0, stepper="theta"):
@@ -88,7 +101,8 @@ class TestExactRecursion:
     def test_zero_noise_is_constant(self):
         grid, scheme, model = make(5, 0.01, 1.0, 0.0, i0=2.0)
         mats = exact_second_moment_recursion(grid, scheme, model, 30)
-        for m in mats.matrices:
+        assert np.allclose(mats.diagonals, 4.0, atol=1e-10)
+        for m in moment_matrices(grid, scheme, model, 30):
             assert np.allclose(m, 4.0 * np.ones((5, 5)), atol=1e-10)
 
     def test_one_step_hand_formula(self):
@@ -96,13 +110,15 @@ class TestExactRecursion:
         n, tau, lam, i0 = 8, 1e-3, 1.3, 0.7
         grid, scheme, model = make(n, tau, 0.0, lam, i0=i0)
         mats = exact_second_moment_recursion(grid, scheme, model, 1)
-        assert np.allclose(diagonals(mats)[1],
+        assert np.allclose(mats.diagonals[1],
                            i0 ** 2 * (1.0 + lam ** 2 * n * tau), rtol=1e-12)
 
     def test_matrices_stay_symmetric_psd(self):
         grid, scheme, model = make(6, 1e-3, 1.0, 1.5)
         mats = exact_second_moment_recursion(grid, scheme, model, 400, record_every=50)
-        for m in mats.matrices:
+        oracle = moment_matrices(grid, scheme, model, 400, record_every=50)
+        assert np.allclose(mats.diagonals, oracle.diagonal(axis1=1, axis2=2), rtol=1e-12)
+        for m in oracle:
             assert_symmetric_psd(m)
 
     @pytest.mark.parametrize("steps,record_every,field", [(-3, 1, "steps"),
@@ -129,17 +145,17 @@ class TestExactRecursion:
         mats = exact_second_moment_recursion(grid, scheme, model, steps,
                                              record_every=record_every)
         assert mats.steps.tolist() == sorted({*range(0, steps + 1, record_every), steps})
-        assert mats.matrices.shape == (len(mats.steps), n, n)
-        for i, m in zip(mats.steps.tolist(), mats.matrices):
+        assert mats.diagonals.shape == (len(mats.steps), n)
+        for i, m in zip(mats.steps.tolist(), mats.diagonals):
             last = exact_second_moment_recursion(grid, scheme, model, i,
-                                                 record_every=max(1, i)).matrices[-1]
+                                                 record_every=max(1, i)).diagonals[-1]
             assert np.max(np.abs(m - last)) <= 1e-12 * np.max(np.abs(last))
-        before = mats.matrices.copy()
+        before = mats.diagonals.copy()
         for r in range(len(mats.steps)):
-            mats.matrices[r] = np.nan
+            mats.diagonals[r] = np.nan
             others = np.arange(len(mats.steps)) != r
-            assert np.array_equal(mats.matrices[others], before[others])
-            mats.matrices[r] = before[r]
+            assert np.array_equal(mats.diagonals[others], before[others])
+            mats.diagonals[r] = before[r]
 
     @pytest.mark.parametrize("probe", [8, -1, 2.0, "max", True])
     def test_series_probe_validated(self, probe):
@@ -171,7 +187,7 @@ class TestExactRecursion:
         # y(t) >= a + b int_0^t y  ==>  y(t) >= e^{b(t-s)}(a + b int_0^s y)
         grid, scheme, model = make(4, 1e-3, 1.0, 1.0)
         mats = exact_second_moment_recursion(grid, scheme, model, 2000, record_every=1)
-        y = diagonals(mats).min(axis=1)
+        y = mats.diagonals.min(axis=1)
         t = np.arange(len(y)) * scheme.tau
         alpha, beta = 1.0, model.lam ** 2  # I0 = J0 = 1: u0 = 1, sigma(x) = x
         integral = np.concatenate([[0.0], np.cumsum((y[1:] + y[:-1]) / 2.0)]) * scheme.tau
@@ -185,7 +201,7 @@ class TestExactRecursion:
         # y_{N+l} >= (a + b sum_{k<N} y_k)(1+b)^l with b = lam^2 J0^2 tau
         grid, scheme, model = make(4, 1e-3, 1.0, 1.0)
         mats = exact_second_moment_recursion(grid, scheme, model, 3000, record_every=1)
-        y = diagonals(mats).min(axis=1)
+        y = mats.diagonals.min(axis=1)
         alpha = 1.0  # I0 = J0 = 1: u0 = 1, sigma(x) = x
         beta = model.lam ** 2 * scheme.tau
         n_start = len(y) // 3
@@ -232,19 +248,17 @@ class TestExactRecursion:
             m_dense = b @ m_dense @ b.T + gain * r1 @ np.diag(np.diag(m_dense)) @ r1.T
         mats = exact_second_moment_recursion(grid, scheme, model, steps,
                                              record_every=steps)
-        assert np.allclose(mats.matrices[-1], m_dense, rtol=1e-11, atol=1e-13)
+        assert np.allclose(mats.diagonals[-1], np.diag(m_dense), rtol=1e-11, atol=1e-13)
 
     @pytest.mark.parametrize("constant,stepped", [(True, False), (False, True)],
                              ids=["constant", "samples"])
     def test_constant_data_skips_the_stepping_loop(self, monkeypatch, constant, stepped):
-        # the stepping loop, and only it, builds Green matrices: circulant
-        # calls with one coefficient row (the closed form passes a batch of
-        # moment eigenvalue rows)
+        # the stepping loop, and only it, builds Green matrices: the closed
+        # form reads its diagonals through circulant_diagonal
         calls = []
 
         def counting(self, coeff):
-            if np.ndim(coeff) == 1:
-                calls.append(1)
+            calls.append(np.ndim(coeff))
             return circulant(self, coeff)
 
         circulant = SpectralBasis.circulant
@@ -255,7 +269,7 @@ class TestExactRecursion:
                           u0=InitialData.grid_samples(u0))
         exact_second_moment_recursion(GridSpec(n), SchemeSpec(tau=2e-3, theta=0.75),
                                       model, 5)
-        assert bool(calls) == stepped
+        assert calls == ([1, 1] if stepped else [])
 
     def test_exponential_stepper_recursion_agrees_at_small_tau(self):
         # the exponential integrator and the implicit scheme share moment
@@ -269,7 +283,7 @@ class TestExactRecursion:
                               u0=InitialData.constant(1.0))
             mats = exact_second_moment_recursion(grid, scheme, model, steps,
                                                  record_every=steps)
-            diags[stepper] = mats.matrices[-1, 0, 0]
+            diags[stepper] = mats.diagonals[-1, 0]
         assert diags["exponential"] == pytest.approx(diags["theta"], rel=2e-3)
 
     def test_theta_consistency_of_growth_rate(self):
@@ -313,21 +327,11 @@ def test_closed_form_matches_stepping(n, theta, tau, lam, slope, i0, steps, reco
         tau = min(tau, 0.95 / ((2.0 - 4.0 * theta) * n * n))  # inside the explicit bound
     grid, scheme, model = make(n, tau, theta, lam, slope=slope, i0=i0, stepper=stepper)
     mats = exact_second_moment_recursion(grid, scheme, model, steps, record_every=record_every)
-    r1, r2 = _mode_factors(n, tau, theta, stepper)
-    lag = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    g1, g2 = np.fft.ifft(r1 * r2).real[lag], np.fft.ifft(r1).real[lag]
-    gain = lam ** 2 * n * tau * slope ** 2
-    m = np.full((n, n), i0) * i0
-    want = {0: m}
-    for i in range(1, steps + 1):
-        m = g1 @ m @ g1 + (g2 * (gain * np.diag(m))) @ g2
-        want[i] = m
+    want = moment_matrices(grid, scheme, model, steps, record_every)
     record = sorted({*range(0, steps + 1, record_every), steps})
     assert mats.steps.tolist() == record
-    assert np.array_equal(mats.matrices[0],
-                          np.outer(model.u0.values(grid), model.u0.values(grid)))
-    for i, mm in zip(mats.steps, mats.matrices):
-        ref = want[i]
+    assert np.array_equal(mats.diagonals[0], model.u0.values(grid) ** 2)
+    for mm, ref in zip(mats.diagonals, want.diagonal(axis1=1, axis2=2)):
         assert np.max(np.abs(mm - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
@@ -372,7 +376,7 @@ class TestMcMoment:
         times = [i * 1e-3 for i in range(10, 101, 10)]
         series = mc_moment(grid, scheme, model, 2, 0, times, 4000, seed=42)
         mats = exact_second_moment_recursion(grid, scheme, model, 100, record_every=10)
-        exact = dict(zip(mats.steps.tolist(), mats.matrices[:, 0, 0]))
+        exact = dict(zip(mats.steps.tolist(), mats.diagonals[:, 0]))
         for t, v, e in zip(series.times, series.values, series.stderr):
             assert abs(v - exact[round(t / 1e-3)]) <= 3.0 * e
 
@@ -589,11 +593,37 @@ class TestSweep:
             assert 2.0 <= result.slope <= 2.3, (theta, result.slope)
 
     @pytest.mark.parametrize("lambdas", [[0.0, 1.0], [-1.0, 1.0], [1.0, 1e200],
-                                         [1.0, math.nan], [1.0, 1e100]])
+                                         [1.0, math.nan], [1.0, 1e100], [1.0, 64.1]])
     def test_bad_lambdas_rejected(self, lambdas):
-        # 0 divided by zero, 1e200 overflowed in lam ** 2, 1e100 in the gate's n^2
+        # 0 divided by zero, 1e200 overflowed in lam ** 2, 1e100 in the gate's
+        # n^2; n = 4109 needs an n x n table past TABLE_BYTES
         with pytest.raises(ValueError, match="^lambdas must be > 0"):
             lambda_scaling_sweep(zeta=1.0, lambdas=lambdas)
+
+    @pytest.mark.parametrize("zeta,lambdas,theta,slope", [
+        (1.435, [3.0, 2.0], 0.75, 1e-300),  # no growth: ZeroDivisionError
+        (6.96e-6, [0.5, 5.6e-4], 1.0 - 1e-16, 5.79e-7),  # 2.6e22 steps: TypeError in irfft
+        (2.0, [1.0, 0.5, 2.8e-8], 0.25, 1000.0)])  # a 4.7e9-step positivity tail
+    def test_point_past_step_budget_refused(self, zeta, lambdas, theta, slope):
+        with pytest.raises(ValueError, match=r"^lambdas: lambda = .* SWEEP_STEPS"):
+            lambda_scaling_sweep(zeta=zeta, lambdas=lambdas, theta=theta, sigma_slope=slope)
+
+    def test_moments_past_float_range_refused(self):
+        # the fit of inf and nan moments wrote gamma_2 = nan with exit 0
+        with pytest.raises(ValueError, match="^lambdas: the second moment at lambda = 3.0 "
+                                             "leaves the float range"):
+            lambda_scaling_sweep(zeta=0.5, lambdas=[3.0, 2.0], theta=1e-300, sigma_slope=51.65)
+
+    def test_point_memory_is_linear_in_n(self):
+        # zeta = 2, lambda = 10 (n = 200): the recorded (2004, 200, 200)
+        # matrices peaked at 618 MiB; the (2004, 200) diagonals at 12.6 MiB
+        tracemalloc.start()
+        try:
+            _sweep_point(2.0, 10.0, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
 
     def test_gamma2_exceeds_printed_lower_bound(self):
         result = lambda_scaling_sweep(zeta=1.0, lambdas=[1.0, 2.0], theta=1.0)

@@ -134,7 +134,7 @@ class TestContinuousRoot:
     (continuous_mu, "lambda", 1e200), (continuous_mu, "j0", 1e200),
     (continuous_mu, "lambda", 1e-200), (discrete_mu, "lambda", 1e200),
     (discrete_mu, "j0", 1e200), (discrete_mu, "j0", 1e-200), (discrete_mu, "zeta", 1e-300),
-    (discrete_mu, "zeta", 1e200)])
+    (discrete_mu, "zeta", 1e200), (continuous_mu, "n", 1e200), (discrete_mu, "n", 1e200)])
 def test_input_whose_square_is_zero_or_inf_refused(root, name, value):
     # the squares in b, b~ and the sharp gate overflowed (OverflowError) or
     # underflowed to 0 (ZeroDivisionError, or no bracket for Brent)
@@ -144,6 +144,12 @@ def test_input_whose_square_is_zero_or_inf_refused(root, name, value):
     message = f"{root.__name__}: {name} = {value!r} has the square {value * value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         root(*args.values())
+
+
+def test_input_whose_fourth_power_is_inf_refused():
+    # the sharp gate takes j0 ** 4, which raised OverflowError
+    with pytest.raises(ValueError, match=r"^discrete_mu: j0 = 1e\+150 has the fourth power inf$"):
+        discrete_mu(1e30, 1e150, 8, 3.52, 7.8e-8)
 
 
 class TestSeries:
