@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (TABLE_BYTES, AmplificationFactors, full_green,
+from .kernels import (TABLE_BYTES, AmplificationFactors, _gauss, full_green,
                       full_green_square_integral, heat_kernel, heat_kernel_square_integral,
                       semi_green, semi_green_square_integral, spectral_basis)
 from .model import SchemeSpec
@@ -67,13 +67,6 @@ class CheckResult:
 
 def _result(name: str) -> CheckResult:
     return CheckResult(name=name, passed=True, worst_margin=float("inf"))
-
-
-def _y_nodes():
-    """Nodes and per-panel weights of 8-point Gauss-Legendre on 256 panels of [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(8)
-    nodes = (np.arange(256)[:, None] + 0.5 * (x + 1.0)[None, :]) / 256
-    return nodes.ravel(), 0.5 * w / 256
 
 
 def _y_quadrature(values, weights) -> np.ndarray:
@@ -153,7 +146,9 @@ def lemma_suite(ns=DEFAULT_NS, thetas=DEFAULT_THETAS) -> list[CheckResult]:
     evaluated = 0
 
     # --- continuous kernel (lattice-independent) ---------------------------
-    y, w = _y_nodes()
+    # 8-point Gauss-Legendre on 256 panels of [0, 1], per-panel weights
+    xi, w = _gauss(8)
+    y, w = ((np.arange(256)[:, None] + xi) / 256).ravel(), w / 256
     g = heat_kernel(t, x_probe, y)
     mass, quad = _y_quadrature(g, w), _y_quadrature(g ** 2, w)
     sq = heat_kernel_square_integral(t)

@@ -1,7 +1,9 @@
 """Batch front door: JSON run configs in, provenance-stamped CSV/SVG out.
 
 Exit codes: 0 success, 1 check-suite failure, 2 configuration or
-validation error, 3 numeric blow-up (horizon report on stderr).
+validation error, 3 numeric blow-up (horizon report on stderr), 4 internal
+numerical failure (an escaping MemoryError, ArithmeticError or
+RuntimeError, one line on stderr).
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
+EXIT_NUMERICAL = 4
 
 
 class ConfigError(ValueError):
@@ -363,9 +366,12 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         print("usage: see README for the JSON schema", file=sys.stderr)
         return EXIT_CONFIG
-    except BlowupError as err:
+    except BlowupError as err:  # a RuntimeError, so caught before the next clause
         print(f"blow-up: {err}", file=sys.stderr)
         return EXIT_BLOWUP
+    except (MemoryError, ArithmeticError, RuntimeError) as err:
+        print(f"internal numerical failure: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -10,21 +10,20 @@ substitution t = s^2 absorbing the small-time scale, plus a certified
 analytic tail bound beyond the split (never ignored).  The rule is one
 array of time nodes and weights, and the y-integral is evaluated for many
 nodes together: consecutive nodes share one aliasing table of at most
-ALIAS_BUDGET entries, so the few nodes near t = 0 (thousands of aliasing
-terms each) go in small runs and the rest of the rule in one call.  The
-strong-error study drives every ladder rung with one shared Brownian sheet
-via noise coarsening (one halving tree shared by all rungs) and fits orders
-against the finest rung.
+kernels.BLOCK_ENTRIES entries, so the few nodes near t = 0 (thousands of
+aliasing terms each) go in small runs and the rest of the rule in one
+call.  The strong-error study drives every ladder rung with one shared
+Brownian sheet via noise coarsening (one halving tree shared by all rungs)
+and fits orders against the finest rung.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .kernels import (AmplificationFactors, SpectralBasis,
+from .kernels import (BLOCK_ENTRIES, AmplificationFactors, SpectralBasis, _full_coeff, _gauss,
                       heat_kernel_square_integral, spectral_basis)
 from .model import (GridSpec, ModelSpec, SchemeSpec, _floor_quantize,
                     validate_run_config)
@@ -52,25 +51,11 @@ class ErrorCurve:
     fit_mask: np.ndarray | None = None
 
 
-# Largest nodes x aliasing-terms table one evaluation of the y-integral
-# builds (1 MiB per float table).
-ALIAS_BUDGET = 2 ** 17
 # green_error_full's rule: Gauss points per panel, the smooth branch's fine
 # and coarse panels, the split before the certified tail, and the most step
 # intervals the staircase branch resolves.
 _T_GAUSS, _FINE_PANELS, _COARSE_PANELS = 8, 20, 40
 _T_SPLIT, _RESOLVE_CAP = 1.0, 4096
-
-
-@cache
-def _gauss(points: int):
-    """Gauss-Legendre nodes and weights mapped to [0, 1], built once per
-    point count; the cached arrays are read-only."""
-    x, w = np.polynomial.legendre.leggauss(points)
-    rule = 0.5 * (x + 1.0), 0.5 * w
-    for a in rule:
-        a.flags.writeable = False
-    return rule
 
 
 def _alias_terms(t: float, n: int) -> int:
@@ -108,11 +93,11 @@ def _sq_diff_y_exact(t: np.ndarray, x: float, basis: SpectralBasis, coeff: np.nd
 
 def _integrate(d_of_t, nodes: np.ndarray, weights: np.ndarray, n: int) -> float:
     """sum weights * D(nodes) for increasing nodes, D evaluated on runs of
-    consecutive nodes whose aliasing table fits ALIAS_BUDGET."""
+    consecutive nodes whose aliasing table fits BLOCK_ENTRIES."""
     vals = np.empty_like(nodes)
     k = 0
     while k < len(nodes):
-        m = max(1, ALIAS_BUDGET // _alias_terms(float(nodes[k]), n))
+        m = max(1, BLOCK_ENTRIES // _alias_terms(float(nodes[k]), n))
         vals[k:k + m] = d_of_t(nodes[k:k + m])
         k += m
     return float(np.dot(weights, vals))
@@ -186,8 +171,7 @@ def green_error_full(n: int, tau: float, theta: float, x: float = 0.0) -> float:
     prof = basis.modes(x)
 
     def d_of_t(t):
-        coeff = factors.r12 ** factors.step_power(t)[:, None] * factors.r1
-        return _sq_diff_y_exact(t, x, basis, coeff, prof)
+        return _sq_diff_y_exact(t, x, basis, _full_coeff(t, "G2", factors), prof)
 
     steps = int(math.ceil(_T_SPLIT / tau))
     if steps <= _RESOLVE_CAP:
@@ -302,6 +286,9 @@ def strong_error_study(ladder, model: ModelSpec, theta: float, T: float,
             d = states[r][:, 0] - ref
             sq_err[r] += float(np.dot(d, d))
     errors = np.sqrt(sq_err / paths)
+    if not np.all(errors[mask] > 0.0):  # the order fit takes log errors
+        raise ValueError(f"errors {errors[mask].tolist()} of the fitted rungs are not all > 0: "
+                         "the noise does not separate them from the reference")
     slope, ci, _, _ = ols(np.log(coords[mask]), np.log(errors[mask]))
     return ErrorCurve(resolutions=list(rungs), errors=errors,
                       fitted_order=sign * slope, ci=ci, mode=mode, fit_mask=mask)

@@ -10,7 +10,7 @@ below machine precision at the crossover.  A call evaluates all of its
 spectral-branch times as one matrix product, a (times x modes) decay
 table times the (modes x points) cosine table, and its image-branch times
 in blocks whose (times x points x images) table holds at most
-_IMAGE_BUDGET entries.
+BLOCK_ENTRIES entries.
 
 Time broadcasting: every kernel and square integral below takes a scalar
 time or a 1-D array of times.  An array adds a leading time axis to the
@@ -21,7 +21,7 @@ by `AmplificationFactors.step_power`.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -49,11 +49,24 @@ __all__ = [
 IMAGE_TERMS = 6
 SPECTRAL_TERMS = 64
 CROSSOVER_TIME = 0.05
-# Largest (times x points x images) table one image-sum block builds (1 MiB).
-_IMAGE_BUDGET = 2 ** 17
+# Largest temporary float64 table, in entries, that one block of a blocked loop
+# builds (1 MiB): the image-sum blocks below, the kernel-error quadrature's
+# aliasing runs and the positivity scan's windows.
+BLOCK_ENTRIES = 2 ** 17
 # Memory budget in bytes of one n x n complex128 table (16 n^2 bytes): 256 MiB,
 # so n <= 4096.  The sweep and the lemma suite refuse larger grids up front.
 TABLE_BYTES = 2 ** 28
+
+
+@cache
+def _gauss(points: int):
+    """Gauss-Legendre nodes and weights mapped to [0, 1], built once per
+    point count; the cached arrays are read-only."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    rule = 0.5 * (x + 1.0), 0.5 * w
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 class SpectralBasis:
@@ -79,8 +92,11 @@ class SpectralBasis:
 
     def modes(self, x):
         """e^n_j(x) for j = 0..n-1, shape (n,) + x.shape: the piecewise-linear
-        interpolant of exp(2 pi i j .) between grid points."""
+        interpolant of exp(2 pi i j .) between grid points; |x| n must be
+        below 2^53, where n x still names a grid cell."""
         x = np.asarray(x, dtype=float)
+        if not np.all(np.abs(x) * self.n < 2.0 ** 53):
+            raise ValueError(f"x must be finite with |x| n < 2^53 for n = {self.n}, got {x}")
         k = _floor_quantize(x, self.n)
         # a point snapped up to the grid point k/n has n x just below k
         frac = np.maximum(self.n * x - k, 0.0)
@@ -181,13 +197,13 @@ class AmplificationFactors:
 
 def _heat_kernel_image(t, d, terms: int):
     """Image sum over blocks of times, each block one (times x points x
-    images) table of at most _IMAGE_BUDGET entries (at least one time)."""
+    images) table of at most BLOCK_ENTRIES entries (at least one time)."""
     t = np.asarray(t, dtype=float)
     m = np.arange(-terms, terms + 1, dtype=float)
     z2 = np.subtract.outer(np.asarray(d, dtype=float), m) ** 2
     times = t.reshape((-1,) + (1,) * z2.ndim)
     out = np.empty((t.size,) + z2.shape[:-1])
-    block = max(1, _IMAGE_BUDGET // z2.size)
+    block = max(1, BLOCK_ENTRIES // z2.size)
     for k in range(0, t.size, block):
         tk = times[k:k + block]
         out[k:k + block] = (np.exp(z2 / (-4.0 * tk)).sum(axis=-1)

@@ -104,10 +104,14 @@ def exact_second_moment_recursion(grid: GridSpec, scheme: SchemeSpec, model: Mod
                                   steps: int, record_every: int = 1) -> MomentDiagonals:
     """Exact (up to roundoff) second moments E u_q^2 for linear sigma at
     steps 0, k * record_every and `steps` (inf or nan past the float range);
-    for constant u0 in closed form."""
+    for constant u0 in closed form.  An n whose n x n table of 16 n^2 bytes
+    exceeds TABLE_BYTES is refused before any array is built."""
     if not model.sigma.is_linear:
         raise ValueError("exact recursion supports linear sigma only; use Monte Carlo")
     validate_run_config(grid, scheme)
+    if 16 * grid.n * grid.n > TABLE_BYTES:
+        raise ValueError(f"n must be <= 4096, its n x n table of 16 n^2 bytes within "
+                         f"TABLE_BYTES = {TABLE_BYTES}, got {grid.n}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if record_every < 1:
@@ -161,6 +165,8 @@ def second_moment_series(moments: MomentDiagonals, tau: float, probe="min") -> M
 def _snap_indices(times, tau: float) -> list[int]:
     out = []
     for t in times:
+        if not abs(t) < 2.0 ** 53 * tau:  # past 2^53 steps t / tau names no single step
+            raise ValueError(f"times must lie within 2^53 steps of tau={tau}, got {t}")
         i = int(round(t / tau))
         if abs(i * tau - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"times must be aligned to the step grid tau={tau}, got {t}")
@@ -357,6 +363,9 @@ def _sweep_point(zeta: float, lam: float, theta: float, sigma_slope: float) -> S
                          f"after t = {series.times[-1]:.6g}, before its horizon {horizon:.6g}")
     window = (max(t_pos, 0.2 * horizon), horizon)
     fit = fit_growth(series, window)
+    if not fit.gamma > 0.0:  # the lambda^4 fit takes log gamma_2
+        raise ValueError(f"lambdas: the second moment at lambda = {lam!r} does not grow in "
+                         f"floating point (fitted gamma_2 = {fit.gamma!r})")
     return SweepPoint(lam, n, tau, fit.gamma, fit.ci_halfwidth, gate_ok)
 
 
@@ -368,10 +377,11 @@ def lambda_scaling_sweep(zeta: float, lambdas, theta: float = 1.0,
     stability bound.  Points run on a worker pool when threads > 1; results
     aggregate in input order.  zeta > 0 with zeta^2 in (0, inf), sigma_slope
     nonzero with sigma_slope^4 finite (the gate takes these powers) and two
-    or more lambdas, each > 0 with n's table of 16 n^2 bytes in TABLE_BYTES
-    and within the step budgets of _sweep_grid, are checked before any point
-    runs; a point whose moments leave the float range is refused.  u0 = 1:
-    a constant u0 scales every moment by u0^2 and leaves gamma_2."""
+    or more distinct lambdas, each > 0 with n's table of 16 n^2 bytes in
+    TABLE_BYTES and within the step budgets of _sweep_grid, are checked
+    before any point runs; a point whose moments leave the float range, or
+    whose fitted gamma_2 is not positive, is refused.  u0 = 1: a constant u0
+    scales every moment by u0^2 and leaves gamma_2."""
     if not (zeta > 0.0 and 0.0 < zeta * zeta < math.inf):
         raise ValueError(f"zeta must be > 0 with zeta^2 in (0, inf), got {zeta!r}")
     if not (sigma_slope != 0.0 and math.isfinite(math.prod([sigma_slope] * 4))):
@@ -382,8 +392,8 @@ def lambda_scaling_sweep(zeta: float, lambdas, theta: float = 1.0,
     if bad:
         raise ValueError("lambdas must be > 0 with the table of n = ceil(zeta*lambda^2), "
                          f"16 n^2 bytes, within TABLE_BYTES = {TABLE_BYTES}, got {bad}")
-    if len(lambdas) < 2:
-        raise ValueError(f"lambdas: the lambda^4 fit needs two points, got {len(lambdas)}")
+    if len(set(lambdas)) < 2:  # repeats are one point of the fit
+        raise ValueError(f"lambdas: the lambda^4 fit needs two points, got {len(set(lambdas))}")
     for lam in lambdas:
         _sweep_grid(zeta, lam, theta, abs(sigma_slope))
 

@@ -96,6 +96,7 @@ class StepOperator:
             self.r2h = None if self.r2_is_one else factors.r2[:half]
         self.noise_amp = model.lam * np.sqrt(self.n * scheme.tau)
 
+    @np.errstate(over="ignore", invalid="ignore")  # the blow-up monitor reports inf and nan
     def apply(self, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """One step for a single state (n,) or a batch (..., n); u and xi
         are left unchanged."""

@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 
-from .kernels import (AmplificationFactors, full_green_grid, semi_green, semi_green_grid,
-                      spectral_basis)
+from .kernels import (BLOCK_ENTRIES, AmplificationFactors, full_green_grid, semi_green,
+                      semi_green_grid, spectral_basis)
 from .model import GridSpec, SchemeSpec, validate_run_config
 
 __all__ = [
@@ -17,9 +17,6 @@ __all__ = [
     "sharp_gate",
 ]
 
-# Entries of one window of kernel grid values (steps x n) in
-# positivity_time_full: at most 1 MiB of float64 at a time.
-GRID_BUDGET = 2 ** 17
 # Longest exact tail, in steps, that positivity_time_full accepts.  The sweep's
 # rule needs 1.2e7 at n = 1800; theta = 0 with n^2 tau just below 1/2 ~3e15.
 STEP_BUDGET = 10 ** 10
@@ -73,7 +70,7 @@ def positivity_time_full(n: int, tau: float, theta: float, stepper: str = "theta
     tail S(m) = sum_{j != 0} |r1_j r2_j|^m decreases strictly, so every step
     from the smallest m_tail with S(m_tail) <= 1/2 on is certified.  Grid
     minima are scanned back from m_tail in windows (one step, doubling up
-    to GRID_BUDGET values) to the last step below 1/2; m* is the step after
+    to BLOCK_ENTRIES values) to the last step below 1/2; m* is the step after
     it, or 1 when no step fails.  A step that does not contract, or a tail
     longer than STEP_BUDGET steps, raises ValueError."""
     scheme = SchemeSpec(tau=tau, theta=theta, stepper=stepper)
@@ -83,7 +80,7 @@ def positivity_time_full(n: int, tau: float, theta: float, stepper: str = "theta
     if np.sum(b ** STEP_BUDGET) > 0.5:
         raise ValueError("positivity time undefined: the exact tail needs more than "
                          f"STEP_BUDGET = {STEP_BUDGET:.0e} steps")
-    hi, width, cap = _tail_steps(b), 1, max(1, GRID_BUDGET // n)
+    hi, width, cap = _tail_steps(b), 1, max(1, BLOCK_ENTRIES // n)
     while hi >= 1:
         steps = np.arange(max(1, hi - width + 1), hi + 2)  # step hi + 1 is certified
         mins = full_green_grid(steps[:-1] * tau, "G1", factors).min(axis=1)

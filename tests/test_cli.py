@@ -11,6 +11,7 @@ import shelab
 from shelab import cli
 from shelab.cli import build_parser, main
 from shelab.output import manifest_line
+from shelab.solver import BlowupError
 
 from conftest import perturb_eigenvalues
 
@@ -460,6 +461,18 @@ def test_mistyped_value_exit_2_naming_key(tmp_path, capsys, command, extra, key)
                    "moments": {**mode, "fit": True}}, "moments.fit")
       for u0, mode in ((1e200, {"mode": "exact", "steps": 20}),
                        (1e100, {"mode": "mc", "p": 4, "times": [0, 0.001], "paths": 10}))],
+    # numpy asked for 18.6 GiB, the n x n eigh input of the exact moments
+    ("moments", {"grid": {"n": 50000}, "moments": {"mode": "exact", "steps": 5}}, "grid.n"),
+    # found by tests/test_cli_schema.py: a 1e303-step Monte Carlo walk, an
+    # invalid int cast of n x, and a log-log fit over one distinct lambda or
+    # of gamma_2 = 0 (nan or inf written, then exit 2 with the CSVs on disk)
+    ("moments", {"moments": {"mode": "mc", "times": [1e300], "paths": 4}}, "moments.times"),
+    ("convergence", {"convergence": {"kind": "green-semi", "ns": [8], "x": 1e30}},
+     "convergence.x"),
+    ("convergence", {"convergence": {"kind": "green-full", "n": 8, "taus": [1e-3], "x": 1e300}},
+     "convergence.x"),
+    ("sweep", {"sweep": {"lambdas": [2.0, 2.0]}}, "sweep.lambdas"),
+    ("sweep", {"sweep": {"zeta": 1.0, "lambdas": [1.0, 2.8e-8]}}, "sweep.lambdas"),
 ])
 def test_library_range_refusal_exit_2_naming_key(tmp_path, capsys, command, extra, key):
     # the range stays the library's; the CLI names the key whose value it refused
@@ -468,6 +481,55 @@ def test_library_range_refusal_exit_2_naming_key(tmp_path, capsys, command, extr
     assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+class TestInternalNumericalFailure:
+    @pytest.mark.parametrize("error", [
+        MemoryError("Unable to allocate 7.45 GiB"), ZeroDivisionError("float division by zero"),
+        OverflowError("int too large to convert to float"), FloatingPointError("overflow"),
+        RuntimeError("failed to converge after 100 iterations")])
+    def test_escaping_error_exit_4_in_one_line(self, tmp_path, capsys, monkeypatch, error):
+        # these ended in a traceback with exit 1, the code of a failed green-check
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "simulate", fail)
+        cfg = write_config(tmp_path, {"simulate": {"steps": 5}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (f"internal numerical failure: {type(error).__name__}: "
+                                f"{error}\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_blowup_keeps_exit_3(self, tmp_path, capsys, monkeypatch):
+        # BlowupError is a RuntimeError; it is caught first
+        def blow_up(*args, **kwargs):
+            raise BlowupError(7, 2e150)
+
+        monkeypatch.setattr(cli, "simulate", blow_up)
+        cfg = write_config(tmp_path, {"simulate": {"steps": 5}})
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("blow-up: moment blow-up horizon reached at "
+                                                  "step 7")
+
+    @pytest.mark.parametrize("command,extra", [
+        ("simulate", {"grid": {"n": 1e9}, "simulate": {"steps": 5}}),
+        ("convergence", {"convergence": {"kind": "green-semi", "ns": [1e9]}})])
+    def test_huge_grid_under_3_gb_address_space_exit_4(self, tmp_path, command, extra):
+        # numpy asks for 7.45 GiB (one n-vector): an _ArrayMemoryError traceback
+        # with exit 1; run in a child process whose address space is capped
+        cfg = write_config(tmp_path, extra)
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 * 10 ** 9,) * 2); "
+                "from shelab.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shelab.__file__)),
+               "OPENBLAS_NUM_THREADS": "1"}
+        out = tmp_path / "out"
+        run = subprocess.run([sys.executable, "-c", code, command, "--config", cfg, "--out-dir",
+                              str(out)], env=env, capture_output=True, text=True)
+        assert run.returncode == 4, run.stderr
+        assert run.stderr.startswith("internal numerical failure: MemoryError: Unable to allocate")
+        assert "Traceback" not in run.stderr and not out.exists()
 
 
 @pytest.mark.parametrize("command,extra,files", [

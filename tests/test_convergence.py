@@ -511,6 +511,14 @@ class TestStrongErrorStudy:
             strong_error_study([(8, 2 ** -6), (8, 2 ** -7), (8, 2 ** -10)], pam_model, 1.0,
                                seed=0, **kwargs)
 
+    def test_zero_errors_refused(self, quiet_model):
+        # without noise these rungs keep u0 = 1 exactly: log(0) in the order
+        # fit warned, and the CLI wrote strong_error.csv before exiting 2 on
+        # the plot's "math domain error"
+        with pytest.raises(ValueError, match=r"^errors \[0.0, 0.0\] of the fitted rungs are not"):
+            strong_error_study([(4, 0.125), (8, 0.125), (32, 0.125)], quiet_model, 1.0,
+                               T=0.125, paths=2, seed=0)
+
     def test_rungs_validated(self, pam_model):
         with pytest.raises(ValueError, match="theta out of range"):
             strong_error_study([(8, 2 ** -6), (8, 2 ** -7), (8, 2 ** -10)], pam_model,

@@ -54,6 +54,13 @@ class TestSpectralBasis:
         basis = spectral_basis(n)
         assert np.all(basis.mode_abs2_interp(x) <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("x", [1e30, -1e300, math.inf, math.nan, [0.5, 1e16]])
+    def test_unresolved_x_refused(self, x):
+        # n x past 2^53 names no grid cell: the int cast of floor(n x) was
+        # invalid, a RuntimeWarning, and the mode values garbage
+        with pytest.raises(ValueError, match="^x must be finite with .x. n < 2\\^53 for n = 8"):
+            spectral_basis(8).modes(x)
+
     @pytest.mark.parametrize("n", [3, 4, 8])
     def test_mode_unit_at_grid_points(self, n):
         basis = spectral_basis(n)
@@ -109,8 +116,8 @@ class TestHeatKernel:
 
     @pytest.mark.parametrize("d", [0.37, np.linspace(-1.0, 1.0, 2048)])
     def test_image_blocks_match_per_time_oracle(self, d):
-        from shelab.kernels import _IMAGE_BUDGET, _heat_kernel_image
-        block = max(1, _IMAGE_BUDGET // (np.size(d) * (2 * IMAGE_TERMS + 1)))
+        from shelab.kernels import BLOCK_ENTRIES, _heat_kernel_image
+        block = max(1, BLOCK_ENTRIES // (np.size(d) * (2 * IMAGE_TERMS + 1)))
         t = np.geomspace(1e-4, 0.9 * CROSSOVER_TIME, 2 * block + 3)  # three blocks
         got = _heat_kernel_image(t, d, IMAGE_TERMS)
         assert got.shape == (t.size,) + np.shape(d)

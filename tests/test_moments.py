@@ -98,6 +98,24 @@ def assert_matches_reference_loop(grid, scheme, model, steps, paths, record, ord
 
 
 class TestExactRecursion:
+    @pytest.mark.parametrize("n", [4097, 50000])
+    def test_grid_past_table_budget_refused_before_any_array(self, monkeypatch, n):
+        # n = 50000 asked numpy for 18.6 GiB, the n x n eigh input: exit 1
+        # with an _ArrayMemoryError; n = 4097 is the first n past TABLE_BYTES
+        def no_basis(n):
+            raise AssertionError(f"spectral basis of n = {n} built before the refusal")
+
+        monkeypatch.setattr("shelab.moments.spectral_basis", no_basis)
+        grid, scheme, model = make(n, 1e-3, 1.0, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^n must be <= 4096.*TABLE_BYTES.*got {n}$"):
+                exact_second_moment_recursion(grid, scheme, model, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
     def test_zero_noise_is_constant(self):
         grid, scheme, model = make(5, 0.01, 1.0, 0.0, i0=2.0)
         mats = exact_second_moment_recursion(grid, scheme, model, 30)
@@ -365,6 +383,18 @@ def test_renewal_root_matches_exact_series_slope(n, theta, lam):
 
 
 class TestMcMoment:
+    @pytest.mark.parametrize("t", [1e300, 1e30, math.inf, math.nan])
+    def test_time_past_2_53_steps_refused(self, monkeypatch, t):
+        # t = 1e300 passed the alignment check (its tolerance is relative) and
+        # the walk read noise for 1e303 steps; inf and nan failed in round()
+        def no_streams(*args):
+            raise AssertionError("noise streams keyed before the times were checked")
+
+        monkeypatch.setattr("shelab.moments.path_streams", no_streams)
+        grid, scheme, model = make(4, 1e-3, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^times must lie within 2\^53 steps of tau=0.001"):
+            mc_moment(grid, scheme, model, 2, 0, [0.0, t], 4, seed=0)
+
     def test_zero_noise_matches_deterministic(self):
         grid, scheme, model = make(4, 0.01, 1.0, 0.0, i0=2.0)
         series = mc_moment(grid, scheme, model, 3, 0, [0.05, 0.1], 16, seed=0)
@@ -566,7 +596,9 @@ class TestSweep:
         assert [p.gamma2 for p in result.points] == [p.gamma2 for p in listed.points]
         assert result.slope == listed.slope
 
-    @pytest.mark.parametrize("lambdas,usable", [([1.0], "got 1"), ([], "got 0")])
+    # repeated lambdas fitted a slope over one point: nan, written with exit 0
+    @pytest.mark.parametrize("lambdas,usable", [([1.0], "got 1"), ([], "got 0"),
+                                                ([2.0, 2.0, 2.0], "got 1")])
     def test_fewer_than_two_points_rejected(self, lambdas, usable):
         with pytest.raises(ValueError, match=f"^lambdas: .*two points, {usable}$"):
             lambda_scaling_sweep(zeta=1.0, lambdas=lambdas, theta=1.0)
@@ -607,6 +639,15 @@ class TestSweep:
     def test_point_past_step_budget_refused(self, zeta, lambdas, theta, slope):
         with pytest.raises(ValueError, match=r"^lambdas: lambda = .* SWEEP_STEPS"):
             lambda_scaling_sweep(zeta=zeta, lambdas=lambdas, theta=theta, sigma_slope=slope)
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_point_that_does_not_grow_refused(self, theta):
+        # lambda^2 tau rounds away against 1, so gamma_2 fits 0: log(0) gave
+        # an inf slope, and the CLI exited 2 on the plot's "math domain error"
+        # after writing sweep.csv and sweep_fit.csv
+        with pytest.raises(ValueError, match=r"^lambdas: the second moment at lambda = 2.8e-08 "
+                                             r"does not grow in floating point"):
+            lambda_scaling_sweep(zeta=1.0, lambdas=[1.0, 2.8e-8], theta=theta)
 
     def test_moments_past_float_range_refused(self):
         # the fit of inf and nan moments wrote gamma_2 = nan with exit 0

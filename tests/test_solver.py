@@ -142,6 +142,19 @@ class TestDenseAndFftRoutes:
 
     @pytest.mark.parametrize("n", [6, DENSE_MAX_N + 8], ids=["dense", "fft"])
     @pytest.mark.parametrize("theta", [0.75, 1.0])
+    def test_overflowing_forcing_is_a_blowup_without_warning(self, n, theta):
+        # lambda = 1e300 with slope 1e30 overflowed the forcing of u = 1:
+        # "overflow encountered in multiply", a RuntimeWarning before the
+        # blow-up; the real FFT turns the infinite forcing into nans
+        model = ModelSpec(lam=1e300, sigma=SigmaSpec.linear(1e30), u0=InitialData.constant(1.0))
+        op = StepOperator(n, SchemeSpec(tau=1e-3, theta=theta), model)
+        with pytest.raises(BlowupError) as err:
+            op.apply(np.ones((2, n)), np.ones((2, n)))
+        magnitude = err.value.magnitude
+        assert magnitude == math.inf if op.dense else math.isnan(magnitude)
+
+    @pytest.mark.parametrize("n", [6, DENSE_MAX_N + 8], ids=["dense", "fft"])
+    @pytest.mark.parametrize("theta", [0.75, 1.0])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e151],
                              ids=["nan", "inf", "-inf", "below-limit"])
     def test_blowup_magnitude(self, pam_model, n, theta, bad):

@@ -170,7 +170,7 @@ class TestPositivityTimes:
         # default window cap and with windows capped at 7 steps
         want = positivity_per_step(n, tau, theta, old_proof_bound_steps(n, tau, theta))[0]
         assert positivity_time_full(n, tau, theta) == want
-        monkeypatch.setattr(shelab.stability, "GRID_BUDGET", 7 * n)
+        monkeypatch.setattr(shelab.stability, "BLOCK_ENTRIES", 7 * n)
         assert positivity_time_full(n, tau, theta) == want
 
     @pytest.mark.parametrize("n,coupling,theta,old_steps,margin_steps", [
